@@ -4,7 +4,10 @@ Subcommands convert between the three representations of a rational
 inner function (zero set, Schur parameters, unitary colligation matrix)
 and run the verification suites.  All input and output is UTF-8 JSON on
 stdin/stdout unless --input/--output name files.  Diagnostics are
-emitted on stderr as JSON lines {check, residual, tolerance}.
+emitted on stderr as JSON lines {check, residual, tolerance}.  A
+non-finite residual (an infinite or undefined value) is written as JSON
+null, both there and in the summary of `verify`, and its check counts
+as failed.
 
 Exit codes: 0 ok, 2 validation failure, 3 numerical failure.
 """
@@ -12,6 +15,7 @@ Exit codes: 0 ok, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -49,6 +53,12 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _json_residual(x) -> float | None:
+    """A residual as written to JSON: null where it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 class _Command:
     """Collects the payload and the diagnostics of one invocation."""
 
@@ -59,13 +69,15 @@ class _Command:
         self.validation_failed = False
 
     def diag(self, check: str, residual: float, tolerance: float) -> None:
-        entry = {
-            "check": check,
-            "residual": float(residual),
-            "tolerance": float(tolerance),
-        }
-        self.diagnostics.append(entry)
-        if not (entry["residual"] <= entry["tolerance"]):
+        residual, tolerance = float(residual), float(tolerance)
+        self.diagnostics.append(
+            {
+                "check": check,
+                "residual": _json_residual(residual),
+                "tolerance": tolerance,
+            }
+        )
+        if not (residual <= tolerance):
             self.failed = True
 
     @property
@@ -154,10 +166,7 @@ def _cmd_schur(cmd: _Command) -> dict:
 
 def _cmd_hessenberg(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
-    matrix = np.array(
-        [[js.complex_from_json(v) for v in row] for row in doc["matrix"]],
-        dtype=complex,
-    )
+    matrix = js.matrix_from_json(doc["matrix"])
     if cmd.args.orientation == "upper":
         cert = hs.reduce_to_special_upper_hessenberg(matrix)
         off_band = np.abs(np.tril(cert.H, -2)).max() if len(matrix) > 2 else 0.0
@@ -213,14 +222,14 @@ def _cmd_eval(cmd: _Command) -> dict:
 
 def _cmd_verify(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
-    matrix = np.array(
-        [[js.complex_from_json(v) for v in row] for row in doc["matrix"]],
-        dtype=complex,
-    )
+    matrix = js.matrix_from_json(doc["matrix"])
     residual = co.unitarity_residual(matrix)
     cmd.diag("unitarity", residual, tol.UNITARY)
-    summary: dict = {"n": matrix.shape[0] - 1, "unitarity_residual": residual}
-    if residual > tol.UNITARY:
+    summary: dict = {
+        "n": matrix.shape[0] - 1,
+        "unitarity_residual": _json_residual(residual),
+    }
+    if not residual <= tol.UNITARY:
         return summary
     col = co.UnitaryColligation(matrix)
     _rank_diagnostics(cmd, col)
@@ -235,9 +244,9 @@ def _cmd_verify(cmd: _Command) -> dict:
         zetas = random_disc_points(rng, cmd.args.samples, 0.9)
         spectral = co.verify_spectral_identities(col, zs, zetas)
         cmd.diag("spectral_identities", spectral.max_residual, 1e-10)
-        summary["spectral_max_residual"] = spectral.max_residual
-    summary["inner_disc_excess"] = disc_excess
-    summary["inner_circle_deviation"] = circle_dev
+        summary["spectral_max_residual"] = _json_residual(spectral.max_residual)
+    summary["inner_disc_excess"] = _json_residual(disc_excess)
+    summary["inner_circle_deviation"] = _json_residual(circle_dev)
     return summary
 
 

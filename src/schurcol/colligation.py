@@ -66,7 +66,7 @@ class UnitaryColligation:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         residual = unitarity_residual(m)
-        if residual > tol.UNITARY:
+        if not residual <= tol.UNITARY:
             raise NotUnitary(
                 f"unitarity residual {residual:.3e} exceeds {tol.UNITARY:g}"
             )

@@ -1,15 +1,17 @@
-"""The model realization of a Blaschke product on its kernel space.
+"""The model realization of a Blaschke product as a cascade of its zeros.
 
-For simple zeros z_1..z_n the kernel functions e_k(t) = 1/(1 - t conj(z_k))
-span the model space, with Gram matrix G[j, k] = 1/(1 - z_j conj(z_k)),
-the Pick matrix of the zeros.  In this basis the principal operator is
-diagonal with entries conj(z_k) (each e_k is an eigenvector of the left
-shift), the channel functional is f -> f(0) (a row of ones, since
-e_k(0) = 1), and the opposite channel vector is the expansion of
-l(t) = (S(t) - S(0)) / t, obtained from one Gram solve with values
-l(z_j) = -S(0)/z_j (and the limit S'(0) at a zero at the origin).
-A final change to an orthonormal basis through the Cholesky factor of G
-makes the assembled matrix unitary in the standard inner product.
+Each zero z_k with d_k = sqrt(1 - |z_k|^2) has the degree-one unitary
+colligation [[z_k, d_k], [-d_k, conj(z_k)]], whose characteristic
+function is (z_k - t) / (1 - t conj(z_k)).  Embedding these 2x2
+sections in rows (0, k) of the identity and multiplying them couples
+the factors in series through the shared channel, so the product
+realizes the whole Blaschke product; scaling the channel column by c
+adds the constant.  This is the kernel-space model written in the
+Takenaka-Malmquist orthonormal basis: the vectors
+x_w = (I - conj(w) D*)^{-1} B* taken at the zeros have the Pick matrix
+1 / (1 - z_j conj(z_k)) as their Gram matrix (:func:`kernel_basis`,
+kept as the reference).  The matrix is unitary by construction, needs
+no separation of the zeros, and costs O(n^2).
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from .colligation import (
     intertwining_residual,
     is_minimal,
 )
-from .errors import (
-    InternalInconsistency,
-    NotPositiveDefinite,
-    NotSimple,
-    ZerosTooClose,
-)
+from .errors import NotPositiveDefinite, NotSimple, ZerosTooClose
 from .rational import BlaschkeProduct, RationalInner, blaschke_to_rational, schur_parameters
-from .sampling import circle_samples, disc_samples
 from .schur_state import colligation_from_schur_parameters
 
 __all__ = [
@@ -83,124 +79,33 @@ def kernel_basis(zeros) -> KernelBasis:
     return KernelBasis(zeros, gram, cholesky, eigenvalues)
 
 
-def _derivative_at_zero(s: RationalInner) -> complex:
-    p0, q0 = s.num[0], s.den[0]
-    p1 = s.num[1] if s.degree >= 1 else 0.0
-    q1 = s.den[1] if s.degree >= 1 else 0.0
-    return complex((p1 * q0 - p0 * q1) / q0**2)
-
-
-# The Pick matrix of nearly clustered zeros is badly conditioned, and
-# LAPACK only works in double, so the small basis-change solves run in
-# extended precision (80-bit where available) with hand-rolled kernels.
-# At the desk sizes involved this costs microseconds and wins the three
-# decimal digits that clustered ensembles need.
-
-
-def _cholesky_extended(gram: np.ndarray) -> np.ndarray:
-    n = len(gram)
-    low = np.zeros((n, n), dtype=np.clongdouble)
-    for j in range(n):
-        pivot = gram[j, j].real - np.sum(np.abs(low[j, :j]) ** 2)
-        if pivot <= 0.0:
-            raise NotPositiveDefinite(f"pivot {pivot!r} at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            low[i, j] = (gram[i, j] - low[i, :j] @ low[j, :j].conj()) / low[j, j]
-    return low
-
-
-def _solve_lower_extended(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # forward substitution; rhs is a vector or a matrix of columns
-    rhs = np.atleast_2d(rhs.T).T.astype(np.clongdouble)
-    out = np.zeros_like(rhs)
-    for i in range(len(low)):
-        out[i] = (rhs[i] - low[i, :i] @ out[:i]) / low[i, i]
-    return out
-
-
 def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
-    """Minimal unitary realization of a Blaschke product with simple zeros."""
-    basis = kernel_basis(b.zeros)
-    s = blaschke_to_rational(b)
-    n = b.degree
-    s0 = s.evaluate(0.0)
-    if n == 0:
-        return UnitaryColligation(np.array([[s0]]))
-
-    z = np.asarray(basis.zeros, dtype=complex)
-    values = np.empty(n, dtype=complex)
-    for j, zj in enumerate(z):
-        values[j] = _derivative_at_zero(s) if zj == 0.0 else -s0 / zj
-
-    zl = z.astype(np.clongdouble)
-    gram = 1.0 / (1.0 - np.outer(zl, np.conj(zl)))
-    low = _cholesky_extended(gram)
-    # C = L* mu with G mu = v collapses to one triangular solve: L^{-1} v
-    C = _solve_lower_extended(low, values.astype(np.clongdouble))[:, 0]
-    B = _solve_lower_extended(low.conj(), np.ones(n, dtype=np.clongdouble))[:, 0]
-    # D = L* diag(conj z) (L*)^{-1}; transpose to make both factors lower
-    X = (low.conj().T * np.conj(zl)).T  # (L* diag)^T = diag^T L*^T
-    D = _solve_lower_extended(low.conj(), X).T
-
-    matrix = np.empty((n + 1, n + 1), dtype=complex)
-    matrix[0, 0] = s0
-    matrix[0, 1:] = B.astype(complex)
-    matrix[1:, 0] = C.astype(complex)
-    matrix[1:, 1:] = D.astype(complex)
-    col = UnitaryColligation(matrix)
-
-    worst = 0.0
-    for sample in disc_samples(16, radius=0.9):
-        worst = max(
-            worst, abs(characteristic_function(col, sample) - s.evaluate(sample))
-        )
-    if worst > 1e-9:
-        raise InternalInconsistency(
-            f"model realization misses its own function by {worst:.3e}"
-        )
-    return col
+    """Minimal unitary realization of a Blaschke product: a cascade of its zeros."""
+    matrix = np.eye(b.degree + 1, dtype=complex)
+    for k, z in enumerate(b.zeros, start=1):
+        d = np.sqrt(1.0 - abs(z) ** 2)
+        top, row = matrix[0].copy(), matrix[k].copy()
+        matrix[0] = z * top + d * row
+        matrix[k] = np.conj(z) * row - d * top
+    matrix[:, 0] *= b.c
+    return UnitaryColligation(matrix)
 
 
 @dataclass(frozen=True)
 class RealizationReport:
     max_characteristic_error: float
-    resolvent_residual: float | None
     samples: int
 
 
 def verify_realization(
-    col: UnitaryColligation,
-    s: RationalInner,
-    samples,
-    kernel: KernelBasis | None = None,
+    col: UnitaryColligation, s: RationalInner, samples
 ) -> RealizationReport:
-    """Compare S_col against ``s`` on the samples; optionally check the resolvent.
-
-    With a kernel basis the identity
-    ``((I - z D)^{-1} f)(t) = (t f(t) - z f(z)) / (t - z)``
-    is evaluated on the basis functions, for which the left side is the
-    scalar e_k(t) / (1 - z conj(z_k)).
-    """
+    """Compare S_col against ``s`` on the samples."""
     samples = np.asarray(samples, dtype=complex)
     worst = 0.0
     for z in samples:
         worst = max(worst, abs(characteristic_function(col, z) - s.evaluate(z)))
-
-    resolvent = None
-    if kernel is not None and len(kernel.zeros):
-        resolvent = 0.0
-        ts = circle_samples(8)
-        zs = disc_samples(8, radius=0.8)
-        for zk in kernel.zeros:
-            ek = lambda w: 1.0 / (1.0 - w * np.conj(zk))  # noqa: E731
-            for t in ts:
-                for z in zs:
-                    lhs = ek(t) / (1.0 - z * np.conj(zk))
-                    rhs = (t * ek(t) - z * ek(z)) / (t - z)
-                    resolvent = max(resolvent, abs(lhs - rhs))
-        resolvent = float(resolvent)
-    return RealizationReport(float(worst), resolvent, len(samples))
+    return RealizationReport(float(worst), len(samples))
 
 
 @dataclass(frozen=True)

@@ -200,22 +200,15 @@ def product_form_matrix(p: SchurParameterSequence) -> np.ndarray:
 def colligation_from_schur_parameters(
     p: SchurParameterSequence,
 ) -> UnitaryColligation:
-    """Build the colligation of a parameter sequence, cross-checked both ways.
+    """Build the special lower Hessenberg colligation of a parameter sequence.
 
-    The closed form and the section product are computed independently
-    and must agree entrywise to 1e-12; any discrepancy is a build error,
-    never silently resolved in favor of either route.
+    The closed form equals the product of embedded sections
+    (:func:`product_form_matrix`); that identity is checked by the test
+    suite, not on every call.
     """
     if not isinstance(p, SchurParameterSequence):
         p = SchurParameterSequence(tuple(p))
-    closed = closed_form_matrix(p)
-    product = product_form_matrix(p)
-    deviation = float(np.abs(closed - product).max())
-    if deviation > 1e-12:
-        raise InternalInconsistency(
-            f"closed form and product form disagree by {deviation:.3e}"
-        )
-    return UnitaryColligation(closed)
+    return UnitaryColligation(closed_form_matrix(p))
 
 
 def _det_polynomial(D: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ __all__ = [
     "rational_from_json",
     "params_to_json",
     "params_from_json",
+    "matrix_from_json",
     "colligation_to_json",
     "colligation_from_json",
     "partitioned_to_json",
@@ -63,7 +64,8 @@ def _matrix_to_json(m) -> list:
     return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
 
 
-def _matrix_from_json(doc) -> np.ndarray:
+def matrix_from_json(doc) -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs."""
     return np.array(
         [[complex_from_json(v) for v in row] for row in doc], dtype=complex
     )
@@ -103,7 +105,7 @@ def colligation_to_json(col: UnitaryColligation) -> dict:
 
 
 def colligation_from_json(doc: dict) -> UnitaryColligation:
-    matrix = _matrix_from_json(doc["matrix"])
+    matrix = matrix_from_json(doc["matrix"])
     if "n" in doc and int(doc["n"]) != matrix.shape[0] - 1:
         raise ValueError(
             f"declared state dimension {doc['n']} does not match matrix size "
@@ -122,7 +124,7 @@ def partitioned_to_json(pc: PartitionedColligation) -> dict:
 def partitioned_from_json(doc: dict) -> PartitionedColligation:
     dims = doc["dims"]
     return PartitionedColligation(
-        _matrix_from_json(doc["matrix"]),
+        matrix_from_json(doc["matrix"]),
         int(dims["e1"]),
         int(dims["e2"]),
         int(dims["h"]),

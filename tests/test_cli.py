@@ -218,6 +218,22 @@ class TestCoupleEvalVerify:
         unitarity = next(c for c in checks if c["check"] == "unitarity")
         assert unitarity["residual"] > unitarity["tolerance"]
 
+    def test_verify_non_finite_residual_is_null(self):
+        # the identity is not minimal: |S| = 1 inside the circle check
+        # divides by zero, so its deviation is infinite
+        out = run_cli(["verify"], '{"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        checks = {c["check"]: c for c in map(json.loads, out.stderr.splitlines())}
+        assert checks["unimodular_on_circle"]["residual"] is None
+        assert json.loads(out.stdout)["inner_circle_deviation"] is None
+
+    def test_verify_nan_matrix_fails(self):
+        out = run_cli(["verify"], '{"matrix":[[NaN]]}')
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert json.loads(out.stdout)["unitarity_residual"] is None
+
 
 class TestParams:
     def test_function_to_parameters(self):

@@ -15,6 +15,10 @@ class TestConstruction:
         with pytest.raises(sc.NotUnitary):
             sc.UnitaryColligation(np.array([[0.0, 1.0], [1.0, 1e-3]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(sc.NotUnitary):
+            sc.UnitaryColligation(np.array([[np.nan]]))
+
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
         assert col.n == 1
