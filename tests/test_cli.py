@@ -219,8 +219,8 @@ class TestCoupleEvalVerify:
         assert unitarity["residual"] > unitarity["tolerance"]
 
     def test_verify_non_finite_residual_is_null(self):
-        # the identity is not minimal: |S| = 1 inside the circle check
-        # divides by zero, so its deviation is infinite
+        # D = 1 puts a pole of the resolvent at t = 1 on the circle, where
+        # the circle check reports an infinite deviation
         out = run_cli(["verify"], '{"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
