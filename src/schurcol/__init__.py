@@ -19,7 +19,6 @@ from .colligation import (
     inner_sampling_report,
     intertwining_residual,
     is_minimal,
-    is_simple,
     markov_parameters,
     minimality_report,
     simulate_time_domain,
@@ -63,7 +62,6 @@ from .rational import (
     RationalInner,
     SchurParameterSequence,
     blaschke_to_rational,
-    evaluate,
     from_schur_parameters,
     inverse_schur_transform,
     is_inner_sampled,
@@ -95,7 +93,6 @@ from .schur_state import (
     SchurStateTrace,
     closed_form_matrix,
     colligation_from_schur_parameters,
-    denominator_chain,
     normalize_B_row,
     product_form_matrix,
     schur_algorithm_state_space,

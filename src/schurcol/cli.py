@@ -148,9 +148,7 @@ def _cmd_realize(cmd: _Command) -> dict:
 def _cmd_schur(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
     col = js.colligation_from_json(doc)
-    trace = ss.schur_algorithm_state_space(
-        col, renormalize_each_step=cmd.args.renormalize_each_step
-    )
+    trace = ss.schur_algorithm_state_space(col)
     cmd.diag("trace_complete", 0.0 if trace.complete else 1.0, 0.0)
     if not trace.complete:
         cmd.validation_failed = True
@@ -308,15 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="closed-form",
         help="realization route",
     )
-    p = sub.add_parser(
+    sub.add_parser(
         "schur",
         parents=[common],
         help="colligation -> state-space Schur recursion trace",
-    )
-    p.add_argument(
-        "--renormalize-each-step",
-        action="store_true",
-        help="re-run the channel-row normalization before every step",
     )
     p = sub.add_parser(
         "hessenberg", parents=[common], help="reduce a matrix to special Hessenberg form"

@@ -35,7 +35,6 @@ __all__ = [
     "characteristic_function",
     "minimality_report",
     "is_minimal",
-    "is_simple",
     "apply_state_gauge",
     "find_equivalence",
     "intertwining_residual",
@@ -166,11 +165,7 @@ def _full_rank(col: UnitaryColligation) -> bool:
 
 
 def is_minimal(col: UnitaryColligation) -> bool:
-    return _full_rank(col)
-
-
-def is_simple(col: UnitaryColligation) -> bool:
-    # for verified-unitary colligations the four rank notions coincide
+    # for verified-unitary colligations minimality and simplicity coincide
     return _full_rank(col)
 
 
@@ -179,7 +174,7 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     V = np.asarray(V, dtype=complex)
     if V.shape != (col.n, col.n):
         raise DimensionMismatch(f"gauge must be {col.n}x{col.n}, got {V.shape}")
-    if unitarity_residual(V) > tol.UNITARY:
+    if not unitarity_residual(V) <= tol.UNITARY:
         raise NotUnitary("gauge matrix is not unitary")
     G = np.eye(col.n + 1, dtype=complex)
     G[1:, 1:] = V
@@ -217,7 +212,7 @@ def find_equivalence(
     Returns None when the Markov parameters disagree, i.e. when the
     characteristic functions differ.
     """
-    if not is_simple(col1) or not is_simple(col2):
+    if not is_minimal(col1) or not is_minimal(col2):
         raise NotSimple("both colligations must be simple")
     order = 2 * max(col1.n, col2.n) + 1
     m1 = markov_parameters(col1, order)

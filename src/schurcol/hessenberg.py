@@ -195,7 +195,7 @@ def hessenberg_minimality(U: np.ndarray) -> bool:
     """
     U = np.asarray(U, dtype=complex)
     residual = unitarity_residual(U)
-    if residual > tol.UNITARY:
+    if not residual <= tol.UNITARY:
         raise NotUnitary(f"unitarity residual {residual:.3e}")
     cert = reduce_to_special_lower_hessenberg(U)
     return is_hl_nonsingular(cert.H, tolerance=max(len(U), 8) * tol.RANK_REL)

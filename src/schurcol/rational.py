@@ -35,7 +35,6 @@ __all__ = [
     "InnerSamplingReport",
     "blaschke_to_rational",
     "rational_to_blaschke",
-    "evaluate",
     "schur_transform",
     "inverse_schur_transform",
     "schur_parameters",
@@ -120,7 +119,6 @@ class SchurParameterSequence:
 
     def __post_init__(self):
         params = tuple(complex(s) for s in self.params)
-        object.__setattr__(self, "params", params)
         if not params:
             raise ValueError("at least the terminal parameter is required")
         for s in params[:-1]:
@@ -128,6 +126,10 @@ class SchurParameterSequence:
                 raise DiscViolation(f"parameter {s!r} is not strictly contractive")
         if abs(abs(params[-1]) - 1.0) > tol.UNIT:
             raise UnitViolation(f"terminal parameter {params[-1]!r} is not unimodular")
+        # the accepted terminal is put exactly on the circle, so that a
+        # deviation within UNIT does not reach the built colligation
+        terminal = params[-1] / abs(params[-1])
+        object.__setattr__(self, "params", params[:-1] + (terminal,))
 
     @property
     def degree(self) -> int:
@@ -166,11 +168,6 @@ def rational_to_blaschke(s: RationalInner) -> BlaschkeProduct:
     if abs(abs(c) - 1.0) > tol.UNIT:
         raise UnitViolation(f"recovered constant {c!r} is not unimodular")
     return BlaschkeProduct(c, tuple(complex(z) for z in zeros))
-
-
-def evaluate(s: RationalInner, z: complex) -> complex:
-    """Horner evaluation of ``s`` at ``z``; raises NearPole close to a pole."""
-    return s.evaluate(z)
 
 
 def schur_transform(s: RationalInner) -> tuple[complex, RationalInner]:

@@ -63,7 +63,7 @@ class PartitionedColligation:
                 f"matrix shape {m.shape} does not match dims ({self.e1},{self.e2},{self.h})"
             )
         residual = unitarity_residual(m)
-        if residual > tol.UNITARY:
+        if not residual <= tol.UNITARY:
             raise NotUnitary(f"unitarity residual {residual:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -257,7 +257,7 @@ def verify_gauge_family(
     m = u_omega.n
     if v.shape != (m, m):
         raise DimensionMismatch(f"inner gauge must be {m}x{m}, got {v.shape}")
-    if unitarity_residual(v) > tol.UNITARY:
+    if not unitarity_residual(v) <= tol.UNITARY:
         raise NotUnitary("inner gauge is not unitary")
 
     base = inverse_schur_colligation(s0, u_omega)

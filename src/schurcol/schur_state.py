@@ -6,25 +6,32 @@ form [sqrt(1 - |s_p|^2), 0, ..., 0]: deleting the first row and column
 of a special lower Hessenberg matrix preserves the form, so no
 re-normalization is needed between steps.  Each step reads off the
 parameter s_p = A and shrinks the matrix by one, dividing the first
-column by sqrt(1 - |s_p|^2).  The denominators of all iterates come
-for free from the nested lower-right corners of the principal block.
+column by sqrt(1 - |s_p|^2).  Minimality is read off the nonzero band
+of the same reduction, and the denominators of all iterates sit in the
+nested lower-right corners of the first iterate's principal block; they
+are computed only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import UnitaryColligation, apply_state_gauge, minimality_report
+from .colligation import UnitaryColligation, apply_state_gauge
 from .errors import (
     InternalInconsistency,
     NotMinimal,
     NotNormalized,
     Terminal,
 )
-from .hessenberg import normalize_first_row, reduce_to_special_lower_hessenberg
+from .hessenberg import (
+    is_hl_nonsingular,
+    normalize_first_row,
+    reduce_to_special_lower_hessenberg,
+)
 from .rational import SchurParameterSequence
 
 __all__ = [
@@ -35,7 +42,6 @@ __all__ = [
     "closed_form_matrix",
     "product_form_matrix",
     "colligation_from_schur_parameters",
-    "denominator_chain",
 ]
 
 
@@ -102,10 +108,19 @@ class SchurStateTrace:
 
     parameters: tuple[complex, ...]
     matrices: tuple[UnitaryColligation, ...]
-    denominators: tuple[np.ndarray, ...]
     complete: bool
     message: str | None
     gauge: np.ndarray
+
+    @cached_property
+    def denominators(self) -> tuple[np.ndarray, ...]:
+        """det(I - z D_p) for every iterate p = 0..n, each with value 1 at 0.
+
+        D_p is the lower-right corner of the first iterate's principal
+        block, so partial traces have the full chain as well.  Computed
+        on first access (n+1 determinants per level) and then kept.
+        """
+        return _denominator_chain_from_first(self.matrices[0])
 
     def parameter_sequence(self) -> SchurParameterSequence:
         if not self.complete:
@@ -113,9 +128,7 @@ class SchurStateTrace:
         return SchurParameterSequence(self.parameters)
 
 
-def schur_algorithm_state_space(
-    col: UnitaryColligation, renormalize_each_step: bool = False
-) -> SchurStateTrace:
+def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
     One Hessenberg reduction up front, then n parameter extractions.
@@ -130,29 +143,21 @@ def schur_algorithm_state_space(
     params: list[complex] = []
     complete = True
     message = None
-    minimal = True
-    if n >= 1:
-        report = minimality_report(cur)
-        minimal = report.rank_controllability == n
     for p in range(n):
         try:
-            if renormalize_each_step:
-                cur = normalize_B_row(cur)
             s_p, cur = schur_step(cur)
         except Terminal as exc:
             complete = False
             message = f"terminated at step {p} of {n}: {exc}"
-            if not minimal:
+            # the rank-aligned threshold of hessenberg_minimality
+            if not is_hl_nonsingular(cert.H, tolerance=max(n + 1, 8) * tol.RANK_REL):
                 message += " (input colligation is not minimal)"
             break
         params.append(s_p)
         matrices.append(cur)
     if complete:
         params.append(matrices[-1].A)
-    denominators = _denominator_chain_from_first(matrices[0])
-    return SchurStateTrace(
-        tuple(params), tuple(matrices), denominators, complete, message, cert.V
-    )
+    return SchurStateTrace(tuple(params), tuple(matrices), complete, message, cert.V)
 
 
 def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
@@ -229,12 +234,3 @@ def _denominator_chain_from_first(first: UnitaryColligation) -> tuple[np.ndarray
     D0 = first.D
     n = first.n
     return tuple(_det_polynomial(D0[p:, p:]) for p in range(n + 1))
-
-
-def denominator_chain(trace: SchurStateTrace) -> tuple[np.ndarray, ...]:
-    """det(I - z D_p) for every iterate, each normalized to value 1 at 0.
-
-    D_p is read directly from the lower-right corner of the first
-    iterate's principal block; no intermediate matrices are needed.
-    """
-    return _denominator_chain_from_first(trace.matrices[0])

@@ -97,17 +97,6 @@ class TestSchur:
         assert doc["complete"] is False
         assert "step 0" in doc["message"]
 
-    def test_renormalize_mode(self):
-        payload = '{"params":[[0.4,0.1],[0,1]]}'
-        realized = run_cli(["realize"], payload)
-        out = run_cli(["schur", "--renormalize-each-step"], realized.stdout)
-        assert out.returncode == 0, out.stderr
-        assert_allclose(
-            json.loads(out.stdout)["parameters"],
-            [[0.4, 0.1], [0.0, 1.0]],
-            atol=1e-10,
-        )
-
 
 class TestHessenberg:
     def test_identity(self):

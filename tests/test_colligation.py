@@ -19,6 +19,19 @@ class TestConstruction:
         with pytest.raises(sc.NotUnitary):
             sc.UnitaryColligation(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            lambda m: sc.PartitionedColligation(m, 1, 1, 1),
+            sc.hessenberg_minimality,
+            lambda m: sc.apply_state_gauge(sc.UnitaryColligation(np.eye(4)), m),
+        ],
+        ids=["partitioned", "hessenberg_minimality", "state_gauge"],
+    )
+    def test_other_unitarity_gates_reject_nan(self, gate):
+        with pytest.raises(sc.NotUnitary):
+            gate(np.full((3, 3), np.nan))
+
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
         assert col.n == 1

@@ -163,6 +163,16 @@ class TestParameterExtraction:
         with pytest.raises(sc.UnitViolation):
             sc.SchurParameterSequence((0.2, 0.5))
 
+    def test_terminal_within_unit_margin_is_put_on_the_circle(self):
+        # a terminal off the circle by 1.3e-10 passes the UNIT check; left
+        # as it is, the colligation built from it is NotUnitary (2.6e-10)
+        terminal = np.exp(0.7j) * (1.0 + 1.3e-10)
+        p = sc.SchurParameterSequence((0.3, 0.2j, -0.5, terminal))
+        assert p.params[:3] == (0.3, 0.2j, -0.5)
+        assert abs(p.params[-1] - np.exp(0.7j)) <= 1e-15
+        col = sc.colligation_from_schur_parameters(p)
+        assert sc.unitarity_residual(col.matrix) <= 1e-15
+
 
 class TestInnerSampling:
     def test_delay_passes(self):

@@ -110,20 +110,23 @@ class TestFullAlgorithm:
         assert_allclose(trace.parameters, expected.params, atol=1e-8)
 
     def test_partial_trace_on_nonminimal_input(self):
-        trace = sc.schur_algorithm_state_space(sc.UnitaryColligation(np.eye(2)))
-        assert not trace.complete
-        assert "step 0" in trace.message
-        assert "not minimal" in trace.message
-        with pytest.raises(sc.NotMinimal):
-            trace.parameter_sequence()
-
-    def test_renormalize_each_step_agrees(self):
-        rng = np.random.default_rng(52)
-        col = sc.UnitaryColligation(random_unitary(rng, 6))
-        lazy = sc.schur_algorithm_state_space(col)
-        eager = sc.schur_algorithm_state_space(col, renormalize_each_step=True)
-        assert lazy.complete and eager.complete
-        assert_allclose(eager.parameters, lazy.parameters, atol=1e-10)
+        # the identity (n = 0), then minimal degree-n colligations with an
+        # uncoupled unimodular state appended
+        rng = np.random.default_rng(28)
+        for n in (0, 2, 3, 4):
+            block = np.eye(n + 2, dtype=complex)
+            if n:
+                block[: n + 1, : n + 1] = sc.colligation_from_schur_parameters(
+                    random_params(rng, n)
+                ).matrix
+                block[n + 1, n + 1] = np.exp(2j * np.pi * rng.uniform())
+            trace = sc.schur_algorithm_state_space(sc.UnitaryColligation(block))
+            assert not trace.complete
+            assert f"step {n} of {n + 1}" in trace.message
+            assert "not minimal" in trace.message
+            assert len(trace.denominators) == n + 2
+            with pytest.raises(sc.NotMinimal):
+                trace.parameter_sequence()
 
     def test_iterates_keep_the_structure(self):
         rng = np.random.default_rng(53)
@@ -189,6 +192,23 @@ class TestMatrixBuilders:
 
 
 class TestDenominatorChain:
+    def test_computed_once_on_first_access(self, monkeypatch):
+        calls = []
+        original = sc.schur_state._denominator_chain_from_first
+
+        def counted(first):
+            calls.append(first)
+            return original(first)
+
+        monkeypatch.setattr(sc.schur_state, "_denominator_chain_from_first", counted)
+        rng = np.random.default_rng(58)
+        trace = sc.schur_algorithm_state_space(random_colligation(rng, 4))
+        assert len(calls) == 0
+        first = trace.denominators
+        assert len(calls) == 1
+        assert trace.denominators is first
+        assert len(calls) == 1
+
     def test_delay(self):
         trace = sc.schur_algorithm_state_space(sc.UnitaryColligation(DELAY))
         assert_allclose(trace.denominators[0], [1.0, 0.0], atol=1e-15)
@@ -217,8 +237,7 @@ class TestDenominatorChain:
         trace = sc.schur_algorithm_state_space(
             sc.colligation_from_schur_parameters(p)
         )
-        chain = sc.denominator_chain(trace)
-        for k, chi in enumerate(chain):
+        for k, chi in enumerate(trace.denominators):
             tail = sc.from_schur_parameters(
                 sc.SchurParameterSequence(p.params[k:])
             )
