@@ -33,7 +33,6 @@ from .errors import (
     FeedbackSingular,
     InternalInconsistency,
     NearPole,
-    NotPositiveDefinite,
     SchurColError,
     Terminal,
 )
@@ -49,7 +48,6 @@ _NUMERICAL_ERRORS = (
     DegreeDropFailure,
     Terminal,
     InternalInconsistency,
-    NotPositiveDefinite,
 )
 
 

@@ -6,9 +6,12 @@ and ``D`` is nxn.  Its characteristic function
 
     S(z) = A + z B (I - z D)^{-1} C
 
-is evaluated through a linear solve; the matrix is never inverted
-explicitly.  Rank decisions are scale-aware: a singular value counts
-when it exceeds ``max(n+1, 8) * 1e-10 * sigma_max``.
+is evaluated through one LU solve of (I - z D) x = C; the matrix is never
+inverted explicitly and no determinant is taken.  The solve itself is the
+pole test: z counts as a pole (NearPole) when LAPACK finds I - z D
+singular or when max|x| exceeds max|C| / POLE.  Rank decisions are
+scale-aware: a singular value counts when it exceeds
+``max(n+1, 8) * 1e-10 * sigma_max``.
 """
 
 from __future__ import annotations
@@ -95,11 +98,22 @@ class UnitaryColligation:
 
 
 def _resolvent_apply(D: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - z D) x = rhs by LU with partial pivoting."""
+    """Solve (I - z D) x = rhs by LU with partial pivoting.
+
+    NearPole when LAPACK finds I - z D singular or max|x| > max|rhs| / POLE.
+    A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
+    disc the rule can fire only within about sqrt(n) * POLE of the circle.
+    """
     M = np.eye(len(D)) - z * D
-    if abs(np.linalg.det(M)) < tol.POLE:
-        raise NearPole(f"I - z D is singular within {tol.POLE:g} at z = {z!r}")
-    return np.linalg.solve(M, rhs)
+    try:
+        x = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise NearPole(f"I - z D is singular at z = {z!r}") from None
+    if not np.abs(x).max(initial=0.0) <= np.abs(rhs).max(initial=0.0) / tol.POLE:
+        raise NearPole(
+            f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} at z = {z!r}"
+        )
+    return x
 
 
 def characteristic_function(col: UnitaryColligation, z: complex) -> complex:
@@ -239,25 +253,17 @@ def find_equivalence(
 
 
 def simulate_time_domain(
-    col: UnitaryColligation,
-    inputs,
-    h0: np.ndarray | None = None,
+    col: UnitaryColligation, inputs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the state recursion [psi_k; h_{k+1}] = U [phi_k; h_k].
+    """Run the state recursion [psi_k; h_{k+1}] = U [phi_k; h_k] from h_0 = 0.
 
     Returns the output sequence and the state trajectory ``h_0 .. h_m``
-    (one more row than there are inputs).  With a unitary matrix and
-    h0 = 0 the balance ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to
-    roundoff.
+    (one more row than there are inputs).  With a unitary matrix the
+    balance ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
     """
     inputs = np.asarray(inputs, dtype=complex)
     n = col.n
-    if h0 is None:
-        h = np.zeros(n, dtype=complex)
-    else:
-        h = np.asarray(h0, dtype=complex)
-        if h.shape != (n,):
-            raise DimensionMismatch(f"initial state must have length {n}")
+    h = np.zeros(n, dtype=complex)
     outputs = np.empty(len(inputs), dtype=complex)
     states = np.empty((len(inputs) + 1, n), dtype=complex)
     states[0] = h
@@ -306,10 +312,10 @@ def verify_spectral_identities(
     Bst = col.B.conj()
     r1 = r2 = r3 = r4 = 0.0
     for z, zeta in zip(z_samples, zeta_samples):
-        sz = characteristic_function(col, z)
-        szeta = characteristic_function(col, zeta)
         xz = _resolvent_apply(col.D, z, col.C)
         xzeta = _resolvent_apply(col.D, zeta, col.C)
+        sz = complex(col.A + z * (col.B @ xz))
+        szeta = complex(col.A + zeta * (col.B @ xzeta))
         ystar = _resolvent_apply(Dst, np.conj(zeta), Bst)
         lhs1 = (1.0 - np.conj(szeta) * sz) / (1.0 - np.conj(zeta) * z)
         r1 = max(r1, abs(lhs1 - np.vdot(xzeta, xz)))
@@ -327,18 +333,10 @@ def inner_sampling_report(
     col: UnitaryColligation,
     disc_count: int = 100,
     circle_count: int = 64,
-    disc_radius: float = 0.99,
-    rng: np.random.Generator | None = None,
 ):
     """(max disc excess, max circle deviation) of |S| for this colligation."""
-    if rng is None:
-        zs = disc_samples(disc_count, radius=disc_radius)
-    else:
-        from .sampling import random_disc_points
-
-        zs = random_disc_points(rng, disc_count, disc_radius)
     disc_excess = 0.0
-    for z in zs:
+    for z in disc_samples(disc_count, radius=0.99):
         disc_excess = max(disc_excess, abs(characteristic_function(col, z)) - 1.0)
     circle_dev = 0.0
     for t in circle_samples(circle_count):

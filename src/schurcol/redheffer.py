@@ -20,6 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .colligation import (
     UnitaryColligation,
+    _resolvent_apply,
     apply_state_gauge,
     characteristic_function,
     unitarity_residual,
@@ -114,8 +115,7 @@ def characteristic_matrix(pc: PartitionedColligation, z: complex) -> np.ndarray:
     C = pc.matrix[e:, :e]
     if pc.h == 0:
         return A.copy()
-    M = np.eye(pc.h) - z * pc.d
-    return A + z * (B @ np.linalg.solve(M, C))
+    return A + z * (B @ _resolvent_apply(pc.d, z, C))
 
 
 def redheffer_transform(

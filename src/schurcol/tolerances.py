@@ -14,7 +14,9 @@ DISC = 1e-9
 # margin for unimodularity: ||s| - 1| <= UNIT
 UNIT = 1e-9
 
-# denominator / feedback-loop singularity guard
+# singularity guard: |denominator| or |1 - s22 omega| at most POLE, or a
+# solve of (I - z D) x = rhs with max|x| > max|rhs| / POLE (for a
+# contraction D only within about sqrt(n) * POLE of the unit circle)
 POLE = 1e-12
 
 # sampled inner-function check

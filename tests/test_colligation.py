@@ -9,6 +9,14 @@ from helpers import random_colligation, random_unitary, taylor_coefficients
 
 DELAY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# twelve zeros on a ring of radius 0.015 around 0.97: det(I - 0.97 D) is
+# about 1.8e-15, yet the solve amplifies C by only about 15
+CLUSTER = tuple(0.97 + 0.015 * np.exp(2j * np.pi * k / 12) for k in range(12))
+
+
+def zero_product(zeros, z):
+    return np.prod([(w - z) / (1.0 - z * np.conj(w)) for w in zeros])
+
 
 class TestConstruction:
     def test_rejects_non_unitary(self):
@@ -65,9 +73,16 @@ class TestCharacteristicFunction:
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 1.0))
         )
-        # D = [-0.5], so I - z D is singular at z = -2
-        with pytest.raises(sc.NearPole):
-            sc.characteristic_function(col, -2.0)
+        # D = [-0.5], so I - z D is singular at z = -2; near it the solve
+        # amplifies by 2e13
+        for z in (-2.0, -2.0 + 1e-13):
+            with pytest.raises(sc.NearPole):
+                sc.characteristic_function(col, z)
+
+    def test_clustered_cascade_inside_the_disc(self):
+        col = sc.model_colligation(sc.BlaschkeProduct(1.0, CLUSTER))
+        value = sc.characteristic_function(col, 0.97)
+        assert abs(value - zero_product(CLUSTER, 0.97)) <= 1e-12
 
 
 class TestMinimality:
@@ -192,10 +207,6 @@ class TestSimulation:
         # series of (0.5 - z)/(1 - 0.5 z): 0.5, -0.75, -0.375, -0.1875
         assert_allclose(outputs, [0.5, -0.75, -0.375, -0.1875], atol=1e-14)
 
-    def test_rejects_bad_initial_state(self):
-        with pytest.raises(sc.DimensionMismatch):
-            sc.simulate_time_domain(sc.UnitaryColligation(DELAY), [1.0], np.zeros(3))
-
     def test_energy_balance_long_run(self):
         rng = np.random.default_rng(13)
         col = random_colligation(rng, 4)
@@ -278,9 +289,14 @@ class TestInnerBehaviour:
         rng = np.random.default_rng(19)
         col = random_colligation(rng, 5)
         disc_excess, circle_dev = sc.inner_sampling_report(
-            col, disc_count=100, circle_count=64, rng=rng
+            col, disc_count=100, circle_count=64
         )
         assert disc_excess <= 1e-10
+        assert circle_dev <= 1e-9
+
+    def test_clustered_cascade_unimodular_on_boundary(self):
+        col = sc.model_colligation(sc.BlaschkeProduct(1.0, CLUSTER))
+        _, circle_dev = sc.inner_sampling_report(col)
         assert circle_dev <= 1e-9
 
     def test_taylor_oracle_agreement(self):

@@ -67,6 +67,13 @@ class TestElementarySection:
                 atol=1e-14,
             )
 
+    def test_characteristic_matrix_at_state_pole(self):
+        rng = np.random.default_rng(41)
+        pc = sc.PartitionedColligation(random_unitary(rng, 4), 1, 1, 2)
+        for lam in np.linalg.eigvals(pc.d):
+            with pytest.raises(sc.NearPole):
+                sc.characteristic_matrix(pc, 1.0 / lam)
+
     def test_rejects_unimodular_parameter(self):
         with pytest.raises(sc.DiscViolation):
             sc.elementary_schur_section(1.0)
