@@ -9,7 +9,7 @@ non-finite residual (an infinite or undefined value) is written as JSON
 null, both there and in the summary of `verify`, and its check counts
 as failed.
 
-Exit codes: 0 ok, 2 validation failure, 3 numerical failure.
+Exit codes: 0 ok, 2 validation failure, 3 numerical failure; never a traceback.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class _Command:
         )
         if not (residual <= tolerance):
             self.failed = True
-
-    @property
-    def round_tol(self) -> float:
-        return self.args.tolerance if self.args.tolerance is not None else tol.ROUND
 
 
 def _read_input(args) -> dict:
@@ -156,7 +152,7 @@ def _cmd_schur(cmd: _Command) -> dict:
         residual = (
             np.inf if gauge is None else co.intertwining_residual(roundtrip, col, gauge)
         )
-        cmd.diag("parameter_roundtrip", residual, cmd.round_tol)
+        cmd.diag("parameter_roundtrip", residual, tol.ROUND)
     return js.trace_to_json(trace)
 
 
@@ -275,12 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help="read the JSON input from this file")
     common.add_argument("--output", help="write the JSON output to this file")
     common.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override the round-trip tolerance used by diagnostics",
-    )
-    common.add_argument(
         "--samples", type=int, default=50, help="sample count for verification checks"
     )
     common.add_argument(
@@ -331,16 +321,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cmd = _Command(args)
     try:
-        payload = _HANDLERS[args.command](cmd)
+        _write_output(args, _HANDLERS[args.command](cmd))
     except _NUMERICAL_ERRORS as exc:
         _emit_diagnostics(cmd)
         print(f"schurcol {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SchurColError, ValueError, KeyError, OSError) as exc:
+    # a document of the wrong shape raises KeyError, TypeError or OverflowError
+    except (SchurColError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         _emit_diagnostics(cmd)
         print(f"schurcol {args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_output(args, payload)
     _emit_diagnostics(cmd)
     if cmd.validation_failed:
         return EXIT_VALIDATION

@@ -35,6 +35,7 @@ __all__ = [
     "MinimalityReport",
     "SpectralIdentityReport",
     "unitarity_residual",
+    "require_unitary",
     "characteristic_function",
     "minimality_report",
     "is_minimal",
@@ -57,6 +58,13 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(max(left, right))
 
 
+def require_unitary(matrix: np.ndarray, what: str) -> None:
+    """NotUnitary unless the unitarity residual is at most UNITARY (NaN fails)."""
+    residual = unitarity_residual(matrix)
+    if not residual <= tol.UNITARY:
+        raise NotUnitary(f"{what} is not unitary: residual {residual:.3e}")
+
+
 @dataclass(frozen=True)
 class UnitaryColligation:
     """A verified-unitary matrix with the canonical 1/n block split."""
@@ -67,11 +75,7 @@ class UnitaryColligation:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        residual = unitarity_residual(m)
-        if not residual <= tol.UNITARY:
-            raise NotUnitary(
-                f"unitarity residual {residual:.3e} exceeds {tol.UNITARY:g}"
-            )
+        require_unitary(m, "colligation matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -161,26 +165,18 @@ def minimality_report(col: UnitaryColligation) -> MinimalityReport:
     return MinimalityReport(ranks[0], ranks[1], ranks[2], tuple(svs), n)
 
 
-def _full_rank(col: UnitaryColligation) -> bool:
-    if col.n == 0:
-        return True
-    report = minimality_report(col)
-    ranks = {
-        report.rank_controllability,
-        report.rank_observability,
-        report.rank_simplicity,
-    }
-    if len(ranks) != 1:
-        raise InternalInconsistency(
-            "rank of the controllability, observability and simplicity matrices "
-            f"disagree for a unitary colligation: {report}"
-        )
-    return ranks.pop() == col.n
-
-
 def is_minimal(col: UnitaryColligation) -> bool:
     # for verified-unitary colligations minimality and simplicity coincide
-    return _full_rank(col)
+    if col.n == 0:
+        return True
+    r = minimality_report(col)
+    ranks = (r.rank_controllability, r.rank_observability, r.rank_simplicity)
+    if len(set(ranks)) != 1:
+        raise InternalInconsistency(
+            "ranks of the controllability, observability and simplicity matrices "
+            f"disagree for a unitary colligation: {ranks} of n = {col.n}"
+        )
+    return ranks[0] == col.n
 
 
 def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligation:
@@ -188,8 +184,7 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     V = np.asarray(V, dtype=complex)
     if V.shape != (col.n, col.n):
         raise DimensionMismatch(f"gauge must be {col.n}x{col.n}, got {V.shape}")
-    if not unitarity_residual(V) <= tol.UNITARY:
-        raise NotUnitary("gauge matrix is not unitary")
+    require_unitary(V, "gauge matrix")
     G = np.eye(col.n + 1, dtype=complex)
     G[1:, 1:] = V
     return UnitaryColligation(G.conj().T @ col.matrix @ G)

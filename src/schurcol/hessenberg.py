@@ -20,10 +20,9 @@ from . import tolerances as tol
 from .errors import (
     InternalInconsistency,
     NormMismatch,
-    NotUnitary,
     ZeroVector,
 )
-from .colligation import unitarity_residual
+from .colligation import require_unitary, unitarity_residual
 
 __all__ = [
     "HessenbergCertificate",
@@ -146,7 +145,7 @@ def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:
     G = np.eye(size, dtype=complex)
     G[1:, 1:] = cert.V
     recon = np.abs(G.conj().T @ M @ G - cert.H).max() if size else 0.0
-    if gauge_res > 1e-11 or recon > 1e-11 * scale:
+    if not (gauge_res <= 1e-11 and recon <= 1e-11 * scale):
         raise InternalInconsistency(
             f"gauge residuals too large: unitarity {gauge_res:.3e}, "
             f"reconstruction {recon:.3e}"
@@ -193,9 +192,6 @@ def hessenberg_minimality(U: np.ndarray) -> bool:
     Uses the rank-aligned threshold ``max(n+1, 8) * 1e-10`` so the
     verdict agrees with the singular-value rank tests.
     """
-    U = np.asarray(U, dtype=complex)
-    residual = unitarity_residual(U)
-    if not residual <= tol.UNITARY:
-        raise NotUnitary(f"unitarity residual {residual:.3e}")
+    require_unitary(U, "matrix")
     cert = reduce_to_special_lower_hessenberg(U)
     return is_hl_nonsingular(cert.H, tolerance=max(len(U), 8) * tol.RANK_REL)

@@ -59,10 +59,10 @@ class BlaschkeProduct:
     def __post_init__(self):
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
-        if abs(abs(self.c) - 1.0) > tol.UNIT:
+        if not tol.on_circle(self.c):
             raise UnitViolation(f"|c| = {abs(self.c)!r} is not unimodular")
         for z in self.zeros:
-            if abs(z) >= 1.0 - tol.DISC:
+            if not tol.inside_disc(z):
                 raise DiscViolation(f"zero {z!r} is not strictly inside the disc")
 
     @property
@@ -88,7 +88,10 @@ class RationalInner:
         size = max(len(num), len(den))
         num = np.pad(num, (0, size - len(num)))
         den = np.pad(den, (0, size - len(den)))
-        scale = max(np.abs(num).max(), np.abs(den).max())
+        # one reduction over both arrays, so that a NaN in either reaches scale
+        scale = np.abs(np.concatenate((num, den))).max()
+        if not scale < np.inf:
+            raise ValueError("coefficients must be finite")
         if scale == 0.0:
             raise ValueError("zero rational function is not representable")
         cut = tol.TRIM * scale
@@ -106,7 +109,7 @@ class RationalInner:
 
     def evaluate(self, z: complex) -> complex:
         den_val = npoly.polyval(z, self.den)
-        if abs(den_val) < tol.POLE:
+        if not tol.clear_of_pole(den_val):
             raise NearPole(f"denominator magnitude {abs(den_val):.3e} at z = {z!r}")
         return complex(npoly.polyval(z, self.num) / den_val)
 
@@ -122,9 +125,9 @@ class SchurParameterSequence:
         if not params:
             raise ValueError("at least the terminal parameter is required")
         for s in params[:-1]:
-            if abs(s) >= 1.0 - tol.DISC:
+            if not tol.inside_disc(s):
                 raise DiscViolation(f"parameter {s!r} is not strictly contractive")
-        if abs(abs(params[-1]) - 1.0) > tol.UNIT:
+        if not tol.on_circle(params[-1]):
             raise UnitViolation(f"terminal parameter {params[-1]!r} is not unimodular")
         # the accepted terminal is put exactly on the circle, so that a
         # deviation within UNIT does not reach the built colligation
@@ -163,9 +166,9 @@ def rational_to_blaschke(s: RationalInner) -> BlaschkeProduct:
     zeros = np.roots(s.num[::-1] / s.den[0])
     c = complex(s.num[-1] / s.den[0]) * (-1.0) ** n
     for z in zeros:
-        if abs(z) >= 1.0 - tol.DISC:
+        if not tol.inside_disc(z):
             raise DiscViolation(f"numerator root {z!r} is not strictly inside the disc")
-    if abs(abs(c) - 1.0) > tol.UNIT:
+    if not tol.on_circle(c):
         raise UnitViolation(f"recovered constant {c!r} is not unimodular")
     return BlaschkeProduct(c, tuple(complex(z) for z in zeros))
 
@@ -181,7 +184,7 @@ def schur_transform(s: RationalInner) -> tuple[complex, RationalInner]:
     if n == 0:
         raise Terminal("constant function: the recursion has terminated")
     s0 = complex(s.num[0] / s.den[0])
-    if abs(s0) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(s0):
         raise Terminal(
             f"|s(0)| = {abs(s0):.17g} is within {tol.DISC:g} of the unit circle"
         )
@@ -208,7 +211,7 @@ def schur_transform(s: RationalInner) -> tuple[complex, RationalInner]:
 def inverse_schur_transform(s0: complex, omega: RationalInner) -> RationalInner:
     """Rebuild ``s(z) = (s0 + z omega(z)) / (1 + z conj(s0) omega(z))``."""
     s0 = complex(s0)
-    if abs(s0) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
     z_num = np.concatenate(([0.0], omega.num))
     z_den = np.concatenate(([0.0], omega.num))
@@ -225,7 +228,7 @@ def schur_parameters(s: RationalInner) -> SchurParameterSequence:
         s0, cur = schur_transform(cur)
         params.append(s0)
     terminal = complex(cur.num[0] / cur.den[0])
-    if abs(abs(terminal) - 1.0) > tol.UNIT:
+    if not tol.on_circle(terminal):
         raise UnitViolation(
             f"terminal value {terminal!r} is not unimodular: input was not inner"
         )

@@ -23,6 +23,7 @@ from .colligation import (
     _resolvent_apply,
     apply_state_gauge,
     characteristic_function,
+    require_unitary,
     unitarity_residual,
 )
 from .errors import (
@@ -63,9 +64,7 @@ class PartitionedColligation:
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match dims ({self.e1},{self.e2},{self.h})"
             )
-        residual = unitarity_residual(m)
-        if not residual <= tol.UNITARY:
-            raise NotUnitary(f"unitarity residual {residual:.3e}")
+        require_unitary(m, "partitioned matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -123,7 +122,7 @@ def redheffer_transform(
 ) -> complex:
     """Scalar feedback form s11 + s12 * omega * (1 - s22 * omega)^{-1} * s21."""
     denom = 1.0 - s22 * omega
-    if abs(denom) <= tol.POLE:
+    if not tol.clear_of_pole(denom):
         raise FeedbackSingular(f"|1 - s22 omega| = {abs(denom):.3e}")
     return complex(s11 + s12 * omega * s21 / denom)
 
@@ -148,7 +147,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
     inverse Schur transform in feedback form.
     """
     s0 = complex(s0)
-    if abs(s0) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
     delta = np.sqrt(1.0 - abs(s0) ** 2)
     m = np.array(
@@ -160,7 +159,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
         dtype=complex,
     )
     residual = unitarity_residual(m)
-    if residual > 1e-14:
+    if not residual <= 1e-14:
         raise NotUnitary(f"section unitarity residual {residual:.3e}")
     return SchurSection(s0, m)
 
@@ -182,7 +181,7 @@ def redheffer_product(
     delta = u2.D
     a22 = complex(u1.a22[0, 0])
     denom = 1.0 - a22 * alpha
-    if abs(denom) <= tol.POLE:
+    if not tol.clear_of_pole(denom):
         raise FeedbackSingular(f"|1 - a22 alpha| = {abs(denom):.3e}")
 
     size = 1 + h1 + h2
@@ -213,7 +212,7 @@ def inverse_schur_colligation(
     The channel row of the result is [sqrt(1 - |s0|^2), 0, ..., 0].
     """
     s0 = complex(s0)
-    if abs(s0) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
     size = u_omega.n + 2
     delta0 = np.sqrt(1.0 - abs(s0) ** 2)
@@ -251,14 +250,13 @@ def verify_gauge_family(
     and its channel row must be [epsilon sqrt(1-|s0|^2), 0, ..., 0].
     """
     epsilon = complex(epsilon)
-    if abs(abs(epsilon) - 1.0) > tol.UNIT:
+    if not tol.on_circle(epsilon):
         raise UnitViolation(f"epsilon = {epsilon!r} is not unimodular")
     v = np.asarray(v, dtype=complex)
     m = u_omega.n
     if v.shape != (m, m):
         raise DimensionMismatch(f"inner gauge must be {m}x{m}, got {v.shape}")
-    if not unitarity_residual(v) <= tol.UNITARY:
-        raise NotUnitary("inner gauge is not unitary")
+    require_unitary(v, "inner gauge")
 
     base = inverse_schur_colligation(s0, u_omega)
     n = base.n

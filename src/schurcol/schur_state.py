@@ -47,7 +47,7 @@ __all__ = [
 
 def normalize_B_row(col: UnitaryColligation) -> UnitaryColligation:
     """Gauge-equivalent colligation whose channel row is [sqrt(1-|A|^2), 0, ...]."""
-    if abs(col.A) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(col.A):
         raise Terminal(
             f"|A| = {abs(col.A):.17g} is within {tol.DISC:g} of the unit circle; "
             "the channel row is degenerate"
@@ -77,7 +77,7 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
         raise Terminal("colligation is already the terminal constant")
     _check_special_row(col)
     s_p = col.A
-    if abs(s_p) >= 1.0 - tol.DISC:
+    if not tol.inside_disc(s_p):
         raise Terminal(
             f"|s_p| = {abs(s_p):.17g} is within {tol.DISC:g} of the unit circle"
         )

@@ -224,6 +224,34 @@ class TestCoupleEvalVerify:
         assert json.loads(out.stdout)["unitarity_residual"] is None
 
 
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["params"], '{"params":[[0.5,0],[NaN,0]]}'),
+            (["params"], '{"zeros":[[NaN,0]],"c":[1,0]}'),
+            (["eval", "--z", "0.3", "0"], '{"num":[[NaN,0]],"den":[[1,0]]}'),
+            (
+                ["eval", "--z", "nan", "0"],
+                '{"num":[[0.5,0],[1,0]],"den":[[1,0],[0.5,0]]}',
+            ),
+            (["hessenberg"], '{"matrix":[[[1,0],[0,0]],[[0,0],[Infinity,0]]]}'),
+        ],
+        ids=["nan_parameter", "nan_zero", "nan_coefficient", "nan_point", "inf_entry"],
+    )
+    def test_non_finite_input(self, args, stdin):
+        out = run_cli(args, stdin)
+        assert out.returncode in (2, 3), out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        out = run_cli(["realize", "--output", str(target)], PARAMS_DELAY)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert json.loads(out.stderr.splitlines()[0])["check"] == "unitarity"
+
+
 class TestParams:
     def test_function_to_parameters(self):
         out = run_cli(["params"], '{"num":[[0.5,0],[-1,0]],"den":[[1,0],[-0.5,0]]}')

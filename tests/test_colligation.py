@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_colligation, random_unitary, taylor_coefficients
+from schurcol import colligation as co
+from helpers import random_colligation, random_params, random_unitary, taylor_coefficients
 
 DELAY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -33,12 +34,18 @@ class TestConstruction:
             lambda m: sc.PartitionedColligation(m, 1, 1, 1),
             sc.hessenberg_minimality,
             lambda m: sc.apply_state_gauge(sc.UnitaryColligation(np.eye(4)), m),
+            lambda m: sc.verify_gauge_family(0.5, sc.UnitaryColligation(np.eye(4)), 1.0, m),
         ],
-        ids=["partitioned", "hessenberg_minimality", "state_gauge"],
+        ids=["partitioned", "hessenberg_minimality", "state_gauge", "gauge_family"],
     )
     def test_other_unitarity_gates_reject_nan(self, gate):
         with pytest.raises(sc.NotUnitary):
             gate(np.full((3, 3), np.nan))
+
+    def test_require_unitary_names_the_matrix(self):
+        co.require_unitary(DELAY, "delay")
+        with pytest.raises(sc.NotUnitary, match="^inner gauge is not unitary"):
+            co.require_unitary(2.0 * DELAY, "inner gauge")
 
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
@@ -117,6 +124,18 @@ class TestMinimality:
 
     def test_identity_two_by_two_not_minimal(self):
         assert not sc.is_minimal(sc.UnitaryColligation(np.eye(2)))
+
+    def test_disagreeing_ranks_give_a_short_message(self):
+        # the Krylov matrices of this minimal n = 64 colligation lose rank
+        # numerically: 46, 46 and 50
+        col = sc.colligation_from_schur_parameters(
+            random_params(np.random.default_rng(0), 64)
+        )
+        with pytest.raises(sc.InternalInconsistency) as info:
+            sc.is_minimal(col)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "(46, 46, 50)" in message
 
 
 class TestStateGauge:

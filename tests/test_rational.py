@@ -10,7 +10,59 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol import tolerances as tol
 from helpers import random_blaschke, random_params
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("x", [NAN, INF, -INF, complex(NAN, 0.0), complex(0.0, INF)])
+    def test_non_finite_fails_every_rule(self, x):
+        assert not tol.inside_disc(x)
+        assert not tol.on_circle(x)
+        assert not tol.clear_of_pole(x)
+
+    def test_finite_margins(self):
+        assert tol.inside_disc(1.0 - 2e-9) and not tol.inside_disc(1.0 - 0.5e-9)
+        assert tol.on_circle(1j * (1.0 + 0.5e-9)) and not tol.on_circle(1.0 + 2e-9)
+        assert tol.clear_of_pole(-2e-12) and not tol.clear_of_pole(1e-12)
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: sc.SchurParameterSequence((NAN, 1.0)), sc.DiscViolation),
+            (lambda: sc.SchurParameterSequence((0.5, NAN)), sc.UnitViolation),
+            (lambda: sc.BlaschkeProduct(NAN, ()), sc.UnitViolation),
+            (lambda: sc.BlaschkeProduct(1.0, (0.5, NAN)), sc.DiscViolation),
+            (lambda: sc.RationalInner([NAN, 1.0], [1.0, 0.0]), ValueError),
+            (lambda: sc.RationalInner([0.5, 1.0], [NAN, 0.5]), ValueError),
+            (lambda: sc.RationalInner([0.5, 1.0], [1.0, NAN]), ValueError),
+            (
+                lambda: sc.inverse_schur_transform(NAN, sc.RationalInner([1.0], [1.0])),
+                sc.DiscViolation,
+            ),
+            (
+                lambda: sc.RationalInner([0.5, 1.0], [1.0, 0.5]).evaluate(NAN),
+                sc.NearPole,
+            ),
+        ],
+        ids=[
+            "parameter",
+            "terminal",
+            "constant",
+            "zero",
+            "numerator",
+            "denominator_head",
+            "denominator_tail",
+            "inverse_transform",
+            "evaluate",
+        ],
+    )
+    def test_nan_is_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestBlaschkeToRational:

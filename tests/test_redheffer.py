@@ -17,6 +17,10 @@ def section_char(s0, z):
 
 
 class TestRedhefferTransform:
+    def test_nan_load_is_singular(self):
+        with pytest.raises(sc.FeedbackSingular):
+            sc.redheffer_transform(0.5, ROOT75, ROOT75, -0.5, float("nan"))
+
     def test_zero_load_returns_through_path(self):
         assert sc.redheffer_transform(0.3, 0.5, 0.7, 0.2, 0.0) == 0.3
 
@@ -77,6 +81,15 @@ class TestElementarySection:
     def test_rejects_unimodular_parameter(self):
         with pytest.raises(sc.DiscViolation):
             sc.elementary_schur_section(1.0)
+
+    def test_rejects_nan_parameter(self):
+        constant = sc.UnitaryColligation(np.array([[-1.0]]))
+        with pytest.raises(sc.DiscViolation):
+            sc.elementary_schur_section(float("nan"))
+        with pytest.raises(sc.DiscViolation):
+            sc.inverse_schur_colligation(float("nan"), constant)
+        with pytest.raises(sc.UnitViolation):
+            sc.verify_gauge_family(0.5, constant, float("nan"), np.eye(0))
 
 
 class TestRedhefferProduct:
