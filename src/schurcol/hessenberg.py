@@ -3,10 +3,14 @@
 "Special lower Hessenberg" means zero above the first superdiagonal and
 nonnegative real entries on the superdiagonal itself; "HL-non-singular"
 additionally requires those entries to be nonzero.  A square matrix is
-reduced to this form by a state gauge diag(1, V): V is accumulated as a
-product of embedded row-matching unitaries, one per row.  The upper form
-is obtained from the reduction of the adjoint, which is equivalent
-because the conjugate of a nonnegative real is itself.
+reduced to this form by a state gauge diag(1, V).  Row r's tail
+H[r, r+1:] defines one reflector, a phase times a Householder matrix
+(the one :func:`normalize_first_row` builds), that maps the tail onto
+[|tail|, 0, ..., 0].  It is applied in place as rank-one updates of the
+columns H[:, r+1:], the rows H[r+1:, :] and the gauge columns V[:, r:],
+so the reduction costs O(n^3) and never forms an embedded gauge.  The
+upper form is obtained from the reduction of the adjoint, which is
+equivalent because the conjugate of a nonnegative real is itself.
 """
 
 from __future__ import annotations
@@ -48,13 +52,36 @@ class HessenbergCertificate:
     band: np.ndarray
 
 
+def _reflector(b: np.ndarray, norm: float) -> tuple[complex, np.ndarray | None]:
+    """Phase lam and unit v with ``b @ lam (I - 2 conj(v) v^T) == [norm, 0, ...]``.
+
+    norm is |b|.  lam makes ``lam * b[0]`` nonnegative (lam = 1 when
+    b[0] = 0), and v = w / |w| for w = lam b - [norm, 0, ..., 0].  The
+    head of w is formed as -|b[1:]|^2 / (|b[0]| + norm), which equals
+    |b[0]| - norm without its cancellation: the difference would err by
+    eps |b| and tilt the reflector of a row within delta of a multiple
+    of e_0 by eps / delta.  v is None when |w| <= 1e-14 norm: the step
+    is then the phase alone.
+    """
+    head = abs(b[0])
+    lam = np.conj(b[0]) / head if head > 0.0 else 1.0 + 0.0j
+    rest = np.vdot(b[1:], b[1:]).real
+    w0 = -rest / (head + norm)
+    wn = np.sqrt(w0 * w0 + rest)
+    if wn <= 1e-14 * norm:
+        return lam, None
+    w = lam * b
+    w[0] = w0
+    return lam, w / wn
+
+
 def match_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Unitary V with ``b1 @ V == b2`` for equal-norm row vectors.
 
-    Proportional rows are matched by a scalar phase; otherwise V is a
-    phase times a Householder reflector, with the phase chosen to make
-    ``lambda * (b1 @ b2*)`` nonnegative (lambda = 1 when the rows are
-    orthogonal).
+    Rows proportional to within 1e-14 of their norm are matched by the
+    scalar phase that makes ``lambda * (b1 @ b2*)`` nonnegative.
+    Otherwise V = V1 V2*, where Vi maps bi onto [|bi|, 0, ..., 0] as in
+    :func:`normalize_first_row`.
     """
     b1 = np.asarray(b1, dtype=complex).ravel()
     b2 = np.asarray(b2, dtype=complex).ravel()
@@ -66,39 +93,42 @@ def match_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         raise ZeroVector("row matching requires nonzero rows")
     if abs(n1 - n2) > tol.NORM * max(n1, n2):
         raise NormMismatch(f"norms {n1!r} and {n2!r} differ beyond {tol.NORM:g}")
-    n = len(b1)
     inner = b1 @ b2.conj()
     lam = np.conj(inner) / abs(inner) if abs(inner) > 0.0 else 1.0 + 0.0j
-    w = lam * b1 - b2
-    wn2 = np.vdot(w, w).real
-    if wn2 <= (1e-14 * n1) ** 2:
-        return lam * np.eye(n, dtype=complex)
-    return lam * (np.eye(n, dtype=complex) - 2.0 * np.outer(w.conj(), w) / wn2)
+    if np.linalg.norm(lam * b1 - b2) <= 1e-14 * n1:
+        return lam * np.eye(len(b1), dtype=complex)
+    return normalize_first_row(b1) @ normalize_first_row(b2).conj().T
 
 
 def normalize_first_row(b: np.ndarray) -> np.ndarray:
-    """Unitary V with ``b @ V == [|b|, 0, ..., 0]``."""
+    """Unitary V with ``b @ V == [|b|, 0, ..., 0]``: a phase times a reflector.
+
+    The phase makes the head of ``b @ V`` nonnegative before the
+    reflection; a row already proportional to e_0 gets the phase alone.
+    """
     b = np.asarray(b, dtype=complex).ravel()
     norm = np.linalg.norm(b)
     if norm == 0.0:
         raise ZeroVector("cannot normalize a zero row")
-    target = np.zeros(len(b), dtype=complex)
-    target[0] = norm
-    return match_rows(b, target)
-
-
-def _embedded_gauge(size: int, offset: int, v: np.ndarray) -> np.ndarray:
-    g = np.eye(size, dtype=complex)
-    g[offset:, offset:] = v
-    return g
+    lam, v = _reflector(b, norm)
+    eye = np.eye(len(b), dtype=complex)
+    if v is None:
+        return lam * eye
+    return lam * (eye - 2.0 * np.outer(v.conj(), v))
 
 
 def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     """Reduce M by a state gauge to special lower Hessenberg form.
 
-    Always succeeds: a (numerically) zero row tail contributes a zero
-    superdiagonal entry and an identity gauge factor.  The first row and
-    column index is never touched, so ``H[0, 0] == M[0, 0]``.
+    Row r's tail is mapped onto [|tail|, 0, ..., 0] by the reflector
+    Q = lam (I - 2 conj(v) v^T) of :func:`normalize_first_row`, applied
+    in place as H[:, r+1:] <- H[:, r+1:] Q, H[r+1:, :] <- Q* H[r+1:, :]
+    and V[:, r:] <- V[:, r:] Q: rank-one updates for the Householder
+    part and a scaling for the phase lam, O(n^2) per row and O(n^3) in
+    all.  A phase-only Q is that scaling alone.  Always succeeds: a
+    (numerically) zero row tail is skipped, leaving a zero superdiagonal
+    entry and the gauge columns untouched.  The first row and column
+    index is never touched, so ``H[0, 0] == M[0, 0]``.
     """
     M = np.asarray(M, dtype=complex)
     size = M.shape[0]
@@ -108,13 +138,21 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     V = np.eye(n, dtype=complex)
     for row in range(n):
         tail = H[row, row + 1 :]
-        if np.linalg.norm(tail) <= tol.STRUCT * scale:
+        norm = np.linalg.norm(tail)
+        if norm <= tol.STRUCT * scale:
             continue
-        step = normalize_first_row(tail)
-        H = _embedded_gauge(size, row + 1, step).conj().T @ H @ _embedded_gauge(
-            size, row + 1, step
-        )
-        V = V @ _embedded_gauge(n, row, step)
+        lam, v = _reflector(tail, norm)
+        gauge = V[:, row:]
+        if v is not None:
+            cols, rows = H[:, row + 1 :], H[row + 1 :, :]
+            two_v, v_bar = 2.0 * v, v.conj()
+            cols -= np.outer(cols @ v_bar, two_v)
+            rows -= np.outer(v_bar, two_v @ rows)
+            gauge -= np.outer(gauge @ v_bar, two_v)
+        # lam and conj(lam) cancel on the trailing block H[row+1:, row+1:]
+        H[: row + 1, row + 1 :] *= lam
+        H[row + 1 :, : row + 1] *= np.conj(lam)
+        gauge *= lam
     cert = HessenbergCertificate(H, V, "lower", np.real(np.diagonal(H, 1)).copy())
     _check_certificate(cert, M)
     return cert

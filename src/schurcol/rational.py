@@ -165,11 +165,7 @@ def rational_to_blaschke(s: RationalInner) -> BlaschkeProduct:
         return BlaschkeProduct(complex(s.num[0] / s.den[0]), ())
     zeros = np.roots(s.num[::-1] / s.den[0])
     c = complex(s.num[-1] / s.den[0]) * (-1.0) ** n
-    for z in zeros:
-        if not tol.inside_disc(z):
-            raise DiscViolation(f"numerator root {z!r} is not strictly inside the disc")
-    if not tol.on_circle(c):
-        raise UnitViolation(f"recovered constant {c!r} is not unimodular")
+    # BlaschkeProduct checks the disc rule on the roots and the circle rule on c
     return BlaschkeProduct(c, tuple(complex(z) for z in zeros))
 
 
@@ -227,12 +223,8 @@ def schur_parameters(s: RationalInner) -> SchurParameterSequence:
     while cur.degree > 0:
         s0, cur = schur_transform(cur)
         params.append(s0)
-    terminal = complex(cur.num[0] / cur.den[0])
-    if not tol.on_circle(terminal):
-        raise UnitViolation(
-            f"terminal value {terminal!r} is not unimodular: input was not inner"
-        )
-    params.append(terminal)
+    # SchurParameterSequence checks that the terminal value is unimodular
+    params.append(complex(cur.num[0] / cur.den[0]))
     return SchurParameterSequence(tuple(params))
 
 

@@ -170,35 +170,39 @@ def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
         u[j, k]   = -s_j d_{j-1} ... d_k conj(s_{k-1})   (1 <= k <= j)
         u[j, j+1] = d_j
         u[j, k]   = 0                                    (k > j + 1)
+
+    The products d_k ... d_{j-1} of row j are row j-1's times d_{j-1},
+    taken by one cumulative product down the columns: O(n^2), and no
+    quotient of products, which would underflow for small d_j.
     """
     s = np.asarray(p.params, dtype=complex)
     n = len(s) - 1
     d = np.sqrt(np.maximum(1.0 - np.abs(s) ** 2, 0.0))
-    u = np.zeros((n + 1, n + 1), dtype=complex)
-    u[0, 0] = s[0]
-    for j in range(1, n + 1):
-        u[j, 0] = s[j] * np.prod(d[:j])
-        for k in range(1, j + 1):
-            u[j, k] = -s[j] * np.prod(d[k:j]) * np.conj(s[k - 1])
-    for j in range(n):
-        u[j, j + 1] = d[j]
+    # factors[j, k] = d_{j-1} below the diagonal and 1 elsewhere, so the
+    # cumulative product down column k gives d_k ... d_{j-1} at row j > k
+    below = np.tri(n + 1, k=-1, dtype=bool)
+    factors = np.where(below, np.concatenate(([1.0], d[:-1]))[:, None], 1.0)
+    runs = np.cumprod(factors, axis=0)
+    right = np.concatenate(([1.0], -np.conj(s[:-1])))
+    u = np.tril(s[:, None] * runs * right)
+    u[np.arange(n), np.arange(1, n + 1)] = d[:-1]
     return u
 
 
 def product_form_matrix(p: SchurParameterSequence) -> np.ndarray:
-    """Right-to-left product of embedded 2x2 sections, terminal phase last."""
+    """Right-to-left product of embedded 2x2 sections, terminal phase last.
+
+    Section q mixes only columns q and q+1, so each is applied as that
+    two-column update: O(n) per section, O(n^2) in all.
+    """
     s = np.asarray(p.params, dtype=complex)
     n = len(s) - 1
     d = np.sqrt(np.maximum(1.0 - np.abs(s) ** 2, 0.0))
     u = np.eye(n + 1, dtype=complex)
     u[n, n] = s[n]
     for q in range(n - 1, -1, -1):
-        g = np.eye(n + 1, dtype=complex)
-        g[q, q] = s[q]
-        g[q, q + 1] = d[q]
-        g[q + 1, q] = d[q]
-        g[q + 1, q + 1] = -np.conj(s[q])
-        u = u @ g
+        section = np.array([[s[q], d[q]], [d[q], -np.conj(s[q])]])
+        u[:, q : q + 2] = u[:, q : q + 2] @ section
     return u
 
 

@@ -43,3 +43,33 @@ def taylor_coefficients(fn, count, radius=0.5, samples=256):
     values = np.array([fn(radius * t) for t in nodes])
     hat = np.fft.fft(values) / samples
     return hat[:count] / radius ** np.arange(count)
+
+
+def reference_reduction(M):
+    """(H, V) of the lower Hessenberg reduction by dense embedded gauges, O(n^4).
+
+    Row by row, the reflector of ``sc.normalize_first_row`` on the row's
+    tail is embedded in an identity and multiplied in as full matrices.
+    Kept as an independent reference for the in-place reduction.
+    """
+    M = np.asarray(M, dtype=complex)
+    size = M.shape[0]
+    n = size - 1
+    scale = max(float(np.abs(M).max()), 1e-300)
+
+    def embedded(dim, offset, v):
+        g = np.eye(dim, dtype=complex)
+        g[offset:, offset:] = v
+        return g
+
+    H = M.copy()
+    V = np.eye(n, dtype=complex)
+    for row in range(n):
+        tail = H[row, row + 1 :]
+        if np.linalg.norm(tail) <= sc.tolerances.STRUCT * scale:
+            continue
+        step = sc.normalize_first_row(tail)
+        g = embedded(size, row + 1, step)
+        H = g.conj().T @ H @ g
+        V = V @ embedded(n, row, step)
+    return H, V

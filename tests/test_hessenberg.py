@@ -5,13 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_params, random_unitary
+from helpers import random_params, random_unitary, reference_reduction
 
 
 def gauge(matrix, v):
     g = np.eye(len(matrix), dtype=complex)
     g[1:, 1:] = v
     return g.conj().T @ matrix @ g
+
+
+def gauged_parameter_matrix(rng, n, rmax=0.95):
+    closed = sc.closed_form_matrix(random_params(rng, n, rmax=rmax))
+    return gauge(closed, random_unitary(rng, n))
 
 
 class TestMatchRows:
@@ -47,6 +52,17 @@ class TestMatchRows:
             v = sc.match_rows(b1, b2)
             assert sc.unitarity_residual(v) <= 1e-14
             assert np.abs(b1 @ v - b2).max() <= 1e-13
+
+    def test_nearly_proportional_rows_are_reflected(self):
+        # rows 1e-8 apart after the phase still need the reflector; only
+        # a difference within 1e-14 of the norm is matched by the phase
+        rng = np.random.default_rng(29)
+        b1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        b2 = np.exp(0.9j) * b1 + 1e-8 * rng.standard_normal(6)
+        b2 *= np.linalg.norm(b1) / np.linalg.norm(b2)
+        v = sc.match_rows(b1, b2)
+        assert sc.unitarity_residual(v) <= 1e-14
+        assert np.abs(b1 @ v - b2).max() <= 1e-14
 
 
 class TestNormalizeFirstRow:
@@ -114,6 +130,67 @@ class TestLowerReduction:
             w = random_unitary(rng, 4)
             h = sc.reduce_to_special_lower_hessenberg(gauge(m, w)).H
             assert np.abs(h - h_ref).max() <= 1e-10
+
+
+class TestInPlaceReduction:
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_agrees_with_dense_reference(self, n):
+        # |s| <= 0.5 keeps the reduced matrix well conditioned; at larger
+        # kappa = prod 1/d_j the two roundings of H drift apart (2e-5 to
+        # 9e-5 at a gauged n = 64 with |s| <= 0.95), so H is compared only here
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            m = gauged_parameter_matrix(rng, n, rmax=0.5)
+            cert = sc.reduce_to_special_lower_hessenberg(m)
+            H, V = reference_reduction(m)
+            assert np.abs(cert.H - H).max() <= 1e-12
+            assert np.abs(cert.V - V).max() <= 1e-12
+
+    def test_zero_row_tail_is_skipped(self):
+        # a parameter colligation with an extra decoupled state, gauged on
+        # the coupled states only: row n's tail is exactly zero
+        rng = np.random.default_rng(210)
+        n = 5
+        block = np.zeros((n + 2, n + 2), dtype=complex)
+        block[: n + 1, : n + 1] = gauged_parameter_matrix(rng, n)
+        block[n + 1, n + 1] = np.exp(0.4j)
+        cert = sc.reduce_to_special_lower_hessenberg(block)
+        assert cert.band[n] == 0.0
+        assert cert.band[:n].min() > 0.1
+        assert np.array_equal(cert.H[:, n + 1], block[:, n + 1])
+        # the reflectors of the rows above only multiply it by their phases
+        assert not cert.V[:n, n].any() and not cert.V[n, :n].any()
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-11, 1e-7, 1e-3])
+    def test_nearly_reduced_input(self, eps):
+        # a gauge within eps of I leaves every row tail within about eps of
+        # a multiple of e_0; formed as a difference, the reflector's head
+        # would lose eps_machine / eps and leave entries above the band
+        rng = np.random.default_rng(240)
+        n = 32
+        closed = sc.closed_form_matrix(random_params(rng, n, rmax=0.5))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w, q = np.linalg.eigh(a + a.conj().T)
+        near_identity = (q * np.exp(1j * eps * w)) @ q.conj().T
+        cert = sc.reduce_to_special_lower_hessenberg(gauge(closed, near_identity))
+        assert np.abs(cert.H - closed).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 128])
+    def test_closed_form_is_a_fixed_point(self, n):
+        # every row tail is already [d_r, 0, ...]: phase-only steps
+        closed = sc.closed_form_matrix(random_params(np.random.default_rng(220 + n), n))
+        cert = sc.reduce_to_special_lower_hessenberg(closed)
+        assert np.abs(cert.H - closed).max() <= 1e-14
+        assert np.abs(cert.V - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_certificate_holds_at_scale(self, n):
+        # the reduction raises InternalInconsistency unless the gauge is
+        # unitary and reconstructs H to 1e-11, so returning is the check
+        m = gauged_parameter_matrix(np.random.default_rng(230 + n), n)
+        cert = sc.reduce_to_special_lower_hessenberg(m)
+        assert sc.is_special_lower_hessenberg(cert.H)
+        assert sc.unitarity_residual(cert.V) <= 1e-11
 
 
 class TestUpperReduction:

@@ -104,6 +104,16 @@ class TestBlaschkeToRational:
             atol=1e-12,
         )
 
+    def test_root_outside_the_disc_rejected(self):
+        # 2 - z has its root at 2
+        with pytest.raises(sc.DiscViolation):
+            sc.rational_to_blaschke(sc.RationalInner([2.0, -1.0], [1.0, 0.0]))
+
+    def test_non_unimodular_constant_rejected(self):
+        # 2 (0.5 - z) has its root inside but the constant 2
+        with pytest.raises(sc.UnitViolation):
+            sc.rational_to_blaschke(sc.RationalInner([1.0, -2.0], [1.0, 0.0]))
+
 
 class TestEvaluate:
     def test_identity_function(self):
@@ -208,6 +218,12 @@ class TestParameterExtraction:
         s = sc.from_schur_parameters(sc.SchurParameterSequence(params))
         assert_allclose(s.num, num, atol=1e-14)
         assert_allclose(s.den, den, atol=1e-14)
+
+    @pytest.mark.parametrize("num,den", [([0.5], [1.0]), ([0.0, 0.5], [1.0, 0.0])])
+    def test_non_inner_input_rejected(self, num, den):
+        # 0.5 and 0.5 z end in the terminal value 0.5
+        with pytest.raises(sc.UnitViolation):
+            sc.schur_parameters(sc.RationalInner(num, den))
 
     def test_parameter_conditions_enforced(self):
         with pytest.raises(sc.DiscViolation):

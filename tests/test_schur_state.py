@@ -175,6 +175,21 @@ class TestMatrixBuilders:
         assert_allclose(closed[2, 2], -s[2] * np.conj(s[1]))
         assert_allclose(closed[2, 3], d[2])
 
+    def test_every_entry_follows_the_formula(self):
+        # the docstring's expression entry by entry, each product taken
+        # afresh; only the association of the factors differs
+        p = random_params(np.random.default_rng(54), 12)
+        s = np.asarray(p.params)
+        d = np.sqrt(1.0 - np.abs(s[:-1]) ** 2)
+        formula = np.zeros((13, 13), dtype=complex)
+        for j in range(13):
+            formula[j, 0] = s[j] * np.prod(d[:j])
+            for k in range(1, j + 1):
+                formula[j, k] = -s[j] * np.prod(d[k:j]) * np.conj(s[k - 1])
+            if j < 12:
+                formula[j, j + 1] = d[j]
+        assert_allclose(sc.closed_form_matrix(p), formula, rtol=1e-15, atol=0)
+
     def test_product_form_agrees(self):
         rng = np.random.default_rng(55)
         for _ in range(25):
@@ -182,6 +197,25 @@ class TestMatrixBuilders:
             closed = sc.closed_form_matrix(p)
             product = sc.product_form_matrix(p)
             assert np.abs(closed - product).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_product_form_agrees_at_scale(self, n):
+        p = random_params(np.random.default_rng(56 + n), n)
+        closed = sc.closed_form_matrix(p)
+        assert np.abs(closed - sc.product_form_matrix(p)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_product_form_agrees_near_the_circle(self, n):
+        # |s_j| = 1 - 2e-9, the closest to the circle that DISC admits, so
+        # d_j = 6.3e-5 and d_0 ... d_{j-1} underflows past j = 73: the
+        # products must be built as runs, never as quotients of cumprods
+        rng = np.random.default_rng(57)
+        phases = np.exp(2j * np.pi * rng.uniform(size=n + 1))
+        p = sc.SchurParameterSequence(tuple((1.0 - 2e-9) * phases[:-1]) + (phases[-1],))
+        closed = sc.closed_form_matrix(p)
+        assert np.isfinite(closed).all()
+        assert np.abs(closed - sc.product_form_matrix(p)).max() <= 1e-12
+        assert sc.unitarity_residual(closed) <= 1e-12
 
     def test_constructor_returns_verified_colligation(self):
         col = sc.colligation_from_schur_parameters(
