@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 validation failure, 3 numerical failure; never a traceback.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -144,8 +145,12 @@ def _cmd_schur(cmd: _Command) -> dict:
     col = js.colligation_from_json(doc)
     trace = ss.schur_algorithm_state_space(col)
     cmd.diag("trace_complete", 0.0 if trace.complete else 1.0, 0.0)
-    if not trace.complete:
+    # an early stop on an input whose band says minimal is the recursion's
+    # failure (exit 3), not the input's
+    if not trace.complete and not trace.minimal:
         cmd.validation_failed = True
+    if trace.complete:
+        cmd.diag("backward_error", trace.backward_error, tol.BACKWARD)
     if trace.complete and col.n >= 1:
         roundtrip = ss.colligation_from_schur_parameters(trace.parameter_sequence())
         gauge = co.find_equivalence(roundtrip, col)
@@ -200,9 +205,23 @@ def _cmd_couple(cmd: _Command) -> dict:
     return js.colligation_to_json(coupled)
 
 
+def _parse_point(values: list[str]) -> complex:
+    """The --z value: RE IM, RE,IM or one complex literal such as -1e-3+0j."""
+    parts = " ".join(values).replace(",", " ").split()
+    if len(parts) == 2:
+        z = complex(float(parts[0]), float(parts[1]))
+    elif len(parts) == 1:
+        z = complex(parts[0])
+    else:
+        raise ValueError(f"--z takes one complex number, got {' '.join(values)!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"--z must be finite, got {' '.join(values)!r}")
+    return z
+
+
 def _cmd_eval(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
-    z = complex(cmd.args.z[0], cmd.args.z[1])
+    z = _parse_point(cmd.args.z)
     if "matrix" in doc:
         value = co.characteristic_function(js.colligation_from_json(doc), z)
     elif "num" in doc:
@@ -309,7 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "eval", parents=[common], help="evaluate a colligation or rational function"
     )
-    p.add_argument("--z", type=float, nargs=2, required=True, metavar=("RE", "IM"))
+    # one value, as in --z=-1e-3,0, can start with "-": argparse would take
+    # a separate "-1e-3" or "-inf" for an option
+    p.add_argument(
+        "--z",
+        nargs="+",
+        required=True,
+        metavar="Z",
+        help="the point: RE IM, or RE,IM or a complex literal such as --z=-1e-3+0j",
+    )
     sub.add_parser("verify", parents=[common], help="run the verification suites")
     sub.add_parser(
         "params", parents=[common], help="function-level conversions to/from parameters"

@@ -131,6 +131,24 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     index is never touched, so ``H[0, 0] == M[0, 0]``.
     """
     M = np.asarray(M, dtype=complex)
+    H, V = _reduce_lower(M)
+    cert = HessenbergCertificate(H, V, "lower", np.real(np.diagonal(H, 1)).copy())
+    _check_certificate(cert, M)
+    return cert
+
+
+def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
+    """Adjoint trick: reduce M* to lower form with gauge V, then H = (H_lower)*."""
+    M = np.asarray(M, dtype=complex)
+    H_lower, V = _reduce_lower(M.conj().T)
+    H = H_lower.conj().T
+    cert = HessenbergCertificate(H, V, "upper", np.real(np.diagonal(H, -1)).copy())
+    _check_certificate(cert, M)
+    return cert
+
+
+def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, V) of the lower reduction, unchecked; the public reductions check it."""
     size = M.shape[0]
     n = size - 1
     scale = max(float(np.abs(M).max()), 1e-300)
@@ -153,21 +171,7 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
         H[: row + 1, row + 1 :] *= lam
         H[row + 1 :, : row + 1] *= np.conj(lam)
         gauge *= lam
-    cert = HessenbergCertificate(H, V, "lower", np.real(np.diagonal(H, 1)).copy())
-    _check_certificate(cert, M)
-    return cert
-
-
-def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
-    """Adjoint trick: reduce M* to lower form with gauge V, then H = (H_lower)*."""
-    M = np.asarray(M, dtype=complex)
-    lower = reduce_to_special_lower_hessenberg(M.conj().T)
-    H = lower.H.conj().T
-    cert = HessenbergCertificate(
-        H, lower.V, "upper", np.real(np.diagonal(H, -1)).copy()
-    )
-    _check_certificate(cert, M)
-    return cert
+    return H, V
 
 
 def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:

@@ -1,15 +1,23 @@
-"""The Schur algorithm carried out entirely on colligation matrices.
+"""The Schur algorithm on the special lower Hessenberg form of a colligation.
 
-After a one-time reduction of the input to special lower Hessenberg
-form, the channel row of every iterate is automatically in the special
-form [sqrt(1 - |s_p|^2), 0, ..., 0]: deleting the first row and column
-of a special lower Hessenberg matrix preserves the form, so no
-re-normalization is needed between steps.  Each step reads off the
-parameter s_p = A and shrinks the matrix by one, dividing the first
-column by sqrt(1 - |s_p|^2).  Minimality is read off the nonzero band
-of the same reduction, and the denominators of all iterates sit in the
-nested lower-right corners of the first iterate's principal block; they
-are computed only when a caller asks for them.
+One Hessenberg reduction, with its certificate check, brings the input
+to special lower Hessenberg form H.  Deleting the first row and column
+of such a matrix preserves the form, so iterate p of the state-space
+recursion is H[p:, p:] with its first column replaced by
+H[p:, 0] / |H[p:, 0]|, and only that column feeds a parameter:
+
+    s_p = H[p, 0] / |H[p:, 0]|  (p < n),    s_n = H[n, 0] / |H[n, 0]|.
+
+All tail norms come from one reversed cumulative sum, so the readout
+costs O(n) after the O(n^3) reduction.  The recursion stops at the
+first |s_p| >= 1 - DISC, and the band of H says whether the input was
+not minimal.  A complete run is checked once, by its backward error
+max |S_rec(t) - S(t)| over the 16th roots of unity t: S_rec is the
+Moebius fold of the recovered parameters, S the input's own function by
+one solve per point.  The parameters themselves are ill-conditioned:
+their error grows with kappa = prod 1 / sqrt(1 - |s_j|^2) = 1 / |H[n, 0]|,
+which the trace reports next to the backward error.  The iterates and
+their denominators are rebuilt from H only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import UnitaryColligation, apply_state_gauge
+from .colligation import UnitaryColligation, apply_state_gauge, characteristic_function
 from .errors import (
     InternalInconsistency,
     NotMinimal,
@@ -33,6 +41,7 @@ from .hessenberg import (
     reduce_to_special_lower_hessenberg,
 )
 from .rational import SchurParameterSequence
+from .sampling import circle_samples
 
 __all__ = [
     "SchurStateTrace",
@@ -104,23 +113,54 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
 
 @dataclass(frozen=True)
 class SchurStateTrace:
-    """Parameters, shrinking matrices and denominator polynomials of one run."""
+    """Parameters of one run and the reduced matrix H they were read from.
+
+    kappa = 1 / |H[n, 0]| = prod 1 / sqrt(1 - |s_j|^2) (infinite when
+    H[n, 0] = 0); the error of the parameters grows with it.
+    backward_error is the final check's max |S_rec(t) - S(t)| on the unit
+    circle, None on a partial trace.  minimal is the band verdict on H.
+    """
 
     parameters: tuple[complex, ...]
-    matrices: tuple[UnitaryColligation, ...]
+    H: np.ndarray
+    gauge: np.ndarray
     complete: bool
     message: str | None
-    gauge: np.ndarray
+    backward_error: float | None
+    kappa: float
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Iterates 0..p as read-only arrays, rebuilt from H on first access.
+
+        Iterate p is H[p:, p:] with its first column replaced by
+        H[p:, 0] / |H[p:, 0]|.  A complete trace has n + 1 of them, a
+        partial one ends with the iterate at which the recursion stopped.
+        No unitarity gate is applied.
+        """
+        count = len(self.parameters) + (0 if self.complete else 1)
+        iterates = []
+        for p in range(count):
+            m = self.H[p:, p:].copy()
+            m[:, 0] = self.H[p:, 0] / np.linalg.norm(self.H[p:, 0])
+            m.setflags(write=False)
+            iterates.append(m)
+        return tuple(iterates)
 
     @cached_property
     def denominators(self) -> tuple[np.ndarray, ...]:
         """det(I - z D_p) for every iterate p = 0..n, each with value 1 at 0.
 
-        D_p is the lower-right corner of the first iterate's principal
-        block, so partial traces have the full chain as well.  Computed
-        on first access (n+1 determinants per level) and then kept.
+        D_p is the lower-right corner H[p+1:, p+1:], so partial traces
+        have the full chain as well.  Computed on first access (n+1
+        determinants per level) and then kept.
         """
-        return _denominator_chain_from_first(self.matrices[0])
+        return _denominator_chain_from_first(self.H[1:, 1:])
+
+    @property
+    def minimal(self) -> bool:
+        """The band verdict: no band entry of H at or below the rank threshold."""
+        return _band_minimal(self.H)
 
     def parameter_sequence(self) -> SchurParameterSequence:
         if not self.complete:
@@ -128,36 +168,78 @@ class SchurStateTrace:
         return SchurParameterSequence(self.parameters)
 
 
+def _band_minimal(H: np.ndarray) -> bool:
+    # the rank-aligned threshold of hessenberg_minimality
+    return is_hl_nonsingular(H, tolerance=max(len(H), 8) * tol.RANK_REL)
+
+
+# points of the final check: the 16th roots of unity.  Offset by half a
+# step they miss the clustered cascades near t = 1, whose recovered
+# parameters are off by 6.6e-7 (10 zeros at 0.9) and 0.65 (12 at 0.97)
+# there but within 6e-12 at the offset points
+_CHECK_POINTS = circle_samples(16)
+
+
+def _mobius_fold(params, z: np.ndarray) -> np.ndarray:
+    """S(z) from its Schur parameters, O(n) per point.
+
+    Folds w <- (s + z w) / (1 + conj(s) z w) from the terminal value.
+    """
+    w = np.full(z.shape, params[-1], dtype=complex)
+    for s in reversed(params[:-1]):
+        zw = z * w
+        w = (s + zw) / (1.0 + np.conj(s) * zw)
+    return w
+
+
+def _backward_error(col: UnitaryColligation, params) -> float:
+    """max |S_rec(t) - S(t)| over the check points, S by one solve per point."""
+    exact = np.array([characteristic_function(col, t) for t in _CHECK_POINTS])
+    return float(np.abs(_mobius_fold(params, _CHECK_POINTS) - exact).max())
+
+
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
-    One Hessenberg reduction up front, then n parameter extractions.
-    If an iterate turns unimodular early the input was not minimal; a
+    One Hessenberg reduction, then s_p = H[p, 0] / |H[p:, 0]| for p < n
+    and s_n = H[n, 0] / |H[n, 0]|.  If some |s_p| with p < n reaches
+    1 - DISC, the input was not minimal or the reduction lost it: a
     partial trace is returned with the diagnostic message instead of an
-    exception, so callers can report how far the recursion went.
+    exception, so callers can report how far the recursion went.  A
+    complete run raises InternalInconsistency when the recovered
+    parameters miss the input's function by more than BACKWARD on the
+    unit circle.
     """
     n = col.n
     cert = reduce_to_special_lower_hessenberg(col.matrix)
-    cur = UnitaryColligation(cert.H)
-    matrices = [cur]
-    params: list[complex] = []
-    complete = True
-    message = None
-    for p in range(n):
-        try:
-            s_p, cur = schur_step(cur)
-        except Terminal as exc:
-            complete = False
-            message = f"terminated at step {p} of {n}: {exc}"
-            # the rank-aligned threshold of hessenberg_minimality
-            if not is_hl_nonsingular(cert.H, tolerance=max(n + 1, 8) * tol.RANK_REL):
-                message += " (input colligation is not minimal)"
-            break
-        params.append(s_p)
-        matrices.append(cur)
-    if complete:
-        params.append(matrices[-1].A)
-    return SchurStateTrace(tuple(params), tuple(matrices), complete, message, cert.V)
+    H = cert.H
+    column = H[:, 0]
+    # tails[p] = |H[p:, 0]| = d_0 ... d_{p-1}, summed from the bottom; a
+    # zero tail gives NaN, which no disc test accepts
+    tails = np.sqrt(np.cumsum(np.abs(column[::-1]) ** 2)[::-1])
+    s = np.divide(
+        column, tails, out=np.full(n + 1, np.nan, dtype=complex), where=tails > 0.0
+    )
+    stop = next((p for p in range(n) if not tol.inside_disc(s[p])), n)
+    last = float(abs(column[n]))
+    kappa = 1.0 / last if last > 0.0 else np.inf
+    if stop < n:
+        message = (
+            f"terminated at step {stop} of {n}: |s_p| = {abs(s[stop]):.17g} "
+            f"is within {tol.DISC:g} of the unit circle"
+        )
+        if not _band_minimal(H):
+            message += " (input colligation is not minimal)"
+        params = tuple(complex(x) for x in s[:stop])
+        return SchurStateTrace(params, H, cert.V, False, message, None, kappa)
+    params = tuple(complex(x) for x in s[:n]) + (complex(column[n] / last),)
+    backward = _backward_error(col, params)
+    if not backward <= tol.BACKWARD:
+        raise InternalInconsistency(
+            f"recovered parameters miss the input's function by {backward:.3e} "
+            f"on the unit circle (tolerance {tol.BACKWARD:g}, kappa {kappa:.3e})"
+        )
+    return SchurStateTrace(params, H, cert.V, True, None, backward, kappa)
 
 
 def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
@@ -234,7 +316,5 @@ def _det_polynomial(D: np.ndarray) -> np.ndarray:
     return coeffs / coeffs[0]
 
 
-def _denominator_chain_from_first(first: UnitaryColligation) -> tuple[np.ndarray, ...]:
-    D0 = first.D
-    n = first.n
-    return tuple(_det_polynomial(D0[p:, p:]) for p in range(n + 1))
+def _denominator_chain_from_first(D0: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(_det_polynomial(D0[p:, p:]) for p in range(len(D0) + 1))

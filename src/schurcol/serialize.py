@@ -143,7 +143,9 @@ def certificate_to_json(cert: HessenbergCertificate) -> dict:
 def trace_to_json(trace: SchurStateTrace) -> dict:
     return {
         "parameters": _vector_to_json(trace.parameters),
-        "matrices": [colligation_to_json(m) for m in trace.matrices],
+        "matrices": [
+            {"n": len(m) - 1, "matrix": _matrix_to_json(m)} for m in trace.matrices
+        ],
         "denominators": [_vector_to_json(chi) for chi in trace.denominators],
         "complete": trace.complete,
         "message": trace.message,

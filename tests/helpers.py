@@ -73,3 +73,29 @@ def reference_reduction(M):
         H = g.conj().T @ H @ g
         V = V @ embedded(n, row, step)
     return H, V
+
+
+def reference_peel(H):
+    """Parameters of a reduced matrix H, peeled one iterate at a time.
+
+    Each step reads s = A, then moves to [C / |C|, D[:, 1:]], the
+    step-by-step state-space recursion on arrays without its gates.
+    Kept as an independent reference for the first-column readout.
+    """
+    m = np.asarray(H, dtype=complex)
+    params = []
+    while len(m) > 1:
+        params.append(m[0, 0])
+        c = m[1:, 0]
+        m = np.column_stack([c / np.linalg.norm(c), m[1:, 1:]])
+    params.append(m[0, 0])
+    return np.array(params)
+
+
+def mobius_fold(params, z):
+    """S(z) from Schur parameters by the fold w -> (s + z w) / (1 + conj(s) z w)."""
+    z = np.asarray(z, dtype=complex)
+    w = np.full(z.shape, params[-1], dtype=complex)
+    for s in params[-2::-1]:
+        w = (s + z * w) / (1.0 + np.conj(s) * z * w)
+    return w

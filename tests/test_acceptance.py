@@ -11,13 +11,14 @@ import numpy as np
 
 import schurcol as sc
 from helpers import (
+    mobius_fold,
     random_blaschke,
     random_colligation,
     random_params,
     random_unitary,
     taylor_coefficients,
 )
-from schurcol.sampling import disc_samples, random_disc_points
+from schurcol.sampling import circle_samples, disc_samples, random_disc_points
 
 
 def report(index, label, worst, bound, ok, extra=""):
@@ -301,4 +302,44 @@ def test_11_energy_conservation():
         worst = max(worst, balance)
     ok = worst <= 1e-10
     report(11, "energy balance over 1000 steps", worst, 1e-10, ok)
+    assert ok
+
+
+def test_12_backward_error_at_scale():
+    # beyond desk scale the parameters are ill-conditioned (kappa reaches
+    # 1e16 at n = 128), so only the function they realize is gated; the
+    # forward parameter error is reported next to kappa
+    rng = np.random.default_rng(112)
+    start = time.perf_counter()
+    worst = 0.0
+    forward = {}
+    kappa = {}
+    t = circle_samples(64)
+    for n in (16, 32, 64, 128):
+        for _ in range(3):
+            p = random_params(rng, n, rmax=0.9)
+            col = sc.apply_state_gauge(
+                sc.colligation_from_schur_parameters(p), random_unitary(rng, n)
+            )
+            trace = sc.schur_algorithm_state_space(col)
+            assert trace.complete
+            exact = np.array([sc.characteristic_function(col, x) for x in t])
+            worst = max(worst, np.abs(mobius_fold(trace.parameters, t) - exact).max())
+            error = np.abs(np.asarray(trace.parameters) - p.params).max()
+            forward[n] = max(forward.get(n, 0.0), error)
+            kappa[n] = max(kappa.get(n, 0.0), trace.kappa)
+    elapsed = time.perf_counter() - start
+    ok = worst <= sc.tolerances.BACKWARD and elapsed <= 3.0
+    levels = "; ".join(
+        f"n = {n}: kappa {kappa[n]:.1e}, parameter error {forward[n]:.1e}"
+        for n in forward
+    )
+    report(
+        12,
+        "backward error on 64 circle points, gauged n = 16..128",
+        worst,
+        sc.tolerances.BACKWARD,
+        ok,
+        extra=f", {elapsed:.2f}s of 3s ({levels})",
+    )
     assert ok

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from helpers import random_params, random_unitary
 from schurcol import serialize as js
 
 
@@ -97,6 +98,38 @@ class TestSchur:
         assert doc["complete"] is False
         assert "step 0" in doc["message"]
 
+    def test_early_stop_on_minimal_input_exits_3(self):
+        # |s_0| = 1 - 5e-10 is past the disc margin, but the band entry
+        # d_0 = 3.2e-5 says minimal: the stop is numerical, not the input's
+        s0 = 1.0 - 5e-10
+        d0 = np.sqrt(1.0 - s0**2)
+        m = np.array([[s0, d0], [d0, -s0]], dtype=complex)
+        doc = js.colligation_to_json(sc.UnitaryColligation(m))
+        out = run_cli(["schur"], js.dumps_canonical(doc))
+        assert out.returncode == 3, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["complete"] is False
+        assert "not minimal" not in doc["message"]
+
+    def test_clustered_cascade_exits_3(self):
+        zeros = tuple(0.9 + 0.015 * np.exp(2j * np.pi * k / 10) for k in range(10))
+        col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
+        out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
+        assert out.returncode == 3
+        assert "schurcol schur: recovered parameters miss" in out.stderr
+
+    def test_gauged_n128_is_never_a_validation_failure(self):
+        # unitary to 1e-15; the per-iterate gate used to reject it with exit 2
+        rng = np.random.default_rng(128)
+        p = random_params(rng, 128, rmax=0.9)
+        col = sc.apply_state_gauge(
+            sc.colligation_from_schur_parameters(p), random_unitary(rng, 128)
+        )
+        assert sc.unitarity_residual(col.matrix) <= 1e-14
+        out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
+        assert out.returncode in (0, 3), out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestHessenberg:
     def test_identity(self):
@@ -173,6 +206,25 @@ class TestCoupleEvalVerify:
         )
         assert out.returncode == 0, out.stderr
         assert_allclose(json.loads(out.stdout)["value"], [0.25, 0.0])
+
+    def test_eval_negative_exponent_point(self):
+        out = run_cli(
+            ["eval", "--z=-1e-3,0"], '{"n":1,"matrix":[[[0,0],[1,0]],[[1,0],[0,0]]]}'
+        )
+        assert out.returncode == 0, out.stderr
+        assert_allclose(json.loads(out.stdout)["value"], [-1e-3, 0.0])
+        out = run_cli(
+            ["eval", "--z=-1e-3+0.5j"], '{"n":1,"matrix":[[[0,0],[1,0]],[[1,0],[0,0]]]}'
+        )
+        assert out.returncode == 0, out.stderr
+        assert_allclose(json.loads(out.stdout)["value"], [-1e-3, 0.5])
+
+    def test_eval_infinite_point_is_rejected(self):
+        out = run_cli(
+            ["eval", "--z=0,-inf"], '{"num":[[0.5,0],[-1,0]],"den":[[1,0],[-0.5,0]]}'
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("schurcol eval: --z must be finite")
 
     def test_eval_rational(self):
         out = run_cli(

@@ -216,6 +216,21 @@ class TestUpperReduction:
         assert np.abs(band.imag).max() <= 1e-12
         assert band.real.min() >= -1e-12
 
+    def test_certificate_checked_once(self, monkeypatch):
+        calls = []
+        original = sc.hessenberg._check_certificate
+
+        def counted(cert, M):
+            calls.append(cert.orientation)
+            return original(cert, M)
+
+        monkeypatch.setattr(sc.hessenberg, "_check_certificate", counted)
+        m = random_unitary(np.random.default_rng(27), 6)
+        sc.reduce_to_special_upper_hessenberg(m)
+        assert calls == ["upper"]
+        sc.reduce_to_special_lower_hessenberg(m)
+        assert calls == ["upper", "lower"]
+
 
 class TestPredicates:
     def test_parameter_matrix_is_special_and_nonsingular(self):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_colligation, random_params, random_unitary
+from helpers import random_colligation, random_params, random_unitary, reference_peel
 
 DELAY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 ROOT75 = np.sqrt(0.75)
@@ -133,9 +133,9 @@ class TestFullAlgorithm:
         trace = sc.schur_algorithm_state_space(
             sc.UnitaryColligation(random_unitary(rng, 6))
         )
-        for col in trace.matrices[:-1]:
-            assert sc.is_special_lower_hessenberg(col.matrix, tolerance=1e-11)
-            assert sc.is_hl_nonsingular(col.matrix, tolerance=1e-8)
+        for m in trace.matrices[:-1]:
+            assert sc.is_special_lower_hessenberg(m, tolerance=1e-11)
+            assert sc.is_hl_nonsingular(m, tolerance=1e-8)
 
     def test_iterates_match_parameter_tails(self):
         rng = np.random.default_rng(54)
@@ -143,11 +143,11 @@ class TestFullAlgorithm:
         trace = sc.schur_algorithm_state_space(
             sc.colligation_from_schur_parameters(p)
         )
-        for k, col in enumerate(trace.matrices):
+        for k, m in enumerate(trace.matrices):
             tail = sc.colligation_from_schur_parameters(
                 sc.SchurParameterSequence(p.params[k:])
             )
-            assert np.abs(col.matrix - tail.matrix).max() <= 1e-10
+            assert np.abs(m - tail.matrix).max() <= 1e-10
 
     def test_degree_zero_input(self):
         trace = sc.schur_algorithm_state_space(
@@ -155,6 +155,73 @@ class TestFullAlgorithm:
         )
         assert trace.complete
         assert trace.parameters == (1.0j,)
+
+
+class TestReadout:
+    @pytest.mark.parametrize("n", [1, 4, 16, 32])
+    def test_equals_the_step_by_step_peel(self, n):
+        rng = np.random.default_rng(60 + n)
+        plain = random_colligation(rng, n)
+        gauged = sc.apply_state_gauge(plain, random_unitary(rng, n))
+        for col in (plain, gauged):
+            trace = sc.schur_algorithm_state_space(col)
+            peeled = reference_peel(trace.H)
+            assert np.abs(np.asarray(trace.parameters) - peeled).max() <= 1e-14
+
+    def test_gauged_input_at_kappa_1e6(self):
+        # kappa = 9.7e5: the per-iterate unitarity gate rejected this draw
+        # (NotUnitary), although the readout recovers it to 2e-10
+        rng = np.random.default_rng(78)
+        p = random_params(rng, 32)
+        col = sc.apply_state_gauge(
+            sc.colligation_from_schur_parameters(p), random_unitary(rng, 32)
+        )
+        trace = sc.schur_algorithm_state_space(col)
+        assert trace.complete
+        assert 5e5 < trace.kappa < 2e6
+        assert np.abs(np.asarray(trace.parameters) - p.params).max() <= 1e-8
+        assert trace.backward_error <= sc.tolerances.BACKWARD
+
+    def test_kappa_is_the_product_of_inverse_d(self):
+        p = random_params(np.random.default_rng(61), 12)
+        trace = sc.schur_algorithm_state_space(sc.colligation_from_schur_parameters(p))
+        d = np.sqrt(1.0 - np.abs(np.asarray(p.params[:-1])) ** 2)
+        assert_allclose(trace.kappa, 1.0 / np.prod(d), rtol=1e-12)
+
+    def test_clustered_cascade_fails_typed(self):
+        # kappa 1e9; the first-column readout misses S by 6.6e-7 at t = 1
+        zeros = tuple(0.9 + 0.015 * np.exp(2j * np.pi * k / 10) for k in range(10))
+        col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
+        with pytest.raises(sc.InternalInconsistency, match="unit circle"):
+            sc.schur_algorithm_state_space(col)
+
+    def test_no_colligation_per_iterate(self, monkeypatch):
+        calls = []
+        original = sc.colligation.require_unitary
+
+        def counted(matrix, what):
+            calls.append(what)
+            return original(matrix, what)
+
+        def forbidden(col):
+            raise AssertionError("the recursion must not step through schur_step")
+
+        monkeypatch.setattr(sc.colligation, "require_unitary", counted)
+        monkeypatch.setattr(sc.schur_state, "schur_step", forbidden)
+        col = random_colligation(np.random.default_rng(62), 16)
+        calls.clear()
+        trace = sc.schur_algorithm_state_space(col)
+        assert trace.complete
+        assert calls == []
+
+    def test_iterates_are_rebuilt_once_and_read_only(self):
+        trace = sc.schur_algorithm_state_space(
+            random_colligation(np.random.default_rng(63), 5)
+        )
+        first = trace.matrices
+        assert trace.matrices is first
+        assert len(first) == 6
+        assert not any(m.flags.writeable for m in first)
 
 
 class TestMatrixBuilders:
