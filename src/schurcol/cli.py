@@ -206,14 +206,11 @@ def _cmd_couple(cmd: _Command) -> dict:
 
 
 def _parse_point(values: list[str]) -> complex:
-    """The --z value: RE IM, RE,IM or one complex literal such as -1e-3+0j."""
+    """The --z value: RE IM, or RE,IM as one value."""
     parts = " ".join(values).replace(",", " ").split()
-    if len(parts) == 2:
-        z = complex(float(parts[0]), float(parts[1]))
-    elif len(parts) == 1:
-        z = complex(parts[0])
-    else:
-        raise ValueError(f"--z takes one complex number, got {' '.join(values)!r}")
+    if len(parts) != 2:
+        raise ValueError(f"--z takes RE IM or RE,IM, got {' '.join(values)!r}")
+    z = complex(float(parts[0]), float(parts[1]))
     if not cmath.isfinite(z):
         raise ValueError(f"--z must be finite, got {' '.join(values)!r}")
     return z
@@ -335,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         required=True,
         metavar="Z",
-        help="the point: RE IM, or RE,IM or a complex literal such as --z=-1e-3+0j",
+        help="the point: RE IM, or RE,IM as one value such as --z=-1e-3,0",
     )
     sub.add_parser("verify", parents=[common], help="run the verification suites")
     sub.add_parser(

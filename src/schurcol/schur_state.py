@@ -12,9 +12,10 @@ All tail norms come from one reversed cumulative sum, so the readout
 costs O(n) after the O(n^3) reduction.  The recursion stops at the
 first |s_p| >= 1 - DISC, and the band of H says whether the input was
 not minimal.  A complete run is checked once, by its backward error
-max |S_rec(t) - S(t)| over the 16th roots of unity t: S_rec is the
-Moebius fold of the recovered parameters, S the input's own function by
-one solve per point.  The parameters themselves are ill-conditioned:
+max |S_rec(t) - S(t)| over at least 4(n + 1) roots of unity t: S_rec is
+the Moebius fold of the recovered parameters, O(n) per point, and S the
+input's own function, from one solve and one Krylov sequence of its
+state matrix.  The parameters themselves are ill-conditioned:
 their error grows with kappa = prod 1 / sqrt(1 - |s_j|^2) = 1 / |H[n, 0]|,
 which the trace reports next to the backward error.  The iterates and
 their denominators are rebuilt from H only when a caller asks for them.
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import UnitaryColligation, apply_state_gauge, characteristic_function
+from .colligation import UnitaryColligation, apply_state_gauge
 from .errors import (
     InternalInconsistency,
     NotMinimal,
@@ -173,11 +174,14 @@ def _band_minimal(H: np.ndarray) -> bool:
     return is_hl_nonsingular(H, tolerance=max(len(H), 8) * tol.RANK_REL)
 
 
-# points of the final check: the 16th roots of unity.  Offset by half a
-# step they miss the clustered cascades near t = 1, whose recovered
-# parameters are off by 6.6e-7 (10 zeros at 0.9) and 0.65 (12 at 0.97)
-# there but within 6e-12 at the offset points
-_CHECK_POINTS = circle_samples(16)
+def _check_count(n: int) -> int:
+    """Points of the final check: at least 4(n + 1), a multiple of 16.
+
+    Two functions of degree n that agree at more than 2n points of the
+    circle are equal, and a degree-n inner function winds n times round
+    it, so the count grows with the degree.
+    """
+    return 16 * -(-(n + 1) // 4)
 
 
 def _mobius_fold(params, z: np.ndarray) -> np.ndarray:
@@ -192,10 +196,35 @@ def _mobius_fold(params, z: np.ndarray) -> np.ndarray:
     return w
 
 
+def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:
+    """S at the count-th roots of unity t, count a multiple of 16.
+
+    As t^count = 1, (I - tD)^-1 = (I - D^count)^-1 sum_{k<count} t^k D^k,
+    so S(t) = A + t sum_k w_k t^k with w_k = B D^k (I - D^count)^-1 C:
+    one solve, one Krylov sequence and one FFT.  The sequence is built in
+    blocks of 16 columns, each D^16 times the one before, so the cost is
+    O(n^3 log count + count n^2) in matrix products.
+    """
+    D = col.D
+    n = len(D)
+    step = np.linalg.matrix_power(D, 16)
+    power = np.linalg.matrix_power(step, count // 16)
+    krylov = np.empty((n, count), dtype=complex)
+    krylov[:, 0] = np.linalg.solve(np.eye(n) - power, col.C)
+    for k in range(1, 16):
+        krylov[:, k] = D @ krylov[:, k - 1]
+    for start in range(16, count, 16):
+        krylov[:, start : start + 16] = step @ krylov[:, start - 16 : start]
+    t = circle_samples(count)
+    # sum_k w_k t_j^k = count * ifft(w)[j] at t_j = exp(2 pi i j / count)
+    return col.A + t * (count * np.fft.ifft(col.B @ krylov))
+
+
 def _backward_error(col: UnitaryColligation, params) -> float:
-    """max |S_rec(t) - S(t)| over the check points, S by one solve per point."""
-    exact = np.array([characteristic_function(col, t) for t in _CHECK_POINTS])
-    return float(np.abs(_mobius_fold(params, _CHECK_POINTS) - exact).max())
+    """max |S_rec(t) - S(t)| over the _check_count(n) roots of unity t."""
+    count = _check_count(col.n)
+    exact = _circle_values(col, count)
+    return float(np.abs(_mobius_fold(params, circle_samples(count)) - exact).max())
 
 
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:

@@ -100,8 +100,12 @@ def params_from_json(doc: dict) -> SchurParameterSequence:
     )
 
 
+def _colligation_document(matrix: np.ndarray) -> dict:
+    return {"n": len(matrix) - 1, "matrix": _matrix_to_json(matrix)}
+
+
 def colligation_to_json(col: UnitaryColligation) -> dict:
-    return {"n": col.n, "matrix": _matrix_to_json(col.matrix)}
+    return _colligation_document(col.matrix)
 
 
 def colligation_from_json(doc: dict) -> UnitaryColligation:
@@ -143,9 +147,7 @@ def certificate_to_json(cert: HessenbergCertificate) -> dict:
 def trace_to_json(trace: SchurStateTrace) -> dict:
     return {
         "parameters": _vector_to_json(trace.parameters),
-        "matrices": [
-            {"n": len(m) - 1, "matrix": _matrix_to_json(m)} for m in trace.matrices
-        ],
+        "matrices": [_colligation_document(m) for m in trace.matrices],
         "denominators": [_vector_to_json(chi) for chi in trace.denominators],
         "complete": trace.complete,
         "message": trace.message,

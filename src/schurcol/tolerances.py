@@ -42,8 +42,8 @@ INNER = 1e-9
 # round-trip and cross-route comparisons
 ROUND = 1e-8
 
-# backward error of the state-space recursion: max |S_rec - S| over the
-# 16th roots of unity, S_rec built from the recovered parameters
+# backward error of the state-space recursion: max |S_rec - S| over at
+# least 4(n + 1) roots of unity, S_rec built from the recovered parameters
 BACKWARD = 1e-8
 
 # max-norm unitarity residual

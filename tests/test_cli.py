@@ -111,8 +111,15 @@ class TestSchur:
         assert doc["complete"] is False
         assert "not minimal" not in doc["message"]
 
-    def test_clustered_cascade_exits_3(self):
-        zeros = tuple(0.9 + 0.015 * np.exp(2j * np.pi * k / 10) for k in range(10))
+    @pytest.mark.parametrize(
+        "count, radius, turn", [(10, 0.9, 0.0), (12, 0.97, 1 / 32)]
+    )
+    def test_clustered_cascade_exits_3(self, count, radius, turn):
+        # turn 1/32 puts the 12 zeros between two 16th roots of unity
+        zeros = tuple(
+            (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
+            for k in range(count)
+        )
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
         assert out.returncode == 3
@@ -214,7 +221,7 @@ class TestCoupleEvalVerify:
         assert out.returncode == 0, out.stderr
         assert_allclose(json.loads(out.stdout)["value"], [-1e-3, 0.0])
         out = run_cli(
-            ["eval", "--z=-1e-3+0.5j"], '{"n":1,"matrix":[[[0,0],[1,0]],[[1,0],[0,0]]]}'
+            ["eval", "--z=-1e-3,0.5"], '{"n":1,"matrix":[[[0,0],[1,0]],[[1,0],[0,0]]]}'
         )
         assert out.returncode == 0, out.stderr
         assert_allclose(json.loads(out.stdout)["value"], [-1e-3, 0.5])

@@ -188,12 +188,33 @@ class TestReadout:
         d = np.sqrt(1.0 - np.abs(np.asarray(p.params[:-1])) ** 2)
         assert_allclose(trace.kappa, 1.0 / np.prod(d), rtol=1e-12)
 
-    def test_clustered_cascade_fails_typed(self):
-        # kappa 1e9; the first-column readout misses S by 6.6e-7 at t = 1
-        zeros = tuple(0.9 + 0.015 * np.exp(2j * np.pi * k / 10) for k in range(10))
+    @pytest.mark.parametrize("count, radius", [(10, 0.9), (12, 0.97)])
+    @pytest.mark.parametrize("turn", [0, 1 / 64, 1 / 32, 1 / 16, 3 / 16, 1 / 2])
+    def test_clustered_cascade_fails_typed(self, count, radius, turn):
+        # kappa 1e9 and more; the first-column readout misses S on the
+        # circle, near the cluster, by 7e-8 to 2.0.  Turn 1/32 puts the
+        # 12 zeros between two 16th roots of unity
+        zeros = tuple(
+            (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
+            for k in range(count)
+        )
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
         with pytest.raises(sc.InternalInconsistency, match="unit circle"):
             sc.schur_algorithm_state_space(col)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 17, 40])
+    def test_check_values_equal_per_point_solves(self, n):
+        rng = np.random.default_rng(64 + n)
+        col = random_colligation(rng, n, rmax=0.9)
+        if n:
+            col = sc.apply_state_gauge(col, random_unitary(rng, n))
+        count = sc.schur_state._check_count(n)
+        assert count >= 4 * (n + 1) and count % 16 == 0
+        points = sc.sampling.circle_samples(count)
+        exact = [sc.characteristic_function(col, t) for t in points]
+        assert_allclose(
+            sc.schur_state._circle_values(col, count), exact, rtol=0, atol=1e-12
+        )
 
     def test_no_colligation_per_iterate(self, monkeypatch):
         calls = []
