@@ -109,6 +109,19 @@ def _rank_diagnostics(cmd: _Command, col: co.UnitaryColligation) -> None:
         cmd.diag("rank_simplicity", col.n - report.rank_simplicity, 0.0)
 
 
+def _cascade_trace(blaschke) -> tuple[co.UnitaryColligation, ss.SchurStateTrace]:
+    """The cascade realization of a zero set and its complete recursion trace.
+
+    The cascade is minimal by construction, so a partial trace is the
+    recursion's failure (exit 3).
+    """
+    model = rl.model_colligation(blaschke)
+    trace = ss.schur_algorithm_state_space(model)
+    if not trace.complete:
+        raise InternalInconsistency(f"recursion on the cascade {trace.message}")
+    return model, trace
+
+
 def _cmd_realize(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
     route = cmd.args.route
@@ -121,18 +134,17 @@ def _cmd_realize(cmd: _Command) -> dict:
             col = ss.colligation_from_schur_parameters(params)
     elif "zeros" in doc:
         blaschke = js.blaschke_from_json(doc)
-        params = ra.schur_parameters(ra.blaschke_to_rational(blaschke))
-        closed = ss.colligation_from_schur_parameters(params)
-        model = rl.model_colligation(blaschke)
-        col = model if route == "model" else closed
-        if closed.n >= 1:
-            gauge = co.find_equivalence(model, closed)
-            residual = (
-                np.inf
-                if gauge is None
-                else co.intertwining_residual(model, closed, gauge)
-            )
-            cmd.diag("cross_route_equivalence", residual, tol.EQUIV)
+        if route == "model":
+            col = rl.model_colligation(blaschke)
+        else:
+            model, trace = _cascade_trace(blaschke)
+            col = ss.colligation_from_schur_parameters(trace.parameter_sequence())
+            if col.n >= 1:
+                cmd.diag(
+                    "cross_route_equivalence",
+                    co.intertwining_residual(model, col, trace.gauge),
+                    tol.EQUIV,
+                )
     else:
         raise ValueError("input must carry either 'params' or 'zeros'")
     cmd.diag("unitarity", co.unitarity_residual(col.matrix), tol.UNITARY)
@@ -152,12 +164,14 @@ def _cmd_schur(cmd: _Command) -> dict:
     if trace.complete:
         cmd.diag("backward_error", trace.backward_error, tol.BACKWARD)
     if trace.complete and col.n >= 1:
+        # the reduction's own gauge intertwines the input with H, which
+        # the parameters' closed form rebuilds
         roundtrip = ss.colligation_from_schur_parameters(trace.parameter_sequence())
-        gauge = co.find_equivalence(roundtrip, col)
-        residual = (
-            np.inf if gauge is None else co.intertwining_residual(roundtrip, col, gauge)
+        cmd.diag(
+            "parameter_roundtrip",
+            co.intertwining_residual(col, roundtrip, trace.gauge),
+            tol.ROUND,
         )
-        cmd.diag("parameter_roundtrip", residual, tol.ROUND)
     return js.trace_to_json(trace)
 
 
@@ -265,9 +279,8 @@ def _cmd_params(cmd: _Command) -> dict:
     if "num" in doc:
         return js.params_to_json(ra.schur_parameters(js.rational_from_json(doc)))
     if "zeros" in doc:
-        return js.params_to_json(
-            ra.schur_parameters(ra.blaschke_to_rational(js.blaschke_from_json(doc)))
-        )
+        _, trace = _cascade_trace(js.blaschke_from_json(doc))
+        return js.params_to_json(trace.parameter_sequence())
     raise ValueError("input must carry 'params', 'num'/'den' or 'zeros'")
 
 

@@ -125,7 +125,8 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     in place as H[:, r+1:] <- H[:, r+1:] Q, H[r+1:, :] <- Q* H[r+1:, :]
     and V[:, r:] <- V[:, r:] Q: rank-one updates for the Householder
     part and a scaling for the phase lam, O(n^2) per row and O(n^3) in
-    all.  A phase-only Q is that scaling alone.  Always succeeds: a
+    all.  A phase-only Q is that scaling alone.  The reflected tail is
+    stored as exactly [|tail|, 0, ..., 0].  Always succeeds: a
     (numerically) zero row tail is skipped, leaving a zero superdiagonal
     entry and the gauge columns untouched.  The first row and column
     index is never touched, so ``H[0, 0] == M[0, 0]``.
@@ -171,6 +172,11 @@ def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         H[: row + 1, row + 1 :] *= lam
         H[row + 1 :, : row + 1] *= np.conj(lam)
         gauge *= lam
+        # the reflector maps the tail (a view of H) onto [norm, 0, ..., 0]:
+        # store that, not its roundoff.  Later reflectors update this row
+        # from its own entries only, so the rest of H is bitwise the same
+        tail.fill(0.0)
+        tail[0] = norm
     return H, V
 
 

@@ -153,8 +153,9 @@ class SchurStateTrace:
         """det(I - z D_p) for every iterate p = 0..n, each with value 1 at 0.
 
         D_p is the lower-right corner H[p+1:, p+1:], so partial traces
-        have the full chain as well.  Computed on first access (n+1
-        determinants per level) and then kept.
+        have the full chain as well.  Computed on first access, by one
+        Hessenberg minor recurrence at n + 1 shared roots of unity and
+        one FFT per level, O(n^3), and then kept.
         """
         return _denominator_chain_from_first(self.H[1:, 1:])
 
@@ -331,19 +332,35 @@ def colligation_from_schur_parameters(
     return UnitaryColligation(closed_form_matrix(p))
 
 
-def _det_polynomial(D: np.ndarray) -> np.ndarray:
-    """Coefficients of det(I - z D), ascending, via roots of unity and inverse DFT."""
-    size = len(D)
-    if size == 0:
-        return np.array([1.0 + 0.0j])
-    m = size + 1
-    nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    eye = np.eye(size)
-    values = np.array([np.linalg.det(eye - z * D) for z in nodes])
-    # values[j] = sum_k a_k exp(+2 pi i jk / m), so the forward FFT inverts it
-    coeffs = np.fft.fft(values) / m
-    return coeffs / coeffs[0]
-
-
 def _denominator_chain_from_first(D0: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(_det_polynomial(D0[p:, p:]) for p in range(len(D0) + 1))
+    """Coefficients of det(I - z D0[p:, p:]) for p = 0..m, ascending, each 1 at 0.
+
+    D0 is lower Hessenberg, so E = J D0 J, with J the index reversal, is
+    upper Hessenberg, and the trailing minor of I - z D0 of size k is the
+    leading minor f_k of I - z E.  Expanding f_k along its last column,
+
+        f_k = sum_{i<k} a[i, k-1] g_i,  g_i = (-1)^(k-1-i) a[i+1, i] ... a[k-1, k-2] f_i,
+
+    and moving to k + 1 multiplies every g_i by -a[k, k-1] and appends
+    g_k = f_k: one O(m^2) recurrence without division at each of the
+    m + 1 shared roots of unity, vectorised over them.  Each level is
+    then read off its m + 1 values by one FFT.  O(m^3) in all.
+    """
+    m = len(D0)
+    count = m + 1
+    nodes = np.exp(2j * np.pi * np.arange(count) / count)
+    E = np.asarray(D0, dtype=complex)[::-1, ::-1]
+    minors = np.empty((count, count), dtype=complex)
+    minors[0] = 1.0
+    g = np.empty((m, count), dtype=complex)
+    for k in range(m):
+        g[k] = minors[k]
+        # f_{k+1} = sum_i (delta_ik - z E[i, k]) g_i
+        minors[k + 1] = g[k] - nodes * (E[: k + 1, k] @ g[: k + 1])
+        if k + 1 < m:
+            g[: k + 1] *= nodes * E[k + 1, k]
+    # values[j] = sum_l a_l exp(+2 pi i jl / count), so the forward FFT inverts it
+    coeffs = np.fft.fft(minors, axis=1) / count
+    return tuple(
+        coeffs[m - p, : m - p + 1] / coeffs[m - p, 0] for p in range(count)
+    )

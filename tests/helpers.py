@@ -99,3 +99,22 @@ def mobius_fold(params, z):
     for s in params[-2::-1]:
         w = (s + z * w) / (1.0 + np.conj(s) * z * w)
     return w
+
+
+def reference_det_polynomial(D):
+    """Coefficients of det(I - z D), ascending, 1 at 0: LU determinants at roots of unity.
+
+    The determinant is taken at the len(D) + 1 roots of unity and read
+    back by an inverse DFT, O(n^4).  Kept as an independent reference
+    for the Hessenberg minor recurrence of the denominator chain.
+    """
+    size = len(D)
+    if size == 0:
+        return np.array([1.0 + 0.0j])
+    m = size + 1
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    eye = np.eye(size)
+    values = np.array([np.linalg.det(eye - z * D) for z in nodes])
+    # values[j] = sum_k a_k exp(+2 pi i jk / m), so the forward FFT inverts it
+    coeffs = np.fft.fft(values) / m
+    return coeffs / coeffs[0]

@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_params, random_unitary
+from helpers import mobius_fold, random_params, random_unitary
+from schurcol import cli
 from schurcol import serialize as js
 
 
@@ -29,6 +30,23 @@ def matrix_from_doc(doc):
 
 
 PARAMS_DELAY = '{"params":[[0,0],[1,0]]}'
+
+
+def gauged_n128():
+    """A gauged degree-128 parameter colligation, unitary to 1e-15."""
+    rng = np.random.default_rng(128)
+    p = random_params(rng, 128, rmax=0.9)
+    return sc.apply_state_gauge(
+        sc.colligation_from_schur_parameters(p), random_unitary(rng, 128)
+    )
+
+
+def cluster(count, radius, turn=0.0):
+    """count zeros on a circle of radius 0.015 about `radius`, turned by 2 pi turn."""
+    return tuple(
+        (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
+        for k in range(count)
+    )
 
 
 class TestRealize:
@@ -58,6 +76,31 @@ class TestRealize:
         checks = [json.loads(line) for line in out.stderr.splitlines()]
         by_name = {c["check"]: c for c in checks}
         assert by_name["cross_route_equivalence"]["residual"] <= 1e-9
+
+    def test_clustered_zeros_model_route_runs_no_recursion(self):
+        # the coefficient route ran first and raised DegreeDropFailure on
+        # these zeros.  The route now writes the cascade; the exit code is
+        # still 3, from the Krylov rank diagnostics alone (deficits 5, 5, 3),
+        # although the cascade is minimal
+        zeros = cluster(12, 0.97)
+        doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, zeros))
+        out = run_cli(["realize", "--route", "model"], js.dumps_canonical(doc))
+        assert "schurcol realize:" not in out.stderr
+        failed = {
+            c["check"]
+            for c in map(json.loads, out.stderr.splitlines())
+            if not c["residual"] <= c["tolerance"]
+        }
+        assert failed <= {"rank_controllability", "rank_observability", "rank_simplicity"}
+        expected = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros)).matrix
+        assert np.abs(matrix_from_doc(json.loads(out.stdout)) - expected).max() == 0.0
+
+    def test_clustered_zeros_closed_form_route_fails_the_check(self):
+        zeros = cluster(12, 0.97)
+        doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, zeros))
+        out = run_cli(["realize"], js.dumps_canonical(doc))
+        assert out.returncode == 3
+        assert "schurcol realize: recovered parameters miss" in out.stderr
 
     def test_invalid_input_exits_2(self):
         out = run_cli(["realize"], '{"params":[[2,0],[1,0]]}')
@@ -116,10 +159,7 @@ class TestSchur:
     )
     def test_clustered_cascade_exits_3(self, count, radius, turn):
         # turn 1/32 puts the 12 zeros between two 16th roots of unity
-        zeros = tuple(
-            (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
-            for k in range(count)
-        )
+        zeros = cluster(count, radius, turn)
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
         assert out.returncode == 3
@@ -127,15 +167,42 @@ class TestSchur:
 
     def test_gauged_n128_is_never_a_validation_failure(self):
         # unitary to 1e-15; the per-iterate gate used to reject it with exit 2
-        rng = np.random.default_rng(128)
-        p = random_params(rng, 128, rmax=0.9)
-        col = sc.apply_state_gauge(
-            sc.colligation_from_schur_parameters(p), random_unitary(rng, 128)
-        )
+        col = gauged_n128()
         assert sc.unitarity_residual(col.matrix) <= 1e-14
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
         assert out.returncode in (0, 3), out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_gauged_n128_trace_is_small_and_holds_the_iterates(self):
+        col = gauged_n128()
+        out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
+        assert len(out.stdout.encode()) <= 1 << 20
+        doc = json.loads(out.stdout)
+        assert list(doc) == ["parameters", "H", "denominators", "complete", "message"]
+        H = matrix_from_doc({"matrix": doc["H"]})
+        trace = sc.schur_algorithm_state_space(col)
+        assert len(trace.matrices) == 129
+        for p, iterate in enumerate(trace.matrices):
+            rebuilt = H[p:, p:].copy()
+            rebuilt[:, 0] = H[p:, 0] / np.linalg.norm(H[p:, 0])
+            assert np.abs(rebuilt - iterate).max() <= 1e-15
+
+    def test_krylov_rank_deficient_input_completes(self):
+        # sequence k = 1 of degree 32 of the cli_pipeline benchmark at seed
+        # 7919: its Krylov matrices have numerical rank 31, and the
+        # round-trip check through find_equivalence exited 2 on it
+        rng = np.random.default_rng([7919, 4])
+        rng.uniform(size=(2, 16))  # the benchmark's 16 sample points
+        for _ in range(4):
+            random_params(rng, 8)
+        random_params(rng, 32)
+        p = random_params(rng, 32)
+        doc = {"params": [[z.real, z.imag] for z in p.params]}
+        realized = run_cli(["realize"], json.dumps(doc))
+        out = run_cli(["schur"], realized.stdout)
+        assert out.returncode == 0, out.stderr
+        got = np.array([complex(*v) for v in json.loads(out.stdout)["parameters"]])
+        assert np.abs(got - np.asarray(p.params)).max() <= 1e-8
 
 
 class TestHessenberg:
@@ -319,6 +386,36 @@ class TestParams:
             json.loads(out.stdout)["params"], [[0.5, 0.0], [-1.0, 0.0]], atol=1e-14
         )
 
+    def test_zeros_go_through_the_cascade(self):
+        # the coefficient route raised DegreeDropFailure on these zeros;
+        # the cascade recursion recovers them at kappa 1
+        zeros = tuple(0.5 * np.exp(2j * np.pi * k / 64) for k in range(64))
+        b = sc.BlaschkeProduct(1.0, zeros)
+        out = run_cli(["params"], js.dumps_canonical(js.blaschke_to_json(b)))
+        assert out.returncode == 0, out.stderr
+        params = [complex(*v) for v in json.loads(out.stdout)["params"]]
+        assert len(params) == 65
+        t = sc.sampling.circle_samples(256)
+        product = np.prod([(a - t) / (1.0 - t * np.conj(a)) for a in zeros], axis=0)
+        assert np.abs(mobius_fold(params, t) - product).max() <= 1e-10
+
+    def test_partial_trace_on_the_cascade_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the cascade is minimal, so an early stop is the recursion's failure
+        original = sc.schur_state.schur_algorithm_state_space
+
+        def stopped(col):
+            trace = original(col)
+            return sc.SchurStateTrace(
+                trace.parameters[:1], trace.H, trace.gauge, False,
+                "terminated at step 1 of 2", None, trace.kappa,
+            )
+
+        monkeypatch.setattr(sc.schur_state, "schur_algorithm_state_space", stopped)
+        source = tmp_path / "zeros.json"
+        source.write_text('{"c":[1,0],"zeros":[[0.3,0],[0,-0.4]]}', encoding="utf-8")
+        assert cli.main(["params", "--input", str(source)]) == 3
+        assert "terminated at step 1 of 2" in capsys.readouterr().err
+
     def test_parameters_to_function(self):
         out = run_cli(["params"], '{"params":[[0.5,0],[-1,0]]}')
         assert out.returncode == 0, out.stderr
@@ -366,3 +463,24 @@ class TestSerialization:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             js.dumps_canonical({"x": float("nan")})
+
+    @pytest.mark.parametrize(
+        "value", [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16]
+    )
+    def test_float_pairs_match_the_recursion(self, value):
+        pairs = [[value, -value], [1.0, value]]
+        recursion = "[" + ",".join(
+            "[" + ",".join(js.dumps_canonical(x) for x in v) + "]" for v in pairs
+        ) + "]"
+        assert js._is_float_pairs(pairs)
+        assert js.dumps_canonical(pairs) == recursion
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_pair_rejected(self, bad):
+        with pytest.raises(ValueError):
+            js.dumps_canonical([[0.5, 0.25], [0.0, bad]])
+
+    def test_integer_pairs_take_the_recursion(self):
+        doc = js.loads("[[0, 1]]")
+        assert not js._is_float_pairs(doc)
+        assert js.dumps_canonical(doc) == "[[0,1]]"

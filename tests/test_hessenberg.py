@@ -100,6 +100,16 @@ class TestLowerReduction:
             assert band.real.min() >= -1e-12
             assert sc.unitarity_residual(cert.V) <= 1e-12
 
+    def test_reduced_row_tails_are_exact(self):
+        # every reflected tail is stored as [|tail|, 0, ..., 0]
+        rng = np.random.default_rng(26)
+        for size in (3, 9, 33):
+            cert = sc.reduce_to_special_lower_hessenberg(random_unitary(rng, size))
+            assert not np.triu(cert.H, 2).any()
+            assert not np.diagonal(cert.H, 1).imag.any()
+            upper = sc.reduce_to_special_upper_hessenberg(random_unitary(rng, size))
+            assert not np.tril(upper.H, -2).any()
+
     def test_corner_entry_preserved(self):
         rng = np.random.default_rng(23)
         m = random_unitary(rng, 6)
