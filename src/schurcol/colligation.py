@@ -11,7 +11,9 @@ inverted explicitly and no determinant is taken.  The solve itself is the
 pole test: z counts as a pole (NearPole) when LAPACK finds I - z D
 singular or when max|x| exceeds max|C| / POLE.  Rank decisions are
 scale-aware: a singular value counts when it exceeds
-``max(n+1, 8) * 1e-10 * sigma_max``.
+``max(n+1, 8) * 1e-10 * sigma_max``.  The time-domain recursion runs
+``BLOCK`` steps per matrix product, carrying the state by D^BLOCK, on the
+same Krylov blocks that give the Markov parameters.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances as tol
 from .errors import (
@@ -190,15 +193,56 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     return UnitaryColligation(G.conj().T @ col.matrix @ G)
 
 
-def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
-    """First ``m`` Taylor coefficients of S at 0: A, BC, BDC, ..."""
-    out = np.empty(m, dtype=complex)
-    out[0] = col.A
-    v = col.C
-    for k in range(1, m):
-        out[k] = col.B @ v
-        v = col.D @ v
+# steps per block of the Krylov kernel and of the time-domain recursion;
+# a power of two, so D^BLOCK is taken by repeated squaring
+BLOCK = 32
+
+
+def _block_power(D: np.ndarray) -> np.ndarray:
+    """D^BLOCK by repeated squaring."""
+    power = D
+    for _ in range(BLOCK.bit_length() - 1):
+        power = power @ power
+    return power
+
+
+def _krylov_blocks(D: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Columns v, Dv, D^2 v, ... in whole blocks of BLOCK, at least ``count``.
+
+    The first block is built by D one column at a time, each later block
+    is D^BLOCK times the block before it.  Every product has the same
+    shape whatever ``count`` is, so no column depends on how many were
+    asked for.  Columns are contiguous.
+    """
+    blocks = -(-count // BLOCK)
+    out = np.empty((blocks * BLOCK, len(v)), dtype=complex).T
+    if blocks == 0:
+        return out
+    out[:, 0] = v
+    for t in range(1, BLOCK):
+        np.matmul(D, out[:, t - 1], out=out[:, t])
+    if blocks > 1:
+        power = _block_power(D)
+        for j in range(BLOCK, blocks * BLOCK, BLOCK):
+            out[:, j : j + BLOCK] = power @ out[:, j - BLOCK : j]
     return out
+
+
+def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
+    """First ``m`` Taylor coefficients of S at 0: A, BC, BDC, ...
+
+    B D^k C is taken one Krylov block at a time, in the products
+    ``simulate_time_domain`` forms for its outputs, so an impulse
+    response equals these coefficients bit for bit.
+    """
+    if m < 0:
+        raise DimensionMismatch(f"coefficient count must be non-negative, got {m}")
+    krylov = _krylov_blocks(col.D, col.C, max(m - 1, 0))
+    out = np.empty(1 + krylov.shape[1], dtype=complex)
+    out[0] = col.A
+    for j in range(0, krylov.shape[1], BLOCK):
+        out[1 + j : 1 + j + BLOCK] = col.B @ krylov[:, j : j + BLOCK]
+    return out[:m]
 
 
 def intertwining_residual(
@@ -255,18 +299,39 @@ def simulate_time_domain(
     Returns the output sequence and the state trajectory ``h_0 .. h_m``
     (one more row than there are inputs).  With a unitary matrix the
     balance ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
+
+    The recursion runs BLOCK steps at a time:
+    h_k = D^BLOCK h_{k-BLOCK} + sum_{t < BLOCK} D^t C phi_{k-1-t}.  The
+    window sums are one product of the Krylov block [C, DC, ...] with a
+    sliding window of the input, written into the state array; each block
+    of states then adds D^BLOCK times the block before it.
     """
     inputs = np.asarray(inputs, dtype=complex)
-    n = col.n
-    h = np.zeros(n, dtype=complex)
-    outputs = np.empty(len(inputs), dtype=complex)
-    states = np.empty((len(inputs) + 1, n), dtype=complex)
-    states[0] = h
-    for k, phi in enumerate(inputs):
-        outputs[k] = col.A * phi + col.B @ h
-        h = col.C * phi + col.D @ h
-        states[k + 1] = h
-    return outputs, states
+    if inputs.ndim != 1:
+        raise DimensionMismatch(
+            f"expected a 1-D input sequence, got shape {inputs.shape}"
+        )
+    m = len(inputs)
+    size = -(-m // BLOCK) * BLOCK
+    # column k holds h_k; the blocks start at column 1, where the impulse
+    # response holds C, so they line up with the Krylov blocks
+    states = np.empty((1 + size, col.n), dtype=complex).T
+    states[:, 0] = 0.0
+    feed = np.zeros(1 + size, dtype=complex)  # B h_k
+    if size:
+        krylov = _krylov_blocks(col.D, col.C, BLOCK)
+        padded = np.zeros(size + BLOCK - 1, dtype=complex)
+        padded[BLOCK - 1 : BLOCK - 1 + m] = inputs
+        # window k holds phi_{k+1-BLOCK} .. phi_k, against D^{BLOCK-1} C .. C
+        windows = sliding_window_view(padded, BLOCK).T
+        np.matmul(krylov[:, ::-1], windows, out=states[:, 1:])
+        power = _block_power(col.D) if size > BLOCK else None
+        for j in range(1, 1 + size, BLOCK):
+            block = states[:, j : j + BLOCK]
+            if j > 1:
+                block += power @ states[:, j - BLOCK : j]
+            feed[j : j + BLOCK] = col.B @ block
+    return col.A * inputs + feed[:m], states.T[: m + 1]
 
 
 @dataclass(frozen=True)

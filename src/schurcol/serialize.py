@@ -72,7 +72,21 @@ def _matrix_to_json(m) -> list:
 
 
 def matrix_from_json(doc) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs."""
+    """A complex matrix from rows of [re, im] pairs.
+
+    A list of rows whose entries are all pairs of numbers is read in one
+    pass as a float array and viewed as complex.  Any other document
+    (scalar entries, strings, ragged rows, pairs of another length) is
+    read entry by entry by ``complex_from_json``, which accepts or
+    rejects it.
+    """
+    if type(doc) is list:
+        try:
+            pairs = np.array(doc)
+        except ValueError:  # ragged, e.g. scalar entries next to pairs
+            pairs = np.empty(0)
+        if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.dtype.kind in "biuf":
+            return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
     return np.array(
         [[complex_from_json(v) for v in row] for row in doc], dtype=complex
     )

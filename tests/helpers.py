@@ -118,3 +118,21 @@ def reference_det_polynomial(D):
     # values[j] = sum_k a_k exp(+2 pi i jk / m), so the forward FFT inverts it
     coeffs = np.fft.fft(values) / m
     return coeffs / coeffs[0]
+
+
+def reference_simulation(col, inputs):
+    """(outputs, states) of [psi_k; h_{k+1}] = U [phi_k; h_k], one step at a time.
+
+    One dense matvec per sample, O(m n^2) in Python steps.  Kept as an
+    independent reference for the blocked recursion.
+    """
+    inputs = np.asarray(inputs, dtype=complex)
+    h = np.zeros(col.n, dtype=complex)
+    outputs = np.empty(len(inputs), dtype=complex)
+    states = np.empty((len(inputs) + 1, col.n), dtype=complex)
+    states[0] = h
+    for k, phi in enumerate(inputs):
+        outputs[k] = col.A * phi + col.B @ h
+        h = col.C * phi + col.D @ h
+        states[k + 1] = h
+    return outputs, states

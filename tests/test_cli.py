@@ -484,3 +484,87 @@ class TestSerialization:
         doc = js.loads("[[0, 1]]")
         assert not js._is_float_pairs(doc)
         assert js.dumps_canonical(doc) == "[[0,1]]"
+
+
+def entrywise_matrix(doc):
+    """matrix_from_json's entry-by-entry reading, as the reference."""
+    return np.array([[js.complex_from_json(v) for v in row] for row in doc], dtype=complex)
+
+
+class TestMatrixFromJson:
+    """The one-pass reading accepts and rejects exactly what the entrywise one does."""
+
+    def assert_same(self, doc):
+        try:
+            expected = entrywise_matrix(doc)
+        except Exception as exc:  # the reference's verdict, whatever its type
+            with pytest.raises(type(exc)):
+                js.matrix_from_json(doc)
+            return
+        got = js.matrix_from_json(doc)
+        assert got.dtype == complex and got.shape == expected.shape
+        # bit for bit, so -0.0 and NaN count too
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_numeric_pairs_take_one_pass(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((5, 5, 2)).tolist()
+        values[0][0] = [-0.0, 5e-324]
+        values[1][2] = [float("inf"), float("nan")]
+        self.assert_same(values)
+        assert js.matrix_from_json(values).flags.writeable
+
+    def test_integer_and_boolean_pairs(self):
+        self.assert_same([[[0, 1], [2, -3]], [[True, False], [2**63, 0.5]]])
+        self.assert_same(js.loads("[[[0, 1]]]"))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[["1", "2"]]],
+            [["ab"]],
+            ["ab"],
+            "abc",
+            [[[0, 1], "xy"]],
+            [[[None, 1.0]]],
+        ],
+    )
+    def test_strings_and_nulls(self, doc):
+        self.assert_same(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[[0.5, 0.0], [0.1, 0.2]], [[0.3, 0.4]]],
+            [[[0.5, 0.0], [0.1]]],
+            [[[0.5, 0.0]], []],
+        ],
+    )
+    def test_ragged_rows(self, doc):
+        self.assert_same(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[0.5, 0.25], [0.125, 1.0]],
+            [[0.5, [0.0, 1.0]], [[1.0, 0.0], 2]],
+            [[1]],
+            [[]],
+            [],
+        ],
+    )
+    def test_scalar_entries(self, doc):
+        self.assert_same(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[[0.5, 0.0, 1.0]]],
+            [[[0.5]]],
+            [[[]]],
+            [[[[0.5], [0.0]]]],
+            [[[10**400, 0.0]]],
+        ],
+    )
+    def test_wrong_pairs(self, doc):
+        self.assert_same(doc)

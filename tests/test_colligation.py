@@ -6,9 +6,16 @@ from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import colligation as co
-from helpers import random_colligation, random_params, random_unitary, taylor_coefficients
+from helpers import (
+    random_colligation,
+    random_params,
+    random_unitary,
+    reference_simulation,
+    taylor_coefficients,
+)
 
 DELAY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+L = co.BLOCK
 
 # twelve zeros on a ring of radius 0.015 around 0.97: det(I - 0.97 D) is
 # about 1.8e-15, yet the solve amplifies C by only about 15
@@ -238,12 +245,66 @@ class TestSimulation:
         )
         assert abs(balance) <= 1e-10
 
+    def test_rejects_non_vector_inputs(self):
+        col = sc.UnitaryColligation(DELAY)
+        for inputs in (1.0, np.zeros((3, 1)), np.zeros((2, 2))):
+            with pytest.raises(sc.DimensionMismatch):
+                sc.simulate_time_domain(col, inputs)
+
+
+def gauged_colligation(rng, n):
+    """A minimal colligation of degree n under a random state gauge (dense D)."""
+    if n == 0:
+        return sc.UnitaryColligation(np.array([[np.exp(2j * np.pi * rng.uniform())]]))
+    return sc.apply_state_gauge(random_colligation(rng, n), random_unitary(rng, n))
+
+
+class TestBlockedSimulation:
+    """The blocked recursion against the step-by-step loop of the helpers."""
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 128])
+    def test_matches_the_step_by_step_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        col = gauged_colligation(rng, n)
+        for m in (0, 1, L - 1, L, L + 1, 3 * L + 5, 2048):
+            inputs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            outputs, states = sc.simulate_time_domain(col, inputs)
+            ref_outputs, ref_states = reference_simulation(col, inputs)
+            assert outputs.shape == ref_outputs.shape
+            assert states.shape == ref_states.shape == (m + 1, n)
+            assert np.abs(outputs - ref_outputs).max(initial=0.0) <= 1e-12
+            assert np.abs(states - ref_states).max(initial=0.0) <= 1e-12
+            balance = (
+                np.sum(np.abs(outputs) ** 2)
+                + np.sum(np.abs(states[-1]) ** 2)
+                - np.sum(np.abs(inputs) ** 2)
+            )
+            assert abs(balance) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 16, 128])
+    def test_impulse_response_is_the_markov_parameters_bitwise(self, n):
+        rng = np.random.default_rng(2000 + n)
+        col = gauged_colligation(rng, n)
+        for m in (1, 10, 33, 100, 257):
+            impulse = np.zeros(m, dtype=complex)
+            impulse[0] = 1.0
+            outputs, _ = sc.simulate_time_domain(col, impulse)
+            assert np.array_equal(outputs, sc.markov_parameters(col, m))
+
 
 class TestMarkovParameters:
     def test_delay(self):
         assert_allclose(
             sc.markov_parameters(sc.UnitaryColligation(DELAY), 3), [0.0, 1.0, 0.0]
         )
+
+    def test_zero_count_is_empty(self):
+        out = sc.markov_parameters(sc.UnitaryColligation(DELAY), 0)
+        assert out.shape == (0,) and out.dtype == complex
+
+    def test_negative_count_raises(self):
+        with pytest.raises(sc.DimensionMismatch):
+            sc.markov_parameters(sc.UnitaryColligation(DELAY), -1)
 
     def test_first_entry_is_corner(self):
         rng = np.random.default_rng(14)
