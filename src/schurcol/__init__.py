@@ -6,21 +6,18 @@ lockstep: the zero set, the Schur parameter sequence, and the unitary
 product is.  The package converts between them, runs the Schur
 recursion both on coefficients and directly on colligation matrices,
 couples systems in feedback, reduces matrices to the special lower
-Hessenberg normal form, and builds the kernel-space model realization.
+Hessenberg normal form, which decides minimality and state
+equivalence, and builds the kernel-space model realization.
 """
 
 from .colligation import (
-    MinimalityReport,
     SpectralIdentityReport,
     UnitaryColligation,
     apply_state_gauge,
     characteristic_function,
-    find_equivalence,
     inner_sampling_report,
     intertwining_residual,
-    is_minimal,
     markov_parameters,
-    minimality_report,
     simulate_time_domain,
     unitarity_residual,
     verify_spectral_identities,
@@ -35,20 +32,20 @@ from .errors import (
     NormMismatch,
     NotMinimal,
     NotNormalized,
-    NotPositiveDefinite,
     NotSimple,
     NotUnitary,
     SchurColError,
     Terminal,
     UnitViolation,
-    ZerosTooClose,
     ZeroVector,
 )
 from .hessenberg import (
     HessenbergCertificate,
-    hessenberg_minimality,
+    band_residual,
+    find_equivalence,
     is_hl_nonsingular,
     is_hu_nonsingular,
+    is_minimal,
     is_special_lower_hessenberg,
     is_special_upper_hessenberg,
     match_rows,
@@ -70,10 +67,8 @@ from .rational import (
     schur_transform,
 )
 from .realization import (
-    KernelBasis,
     RealizationReport,
     UniquenessReport,
-    kernel_basis,
     model_colligation,
     realization_uniqueness_check,
     verify_realization,

@@ -102,12 +102,11 @@ def _write_output(args, doc) -> None:
         sys.stdout.write(text)
 
 
-def _rank_diagnostics(cmd: _Command, col: co.UnitaryColligation) -> None:
+def _band_diagnostic(cmd: _Command, col: co.UnitaryColligation) -> None:
+    """Minimality: the band residual of the lower form, at most 1 when minimal."""
     if col.n >= 1:
-        report = co.minimality_report(col)
-        cmd.diag("rank_controllability", col.n - report.rank_controllability, 0.0)
-        cmd.diag("rank_observability", col.n - report.rank_observability, 0.0)
-        cmd.diag("rank_simplicity", col.n - report.rank_simplicity, 0.0)
+        H = hs.reduce_to_special_lower_hessenberg(col.matrix).H
+        cmd.diag("band_minimum", hs.band_residual(H), 1.0)
 
 
 def _cascade_trace(blaschke) -> tuple[co.UnitaryColligation, ss.SchurStateTrace]:
@@ -149,7 +148,7 @@ def _cmd_realize(cmd: _Command) -> dict:
     else:
         raise ValueError("input must carry either 'params' or 'zeros'")
     cmd.diag("unitarity", co.unitarity_residual(col.matrix), tol.UNITARY)
-    _rank_diagnostics(cmd, col)
+    _band_diagnostic(cmd, col)
     return js.colligation_to_json(col)
 
 
@@ -255,7 +254,7 @@ def _cmd_verify(cmd: _Command) -> dict:
     if not residual <= tol.UNITARY:
         return summary
     col = co.UnitaryColligation(matrix)
-    _rank_diagnostics(cmd, col)
+    _band_diagnostic(cmd, col)
     disc_excess, circle_dev = co.inner_sampling_report(
         col, disc_count=cmd.args.samples, circle_count=cmd.args.samples
     )

@@ -9,9 +9,9 @@ and ``D`` is nxn.  Its characteristic function
 is evaluated through one LU solve of (I - z D) x = C; the matrix is never
 inverted explicitly and no determinant is taken.  The solve itself is the
 pole test: z counts as a pole (NearPole) when LAPACK finds I - z D
-singular or when max|x| exceeds max|C| / POLE.  Rank decisions are
-scale-aware: a singular value counts when it exceeds
-``max(n+1, 8) * 1e-10 * sigma_max``.  The time-domain recursion runs
+singular or when max|x| exceeds max|C| / POLE.  Minimality and state
+equivalence are read off the special lower Hessenberg form, in
+:mod:`schurcol.hessenberg`.  The time-domain recursion runs
 ``BLOCK`` steps per matrix product, carrying the state by D^BLOCK, on the
 same Krylov blocks that give the Markov parameters.
 """
@@ -24,26 +24,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances as tol
-from .errors import (
-    DimensionMismatch,
-    InternalInconsistency,
-    NearPole,
-    NotSimple,
-    NotUnitary,
-)
+from .errors import DimensionMismatch, NearPole, NotUnitary
 from .sampling import circle_samples, disc_samples
 
 __all__ = [
     "UnitaryColligation",
-    "MinimalityReport",
     "SpectralIdentityReport",
     "unitarity_residual",
     "require_unitary",
     "characteristic_function",
-    "minimality_report",
-    "is_minimal",
     "apply_state_gauge",
-    "find_equivalence",
     "intertwining_residual",
     "simulate_time_domain",
     "markov_parameters",
@@ -130,58 +120,6 @@ def characteristic_function(col: UnitaryColligation, z: complex) -> complex:
     return complex(col.A + z * (col.B @ _resolvent_apply(col.D, z, col.C)))
 
 
-def _rank_threshold(n: int, sigma_max: float) -> float:
-    return max(n + 1, 8) * tol.RANK_REL * sigma_max
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    rank_controllability: int
-    rank_observability: int
-    rank_simplicity: int
-    singular_values: tuple[np.ndarray, np.ndarray, np.ndarray]
-    n: int
-
-
-def _krylov(D: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    cols = []
-    cur = v
-    for _ in range(n):
-        cols.append(cur)
-        cur = D @ cur
-    return np.column_stack(cols)
-
-
-def minimality_report(col: UnitaryColligation) -> MinimalityReport:
-    """Ranks of the controllability, observability and simplicity matrices."""
-    n = col.n
-    ctrl = _krylov(col.D, col.C, n)
-    obs = _krylov(col.D.conj().T, col.B.conj(), n)
-    simple = np.hstack([ctrl, obs])
-    svs = []
-    ranks = []
-    for m in (ctrl, obs, simple):
-        s = np.linalg.svd(m, compute_uv=False)
-        svs.append(s)
-        smax = s[0] if len(s) else 0.0
-        ranks.append(int(np.sum(s > _rank_threshold(n, smax))))
-    return MinimalityReport(ranks[0], ranks[1], ranks[2], tuple(svs), n)
-
-
-def is_minimal(col: UnitaryColligation) -> bool:
-    # for verified-unitary colligations minimality and simplicity coincide
-    if col.n == 0:
-        return True
-    r = minimality_report(col)
-    ranks = (r.rank_controllability, r.rank_observability, r.rank_simplicity)
-    if len(set(ranks)) != 1:
-        raise InternalInconsistency(
-            "ranks of the controllability, observability and simplicity matrices "
-            f"disagree for a unitary colligation: {ranks} of n = {col.n}"
-        )
-    return ranks[0] == col.n
-
-
 def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligation:
     """Conjugate by diag(1, V); the characteristic function is unchanged."""
     V = np.asarray(V, dtype=complex)
@@ -252,43 +190,6 @@ def intertwining_residual(
     G = np.eye(col1.n + 1, dtype=complex)
     G[1:, 1:] = V
     return float(np.abs(G @ col2.matrix - col1.matrix @ G).max())
-
-
-def find_equivalence(
-    col1: UnitaryColligation, col2: UnitaryColligation
-) -> np.ndarray | None:
-    """State gauge intertwining two simple colligations of the same function.
-
-    The gauge is assembled by least-squares matching of the Krylov
-    generating vectors ``D^k C`` and ``(D*)^l B*`` of both colligations,
-    then projected onto the nearest unitary matrix (polar factor).
-    Returns None when the Markov parameters disagree, i.e. when the
-    characteristic functions differ.
-    """
-    if not is_minimal(col1) or not is_minimal(col2):
-        raise NotSimple("both colligations must be simple")
-    order = 2 * max(col1.n, col2.n) + 1
-    m1 = markov_parameters(col1, order)
-    m2 = markov_parameters(col2, order)
-    if np.abs(m1 - m2).max() > tol.ROUND:
-        return None
-    if col1.n != col2.n:
-        raise InternalInconsistency(
-            "equal Markov parameters but different minimal state dimensions"
-        )
-    n = col1.n
-    span1 = np.hstack([_krylov(col1.D, col1.C, n), _krylov(col1.D.conj().T, col1.B.conj(), n)])
-    span2 = np.hstack([_krylov(col2.D, col2.C, n), _krylov(col2.D.conj().T, col2.B.conj(), n)])
-    V_ls = span1 @ np.linalg.pinv(span2)
-    u, _, vh = np.linalg.svd(V_ls)
-    V = u @ vh
-    residual = intertwining_residual(col1, col2, V)
-    if residual > tol.EQUIV:
-        raise InternalInconsistency(
-            f"intertwining residual {residual:.3e} exceeds {tol.EQUIV:g} "
-            "although the Markov parameters agree"
-        )
-    return V
 
 
 def simulate_time_domain(

@@ -30,7 +30,7 @@ class NotUnitary(SchurColError):
 
 
 class NotSimple(SchurColError):
-    """Colligation fails the simplicity (full rank) requirement."""
+    """Colligation fails the simplicity requirement (a zero Hessenberg band entry)."""
 
 
 class NotMinimal(SchurColError):
@@ -60,10 +60,3 @@ class ZeroVector(SchurColError):
 class FeedbackSingular(SchurColError):
     """The feedback loop of a coupling is singular."""
 
-
-class ZerosTooClose(SchurColError):
-    """Blaschke zeros violate the minimal pairwise separation."""
-
-
-class NotPositiveDefinite(SchurColError):
-    """A Gram matrix expected to be positive definite is not."""

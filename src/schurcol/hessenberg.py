@@ -11,10 +11,19 @@ columns H[:, r+1:], the rows H[r+1:, :] and the gauge columns V[:, r:],
 so the reduction costs O(n^3) and never forms an embedded gauge.  The
 upper form is obtained from the reduction of the adjoint, which is
 equivalent because the conjugate of a nonnegative real is itself.
+
+The lower form is the canonical form of a unitary colligation, and one
+reduction answers both questions asked of it.  Minimality: the
+colligation is minimal exactly when no band entry is zero, read at the
+threshold ``max(n+1, 8) * RANK_REL`` relative to the largest entry
+(:func:`band_residual`).  Equivalence: with a nonzero band the form is
+unique (implicit Q), so two minimal colligations of one function reduce
+to the same H, and V1 V2* intertwines them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,9 +33,15 @@ from . import tolerances as tol
 from .errors import (
     InternalInconsistency,
     NormMismatch,
+    NotSimple,
     ZeroVector,
 )
-from .colligation import require_unitary, unitarity_residual
+from .colligation import (
+    UnitaryColligation,
+    intertwining_residual,
+    markov_parameters,
+    unitarity_residual,
+)
 
 __all__ = [
     "HessenbergCertificate",
@@ -38,7 +53,10 @@ __all__ = [
     "is_special_upper_hessenberg",
     "is_hl_nonsingular",
     "is_hu_nonsingular",
-    "hessenberg_minimality",
+    "band_residual",
+    "is_minimal_form",
+    "is_minimal",
+    "find_equivalence",
 ]
 
 
@@ -234,12 +252,62 @@ def is_hu_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
     return is_hl_nonsingular(np.asarray(M, dtype=complex).conj().T, tolerance)
 
 
-def hessenberg_minimality(U: np.ndarray) -> bool:
-    """Minimality of a unitary matrix read off its lower Hessenberg form.
+def band_residual(H: np.ndarray) -> float:
+    """max(n+1, 8) * RANK_REL * max|H| over the smallest band entry of H.
 
-    Uses the rank-aligned threshold ``max(n+1, 8) * 1e-10`` so the
-    verdict agrees with the singular-value rank tests.
+    H is the lower form of a colligation, which is minimal exactly when
+    this is at most 1.  A zero band entry gives inf, and n = 0 gives 0.
     """
-    require_unitary(U, "matrix")
-    cert = reduce_to_special_lower_hessenberg(U)
-    return is_hl_nonsingular(cert.H, tolerance=max(len(U), 8) * tol.RANK_REL)
+    band = np.abs(np.diagonal(H, 1))
+    if not len(band):
+        return 0.0
+    cut = max(len(H), 8) * tol.RANK_REL * float(np.abs(H).max())
+    smallest = float(band.min())
+    return cut / smallest if smallest > 0.0 else math.inf
+
+
+def is_minimal_form(H: np.ndarray) -> bool:
+    """The minimality verdict on a lower form H: its band residual is at most 1."""
+    return band_residual(H) <= 1.0
+
+
+def is_minimal(col: UnitaryColligation) -> bool:
+    """Minimality (for a unitary colligation also simplicity), read off the band."""
+    return is_minimal_form(reduce_to_special_lower_hessenberg(col.matrix).H)
+
+
+def find_equivalence(
+    col1: UnitaryColligation, col2: UnitaryColligation
+) -> np.ndarray | None:
+    """State gauge V with diag(1, V) U2 = U1 diag(1, V), None if the functions differ.
+
+    Both colligations are reduced to the lower form; NotSimple unless
+    both bands are nonzero.  Equal forms make V = V1 V2* the gauge, and
+    it is returned when its intertwining residual is within EQUIV.
+    Otherwise the first 2n + 1 Markov parameters decide: the functions
+    differ (None), or they agree and the gauge is off, as when large
+    kappa = prod 1 / sqrt(1 - |s_j|^2) leaves its forward error in H
+    (InternalInconsistency).
+    """
+    cert1 = reduce_to_special_lower_hessenberg(col1.matrix)
+    cert2 = reduce_to_special_lower_hessenberg(col2.matrix)
+    if not (is_minimal_form(cert1.H) and is_minimal_form(cert2.H)):
+        raise NotSimple("both colligations must be simple")
+    residual = math.inf
+    if col1.n == col2.n:
+        V = cert1.V @ cert2.V.conj().T
+        residual = intertwining_residual(col1, col2, V)
+        if residual <= tol.EQUIV:
+            return V
+    order = 2 * max(col1.n, col2.n) + 1
+    gap = np.abs(markov_parameters(col1, order) - markov_parameters(col2, order)).max()
+    if gap > tol.ROUND:
+        return None
+    if col1.n != col2.n:
+        raise InternalInconsistency(
+            "equal Markov parameters but different minimal state dimensions"
+        )
+    raise InternalInconsistency(
+        f"intertwining residual {residual:.3e} exceeds {tol.EQUIV:g} "
+        "although the Markov parameters agree"
+    )

@@ -9,9 +9,8 @@ realizes the whole Blaschke product; scaling the channel column by c
 adds the constant.  This is the kernel-space model written in the
 Takenaka-Malmquist orthonormal basis: the vectors
 x_w = (I - conj(w) D*)^{-1} B* taken at the zeros have the Pick matrix
-1 / (1 - z_j conj(z_k)) as their Gram matrix (:func:`kernel_basis`,
-kept as the reference).  The matrix is unitary by construction, needs
-no separation of the zeros, and costs O(n^2).
+1 / (1 - z_j conj(z_k)) as their Gram matrix.  The matrix is unitary by
+construction, needs no separation of the zeros, and costs O(n^2).
 """
 
 from __future__ import annotations
@@ -20,63 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .colligation import (
     UnitaryColligation,
     characteristic_function,
-    find_equivalence,
     intertwining_residual,
-    is_minimal,
 )
-from .errors import NotPositiveDefinite, NotSimple, ZerosTooClose
+from .errors import InternalInconsistency
+from .hessenberg import find_equivalence, is_minimal
 from .rational import BlaschkeProduct, RationalInner, blaschke_to_rational, schur_parameters
 from .schur_state import colligation_from_schur_parameters
 
 __all__ = [
-    "KernelBasis",
     "RealizationReport",
     "UniquenessReport",
-    "kernel_basis",
     "model_colligation",
     "verify_realization",
     "realization_uniqueness_check",
 ]
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    zeros: tuple[complex, ...]
-    gram: np.ndarray
-    cholesky: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def _check_separation(zeros) -> None:
-    zeros = list(zeros)
-    for i in range(len(zeros)):
-        for j in range(i + 1, len(zeros)):
-            gap = abs(zeros[i] - zeros[j])
-            if gap < tol.SEP:
-                raise ZerosTooClose(
-                    f"zeros {zeros[i]!r} and {zeros[j]!r} are {gap:.3e} apart "
-                    f"(minimum {tol.SEP:g})"
-                )
-
-
-def kernel_basis(zeros) -> KernelBasis:
-    """Gram matrix and Cholesky factor of the kernel functions at the zeros."""
-    zeros = tuple(complex(z) for z in zeros)
-    _check_separation(zeros)
-    z = np.asarray(zeros, dtype=complex)
-    gram = 1.0 / (1.0 - np.outer(z, np.conj(z)))
-    eigenvalues = np.linalg.eigvalsh(gram) if len(z) else np.array([])
-    try:
-        cholesky = np.linalg.cholesky(gram) if len(z) else np.zeros((0, 0))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"Pick matrix is not positive definite (eigenvalues {eigenvalues})"
-        ) from exc
-    return KernelBasis(zeros, gram, cholesky, eigenvalues)
 
 
 def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
@@ -117,7 +76,11 @@ class UniquenessReport:
 
 
 def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
-    """Build the model and parameter realizations and intertwine them."""
+    """Build the model and parameter realizations and intertwine them.
+
+    Both realize b, so a failure to intertwine them is the library's
+    (InternalInconsistency), not the input's.
+    """
     model = model_colligation(b)
     params = schur_parameters(blaschke_to_rational(b))
     closed = colligation_from_schur_parameters(params)
@@ -125,6 +88,8 @@ def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
     closed_ok = is_minimal(closed)
     V = find_equivalence(model, closed)
     if V is None:
-        raise NotSimple("realizations of the same function failed to intertwine")
+        raise InternalInconsistency(
+            "realizations of the same function failed to intertwine"
+        )
     residual = intertwining_residual(model, closed, V)
     return UniquenessReport(residual, model.n, model_ok, closed_ok)

@@ -37,7 +37,7 @@ from .errors import (
     Terminal,
 )
 from .hessenberg import (
-    is_hl_nonsingular,
+    is_minimal_form,
     normalize_first_row,
     reduce_to_special_lower_hessenberg,
 )
@@ -161,18 +161,13 @@ class SchurStateTrace:
 
     @property
     def minimal(self) -> bool:
-        """The band verdict: no band entry of H at or below the rank threshold."""
-        return _band_minimal(self.H)
+        """The band verdict of :func:`schurcol.hessenberg.is_minimal` on H."""
+        return is_minimal_form(self.H)
 
     def parameter_sequence(self) -> SchurParameterSequence:
         if not self.complete:
             raise NotMinimal(f"trace is partial: {self.message}")
         return SchurParameterSequence(self.parameters)
-
-
-def _band_minimal(H: np.ndarray) -> bool:
-    # the rank-aligned threshold of hessenberg_minimality
-    return is_hl_nonsingular(H, tolerance=max(len(H), 8) * tol.RANK_REL)
 
 
 def _check_count(n: int) -> int:
@@ -258,7 +253,7 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
             f"terminated at step {stop} of {n}: |s_p| = {abs(s[stop]):.17g} "
             f"is within {tol.DISC:g} of the unit circle"
         )
-        if not _band_minimal(H):
+        if not is_minimal_form(H):
             message += " (input colligation is not minimal)"
         params = tuple(complex(x) for x in s[:stop])
         return SchurStateTrace(params, H, cert.V, False, message, None, kappa)

@@ -61,9 +61,6 @@ STRUCT = 1e-12
 # equal-norm condition for row matching
 NORM = 1e-9
 
-# minimal pairwise separation of zeros for the Pick-matrix reference
-# `realization.kernel_basis`; the model realization itself needs none
-SEP = 1e-4
-
-# scale-aware rank threshold: sigma > max(n+1, 8) * RANK_REL * sigma_max
+# minimality threshold: every band entry of the lower Hessenberg form
+# above max(n+1, 8) * RANK_REL * max |entry|
 RANK_REL = 1e-10

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import schurcol as sc
@@ -136,3 +138,80 @@ def reference_simulation(col, inputs):
         h = col.C * phi + col.D @ h
         states[k + 1] = h
     return outputs, states
+
+
+def band_length(col):
+    """Leading band entries of the lower form above the minimality threshold.
+
+    A zero band entry H[k, k+1] splits a unitary H into two diagonal
+    blocks, and the first realizes S, so this count is the degree of S.
+    """
+    H = sc.reduce_to_special_lower_hessenberg(col.matrix).H
+    band = np.abs(np.diagonal(H, 1))
+    cut = max(len(H), 8) * sc.tolerances.RANK_REL * np.abs(H).max()
+    return int(np.argmin(np.append(band > cut, False)))
+
+
+def hankel_rank(col):
+    """Numerical rank of the n x n Hankel matrix [B D^(i+j) C] of the Markov parameters.
+
+    It is the degree of S, so a colligation is minimal exactly when it
+    equals n.  Singular values count above max(n+1, 8) * 1e-10 * sigma_max.
+    The Hankel singular values decay with n, so this is a reference for
+    small n only, independent of the Hessenberg band.
+    """
+    n = col.n
+    if n == 0:
+        return 0
+    coeffs = sc.markov_parameters(col, 2 * n + 1)
+    hankel = np.array([[coeffs[i + j + 1] for j in range(n)] for i in range(n)])
+    s = np.linalg.svd(hankel, compute_uv=False)
+    return int(np.sum(s > max(n + 1, 8) * 1e-10 * s[0]))
+
+
+# minimal pairwise separation of zeros for the Pick-matrix reference below;
+# the model realization itself needs none
+SEP = 1e-4
+
+
+class ZerosTooClose(Exception):
+    """Blaschke zeros violate the minimal pairwise separation."""
+
+
+class NotPositiveDefinite(Exception):
+    """A Gram matrix expected to be positive definite is not."""
+
+
+@dataclass(frozen=True)
+class KernelBasis:
+    zeros: tuple
+    gram: np.ndarray
+    cholesky: np.ndarray
+    eigenvalues: np.ndarray
+
+
+def kernel_basis(zeros):
+    """Gram (Pick) matrix and Cholesky factor of the kernel functions at the zeros.
+
+    Kept as the reference for the kernel-space model: the cascade's
+    vectors (I - conj(w) D*)^{-1} B* at the zeros have this Gram matrix.
+    """
+    zeros = tuple(complex(z) for z in zeros)
+    for i in range(len(zeros)):
+        for j in range(i + 1, len(zeros)):
+            gap = abs(zeros[i] - zeros[j])
+            if gap < SEP:
+                raise ZerosTooClose(
+                    f"zeros {zeros[i]!r} and {zeros[j]!r} are {gap:.3e} apart "
+                    f"(minimum {SEP:g})"
+                )
+    z = np.asarray(zeros, dtype=complex)
+    gram = 1.0 / (1.0 - np.outer(z, np.conj(z)))
+    eigenvalues = np.linalg.eigvalsh(gram) if len(z) else np.array([])
+    try:
+        cholesky = np.linalg.cholesky(gram) if len(z) else np.zeros((0, 0))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"Pick matrix is not positive definite (eigenvalues {eigenvalues})"
+        ) from exc
+    return KernelBasis(zeros, gram, cholesky, eigenvalues)

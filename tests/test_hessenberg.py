@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_params, random_unitary, reference_reduction
+from helpers import hankel_rank, random_params, random_unitary, reference_reduction
 
 
 def gauge(matrix, v):
@@ -264,28 +264,24 @@ class TestPredicates:
 
 class TestHessenbergMinimality:
     def test_delay_minimal(self):
-        assert sc.hessenberg_minimality(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert sc.is_minimal(sc.UnitaryColligation(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
     def test_identity_not_minimal(self):
-        assert not sc.hessenberg_minimality(np.eye(2))
+        assert not sc.is_minimal(sc.UnitaryColligation(np.eye(2)))
 
     def test_parameter_matrix_minimal(self):
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
-        assert sc.hessenberg_minimality(col.matrix)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(sc.NotUnitary):
-            sc.hessenberg_minimality(2.0 * np.eye(3))
+        assert sc.is_minimal(col)
 
     def test_agrees_with_rank_tests(self):
+        # the Hankel rank of the Markov parameters, independent of the band
         rng = np.random.default_rng(27)
         for _ in range(200):
-            size = int(rng.integers(2, 10))
-            m = random_unitary(rng, size)
-            col = sc.UnitaryColligation(m)
-            assert sc.hessenberg_minimality(m) == sc.is_minimal(col)
+            size = int(rng.integers(2, 12))
+            col = sc.UnitaryColligation(random_unitary(rng, size))
+            assert sc.is_minimal(col) == (hankel_rank(col) == col.n)
 
     def test_agrees_on_constructed_nonminimal(self):
         rng = np.random.default_rng(28)
@@ -297,4 +293,4 @@ class TestHessenbergMinimality:
             block[n + 1, n + 1] = np.exp(2j * np.pi * rng.uniform())
             col = sc.UnitaryColligation(block)
             assert not sc.is_minimal(col)
-            assert not sc.hessenberg_minimality(block)
+            assert hankel_rank(col) == n

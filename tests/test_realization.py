@@ -5,19 +5,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_blaschke
+from helpers import ZerosTooClose, band_length, kernel_basis, random_blaschke
 from schurcol import tolerances as tol
 from schurcol.sampling import disc_samples
 
 
 class TestKernelBasis:
+    """The Pick-matrix reference of the test helpers."""
+
     def test_gram_by_hand(self):
-        basis = sc.kernel_basis((0.0, 0.5))
+        basis = kernel_basis((0.0, 0.5))
         assert_allclose(basis.gram, [[1.0, 1.0], [1.0, 4.0 / 3.0]])
 
     def test_kernel_values_reproduce_gram(self):
         zeros = (0.2 + 0.1j, -0.5j, 0.6)
-        basis = sc.kernel_basis(zeros)
+        basis = kernel_basis(zeros)
         for j, zj in enumerate(zeros):
             for k, zk in enumerate(zeros):
                 assert_allclose(
@@ -27,15 +29,15 @@ class TestKernelBasis:
     def test_positive_definite_with_conditioning(self):
         rng = np.random.default_rng(60)
         b = random_blaschke(rng, 6)
-        basis = sc.kernel_basis(b.zeros)
+        basis = kernel_basis(b.zeros)
         assert basis.eigenvalues.min() > 0.0
         assert_allclose(
             basis.cholesky @ basis.cholesky.conj().T, basis.gram, atol=1e-12
         )
 
     def test_separation_guard(self):
-        with pytest.raises(sc.ZerosTooClose):
-            sc.kernel_basis((0.5, 0.5 + 1e-6))
+        with pytest.raises(ZerosTooClose):
+            kernel_basis((0.5, 0.5 + 1e-6))
 
 
 class TestModelColligation:
@@ -62,9 +64,8 @@ class TestModelColligation:
         for n in (1, 3, 5, 8):
             b = random_blaschke(rng, n)
             col = sc.model_colligation(b)
-            report = sc.minimality_report(col)
-            assert report.rank_controllability == n
-            assert report.rank_observability == n
+            assert band_length(col) == n
+            assert sc.is_minimal(col)
 
     def test_degree_zero(self):
         col = sc.model_colligation(sc.BlaschkeProduct(1.0j, ()))
@@ -124,7 +125,7 @@ class TestCascade:
                 for w in b.zeros
             ]
         )
-        gram = sc.kernel_basis(b.zeros).gram
+        gram = kernel_basis(b.zeros).gram
         assert_allclose(X.conj().T @ X, gram, rtol=0, atol=1e-12)
 
 
@@ -176,6 +177,19 @@ class TestUniqueness:
             sc.BlaschkeProduct(1.0, (0.5, 0.5 + 1e-6))
         )
         assert report.intertwining_residual <= 1e-9
+
+    def test_failure_to_intertwine_is_internal(self, monkeypatch):
+        # both routes realize the same function, so no gauge between them
+        # is the library's failure (exit 3), not the input's
+        b = sc.BlaschkeProduct(1.0, (0.3, -0.4j))
+        other = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.1, 0.2j, 1.0))
+        )
+        monkeypatch.setattr(
+            sc.realization, "colligation_from_schur_parameters", lambda p: other
+        )
+        with pytest.raises(sc.InternalInconsistency, match="failed to intertwine"):
+            sc.realization_uniqueness_check(b)
 
     def test_random_products(self):
         rng = np.random.default_rng(63)

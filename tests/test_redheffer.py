@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import random_colligation, random_unitary
+from helpers import band_length, random_colligation, random_unitary
 
 ROOT75 = np.sqrt(0.75)
 
@@ -164,8 +164,7 @@ class TestRedhefferProduct:
         col = random_colligation(rng, 3)
         section = sc.elementary_schur_section(0.4 + 0.2j)
         coupled = sc.redheffer_product(section.partitioned, col)
-        report = sc.minimality_report(coupled)
-        assert report.rank_controllability == 1 + col.n
+        assert band_length(coupled) == 1 + col.n
 
 
 class TestInverseSchurColligation:
