@@ -9,16 +9,24 @@ and ``D`` is nxn.  Its characteristic function
 is evaluated through one LU solve of (I - z D) x = C; the matrix is never
 inverted explicitly and no determinant is taken.  The solve itself is the
 pole test: z counts as a pole (NearPole) when LAPACK finds I - z D
-singular or when max|x| exceeds max|C| / POLE.  Minimality and state
-equivalence are read off the special lower Hessenberg form, in
-:mod:`schurcol.hessenberg`.  The time-domain recursion runs
-``BLOCK`` steps per matrix product, carrying the state by D^BLOCK, on the
-same Krylov blocks that give the Markov parameters.
+singular or when max|x| exceeds max|C| / POLE.  An array of points is
+solved as a stack: the matrices I - z_k D of a chunk of points go to one
+stacked LAPACK call, which gives each point the result of its own solve,
+with the pole test applied per point.  A chunk holds at most ``STACK``
+complex matrix entries (1 MiB), so the memory of a batch is bounded at
+every degree.  The sampling checks here and in :mod:`schurcol.realization`
+and :mod:`schurcol.redheffer` take each sample set as one batch.
+Minimality and state equivalence are read off the special lower
+Hessenberg form, in :mod:`schurcol.hessenberg`.  The time-domain
+recursion runs ``BLOCK`` steps per matrix product, carrying the state by
+D^BLOCK, on the same Krylov blocks that give the Markov parameters;
+D^BLOCK is formed once per colligation and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,31 +101,87 @@ class UnitaryColligation:
     def D(self) -> np.ndarray:
         return self.matrix[1:, 1:]
 
+    @cached_property
+    def _d_power(self) -> np.ndarray:
+        """D^BLOCK, formed on first use and kept with the colligation."""
+        return _block_power(self.D)
 
-def _resolvent_apply(D: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
+
+# complex matrix entries per chunk of a stacked resolvent solve (1 MiB)
+STACK = 2**16
+
+
+def _amplification_message(z) -> str:
+    return f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} at z = {z!r}"
+
+
+def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - z D) x = rhs by LU with partial pivoting.
 
     NearPole when LAPACK finds I - z D singular or max|x| > max|rhs| / POLE.
     A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
     disc the rule can fire only within about sqrt(n) * POLE of the circle.
+
+    z is one point, or a 1-D array of k points with rhs shared, shape (n,),
+    or one per point, shape (k, n); the solutions are then the rows of a
+    (k, n) array.  The points are solved in chunks of at most STACK matrix
+    entries, each as one stacked LAPACK call, which gives every point the
+    result of its own solve.  NearPole names the first point that fails
+    the rule.
     """
-    M = np.eye(len(D)) - z * D
-    try:
-        x = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        raise NearPole(f"I - z D is singular at z = {z!r}") from None
-    if not np.abs(x).max(initial=0.0) <= np.abs(rhs).max(initial=0.0) / tol.POLE:
-        raise NearPole(
-            f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} at z = {z!r}"
-        )
+    if np.ndim(z) == 0:
+        M = np.eye(len(D)) - z * D
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise NearPole(f"I - z D is singular at z = {z!r}") from None
+        if not np.abs(x).max(initial=0.0) <= np.abs(rhs).max(initial=0.0) / tol.POLE:
+            raise NearPole(_amplification_message(z))
+        return x
+    z = np.asarray(z, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    n = len(D)
+    rhs = np.broadcast_to(rhs, (len(z), n))
+    x = np.empty((len(z), n), dtype=complex)
+    diagonal = np.arange(n)
+    chunk = max(STACK // max(n * n, 1), 1)
+    for start in range(0, len(z), chunk):
+        zc = z[start : start + chunk]
+        bc = rhs[start : start + chunk]
+        M = -zc[:, None, None] * D
+        M[:, diagonal, diagonal] += 1.0
+        try:
+            xc = np.linalg.solve(M, bc[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # the stacked call does not say which matrix was singular:
+            # solve the chunk point by point, which raises at the first
+            for w, b in zip(zc, bc):
+                _resolvent_apply(D, complex(w), b)
+            raise
+        bound = np.abs(bc).max(axis=1, initial=0.0) / tol.POLE
+        bad = ~(np.abs(xc).max(axis=1, initial=0.0) <= bound)
+        if bad.any():
+            raise NearPole(_amplification_message(complex(zc[bad.argmax()])))
+        x[start : start + chunk] = xc
     return x
 
 
-def characteristic_function(col: UnitaryColligation, z: complex) -> complex:
-    """S(z) = A + z B (I - z D)^{-1} C."""
+def characteristic_function(col: UnitaryColligation, z):
+    """S(z) = A + z B (I - z D)^{-1} C.
+
+    A complex for one point z; for an array of points, an array of their
+    shape, from one batch of resolvent solves.
+    """
+    if np.ndim(z) == 0:
+        if col.n == 0:
+            return col.A
+        return complex(col.A + z * (col.B @ _resolvent_apply(col.D, z, col.C)))
+    z = np.asarray(z, dtype=complex)
     if col.n == 0:
-        return col.A
-    return complex(col.A + z * (col.B @ _resolvent_apply(col.D, z, col.C)))
+        return np.full(z.shape, col.A)
+    flat = z.ravel()
+    values = col.A + flat * (_resolvent_apply(col.D, flat, col.C) @ col.B)
+    return values.reshape(z.shape)
 
 
 def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligation:
@@ -144,23 +208,23 @@ def _block_power(D: np.ndarray) -> np.ndarray:
     return power
 
 
-def _krylov_blocks(D: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    """Columns v, Dv, D^2 v, ... in whole blocks of BLOCK, at least ``count``.
+def _krylov_blocks(col: UnitaryColligation, count: int) -> np.ndarray:
+    """Columns C, DC, D^2 C, ... in whole blocks of BLOCK, at least ``count``.
 
     The first block is built by D one column at a time, each later block
-    is D^BLOCK times the block before it.  Every product has the same
-    shape whatever ``count`` is, so no column depends on how many were
-    asked for.  Columns are contiguous.
+    is the colligation's D^BLOCK times the block before it.  Every
+    product has the same shape whatever ``count`` is, so no column
+    depends on how many were asked for.  Columns are contiguous.
     """
     blocks = -(-count // BLOCK)
-    out = np.empty((blocks * BLOCK, len(v)), dtype=complex).T
+    out = np.empty((blocks * BLOCK, col.n), dtype=complex).T
     if blocks == 0:
         return out
-    out[:, 0] = v
+    out[:, 0] = col.C
     for t in range(1, BLOCK):
-        np.matmul(D, out[:, t - 1], out=out[:, t])
+        np.matmul(col.D, out[:, t - 1], out=out[:, t])
     if blocks > 1:
-        power = _block_power(D)
+        power = col._d_power
         for j in range(BLOCK, blocks * BLOCK, BLOCK):
             out[:, j : j + BLOCK] = power @ out[:, j - BLOCK : j]
     return out
@@ -175,7 +239,7 @@ def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
     """
     if m < 0:
         raise DimensionMismatch(f"coefficient count must be non-negative, got {m}")
-    krylov = _krylov_blocks(col.D, col.C, max(m - 1, 0))
+    krylov = _krylov_blocks(col, max(m - 1, 0))
     out = np.empty(1 + krylov.shape[1], dtype=complex)
     out[0] = col.A
     for j in range(0, krylov.shape[1], BLOCK):
@@ -220,13 +284,13 @@ def simulate_time_domain(
     states[:, 0] = 0.0
     feed = np.zeros(1 + size, dtype=complex)  # B h_k
     if size:
-        krylov = _krylov_blocks(col.D, col.C, BLOCK)
+        krylov = _krylov_blocks(col, BLOCK)
         padded = np.zeros(size + BLOCK - 1, dtype=complex)
         padded[BLOCK - 1 : BLOCK - 1 + m] = inputs
         # window k holds phi_{k+1-BLOCK} .. phi_k, against D^{BLOCK-1} C .. C
         windows = sliding_window_view(padded, BLOCK).T
         np.matmul(krylov[:, ::-1], windows, out=states[:, 1:])
-        power = _block_power(col.D) if size > BLOCK else None
+        power = col._d_power if size > BLOCK else None
         for j in range(1, 1 + size, BLOCK):
             block = states[:, j : j + BLOCK]
             if j > 1:
@@ -266,27 +330,30 @@ def verify_spectral_identities(
       (S(zeta) - S(z)) / (zeta - z)
             = B (I - zeta D)^{-1} (I - z D)^{-1} C       (zeta != z)
       1 - |S(z)|^2 = (1 - |z|^2) |(I - z D)^{-1} C|^2
+
+    Each resolvent is taken at all the points in one batch; pairs are
+    zipped, so the shorter sample list sets their number.
     """
-    z_samples = np.asarray(z_samples, dtype=complex)
-    zeta_samples = np.asarray(zeta_samples, dtype=complex)
-    Dst = col.D.conj().T
-    Bst = col.B.conj()
-    r1 = r2 = r3 = r4 = 0.0
-    for z, zeta in zip(z_samples, zeta_samples):
-        xz = _resolvent_apply(col.D, z, col.C)
-        xzeta = _resolvent_apply(col.D, zeta, col.C)
-        sz = complex(col.A + z * (col.B @ xz))
-        szeta = complex(col.A + zeta * (col.B @ xzeta))
-        ystar = _resolvent_apply(Dst, np.conj(zeta), Bst)
-        lhs1 = (1.0 - np.conj(szeta) * sz) / (1.0 - np.conj(zeta) * z)
-        r1 = max(r1, abs(lhs1 - np.vdot(xzeta, xz)))
-        lhs2 = (1.0 - sz * np.conj(szeta)) / (1.0 - z * np.conj(zeta))
-        r2 = max(r2, abs(lhs2 - col.B @ _resolvent_apply(col.D, z, ystar)))
-        if abs(zeta - z) > 1e-8:
-            lhs3 = (szeta - sz) / (zeta - z)
-            r3 = max(r3, abs(lhs3 - col.B @ _resolvent_apply(col.D, zeta, xz)))
-        lhs4 = 1.0 - abs(sz) ** 2
-        r4 = max(r4, abs(lhs4 - (1.0 - abs(z) ** 2) * np.vdot(xz, xz).real))
+    z = np.asarray(z_samples, dtype=complex)
+    zeta = np.asarray(zeta_samples, dtype=complex)
+    count = min(len(z), len(zeta))
+    z, zeta = z[:count], zeta[:count]
+    xz = _resolvent_apply(col.D, z, col.C)
+    xzeta = _resolvent_apply(col.D, zeta, col.C)
+    sz = col.A + z * (xz @ col.B)
+    szeta = col.A + zeta * (xzeta @ col.B)
+    ystar = _resolvent_apply(col.D.conj().T, zeta.conj(), col.B.conj())
+    lhs1 = (1.0 - szeta.conj() * sz) / (1.0 - zeta.conj() * z)
+    r1 = np.abs(lhs1 - (xzeta.conj() * xz).sum(axis=1)).max(initial=0.0)
+    lhs2 = (1.0 - sz * szeta.conj()) / (1.0 - z * zeta.conj())
+    r2 = np.abs(lhs2 - _resolvent_apply(col.D, z, ystar) @ col.B).max(initial=0.0)
+    apart = np.abs(zeta - z) > 1e-8
+    lhs3 = (szeta[apart] - sz[apart]) / (zeta[apart] - z[apart])
+    mixed = _resolvent_apply(col.D, zeta[apart], xz[apart]) @ col.B
+    r3 = np.abs(lhs3 - mixed).max(initial=0.0)
+    lhs4 = 1.0 - np.abs(sz) ** 2
+    norms = (np.abs(xz) ** 2).sum(axis=1)
+    r4 = np.abs(lhs4 - (1.0 - np.abs(z) ** 2) * norms).max(initial=0.0)
     return SpectralIdentityReport(float(r1), float(r2), float(r3), float(r4))
 
 
@@ -295,16 +362,15 @@ def inner_sampling_report(
     disc_count: int = 100,
     circle_count: int = 64,
 ):
-    """(max disc excess, max circle deviation) of |S| for this colligation."""
-    disc_excess = 0.0
-    for z in disc_samples(disc_count, radius=0.99):
-        disc_excess = max(disc_excess, abs(characteristic_function(col, z)) - 1.0)
-    circle_dev = 0.0
-    for t in circle_samples(circle_count):
-        try:
-            circle_dev = max(
-                circle_dev, abs(abs(characteristic_function(col, t)) - 1.0)
-            )
-        except NearPole:
-            circle_dev = np.inf
-    return float(max(disc_excess, 0.0)), float(circle_dev)
+    """(max disc excess, max circle deviation) of |S| for this colligation.
+
+    Each sample set is one batch; a pole on the circle makes the deviation inf.
+    """
+    disc = characteristic_function(col, disc_samples(disc_count, radius=0.99))
+    disc_excess = np.max(np.abs(disc) - 1.0, initial=0.0)
+    try:
+        circle = characteristic_function(col, circle_samples(circle_count))
+        circle_dev = np.abs(np.abs(circle) - 1.0).max(initial=0.0)
+    except NearPole:
+        circle_dev = np.inf
+    return float(disc_excess), float(circle_dev)

@@ -12,6 +12,16 @@ so the reduction costs O(n^3) and never forms an embedded gauge.  The
 upper form is obtained from the reduction of the adjoint, which is
 equivalent because the conjugate of a nonnegative real is itself.
 
+A matrix already exactly in lower form (every entry above the
+superdiagonal an exact zero, the superdiagonal real with exact zero
+imaginary parts and nonnegative) is its own form: the reduction returns
+a copy of it with V = I, without the reflector loop, which would change
+it only in the roundoff of the band norms and the phases of V.  The
+test is exact, not STRUCT, so a matrix that is lower only to a
+tolerance takes the full reduction.  Closed forms of parameter
+sequences pass it, and so do their JSON round trips.  The certificate
+check runs either way.
+
 The lower form is the canonical form of a unitary colligation, and one
 reduction answers both questions asked of it.  Minimality: the
 colligation is minimal exactly when no band entry is zero, read at the
@@ -147,7 +157,8 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     stored as exactly [|tail|, 0, ..., 0].  Always succeeds: a
     (numerically) zero row tail is skipped, leaving a zero superdiagonal
     entry and the gauge columns untouched.  The first row and column
-    index is never touched, so ``H[0, 0] == M[0, 0]``.
+    index is never touched, so ``H[0, 0] == M[0, 0]``.  An input exactly
+    in lower form is returned as a copy, with V = I and no reflector.
     """
     M = np.asarray(M, dtype=complex)
     H, V = _reduce_lower(M)
@@ -166,8 +177,26 @@ def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     return cert
 
 
+def _in_lower_form(M: np.ndarray) -> bool:
+    """M is exactly special lower Hessenberg: zeros above the band, band real >= 0."""
+    band = np.diagonal(M, 1)
+    return not (
+        np.triu(M, 2).any() or band.imag.any() or not (band.real >= 0.0).all()
+    )
+
+
 def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H, V) of the lower reduction, unchecked; the public reductions check it."""
+    """(H, V) of the lower reduction, unchecked; the public reductions check it.
+
+    An input exactly in lower form is returned as a copy with V = I.
+    """
+    if _in_lower_form(M):
+        return M.copy(), np.eye(M.shape[0] - 1, dtype=complex)
+    return _reflect_lower(M)
+
+
+def _reflect_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reflector loop of the lower reduction, one row tail at a time."""
     size = M.shape[0]
     n = size - 1
     scale = max(float(np.abs(M).max()), 1e-300)
@@ -289,6 +318,13 @@ def find_equivalence(
     kappa = prod 1 / sqrt(1 - |s_j|^2) leaves its forward error in H
     (InternalInconsistency).
     """
+    return _equivalence(col1, col2)[0]
+
+
+def _equivalence(
+    col1: UnitaryColligation, col2: UnitaryColligation
+) -> tuple[np.ndarray | None, HessenbergCertificate, HessenbergCertificate]:
+    """find_equivalence's answer with the two lower forms it was read from."""
     cert1 = reduce_to_special_lower_hessenberg(col1.matrix)
     cert2 = reduce_to_special_lower_hessenberg(col2.matrix)
     if not (is_minimal_form(cert1.H) and is_minimal_form(cert2.H)):
@@ -298,11 +334,11 @@ def find_equivalence(
         V = cert1.V @ cert2.V.conj().T
         residual = intertwining_residual(col1, col2, V)
         if residual <= tol.EQUIV:
-            return V
+            return V, cert1, cert2
     order = 2 * max(col1.n, col2.n) + 1
     gap = np.abs(markov_parameters(col1, order) - markov_parameters(col2, order)).max()
     if gap > tol.ROUND:
-        return None
+        return None, cert1, cert2
     if col1.n != col2.n:
         raise InternalInconsistency(
             "equal Markov parameters but different minimal state dimensions"

@@ -107,11 +107,25 @@ class RationalInner:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def evaluate(self, z: complex) -> complex:
+    def evaluate(self, z):
+        """s(z): a complex for one point, an array of their shape for an array.
+
+        NearPole names the first point whose denominator is not clear of a pole.
+        """
+        if np.ndim(z) == 0:
+            den_val = npoly.polyval(z, self.den)
+            if not tol.clear_of_pole(den_val):
+                raise NearPole(f"denominator magnitude {abs(den_val):.3e} at z = {z!r}")
+            return complex(npoly.polyval(z, self.num) / den_val)
+        z = np.asarray(z, dtype=complex)
         den_val = npoly.polyval(z, self.den)
-        if not tol.clear_of_pole(den_val):
-            raise NearPole(f"denominator magnitude {abs(den_val):.3e} at z = {z!r}")
-        return complex(npoly.polyval(z, self.num) / den_val)
+        clear = tol.clear_of_pole(den_val)
+        if not clear.all():
+            k = np.unravel_index(np.argmin(clear), clear.shape)
+            raise NearPole(
+                f"denominator magnitude {abs(den_val[k]):.3e} at z = {complex(z[k])!r}"
+            )
+        return npoly.polyval(z, self.num) / den_val
 
 
 @dataclass(frozen=True)

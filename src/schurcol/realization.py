@@ -25,7 +25,7 @@ from .colligation import (
     intertwining_residual,
 )
 from .errors import InternalInconsistency
-from .hessenberg import find_equivalence, is_minimal
+from .hessenberg import _equivalence, is_minimal_form
 from .rational import BlaschkeProduct, RationalInner, blaschke_to_rational, schur_parameters
 from .schur_state import colligation_from_schur_parameters
 
@@ -59,12 +59,10 @@ class RealizationReport:
 def verify_realization(
     col: UnitaryColligation, s: RationalInner, samples
 ) -> RealizationReport:
-    """Compare S_col against ``s`` on the samples."""
+    """Compare S_col against ``s`` on the samples, taken as one batch."""
     samples = np.asarray(samples, dtype=complex)
-    worst = 0.0
-    for z in samples:
-        worst = max(worst, abs(characteristic_function(col, z) - s.evaluate(z)))
-    return RealizationReport(float(worst), len(samples))
+    gap = np.abs(characteristic_function(col, samples) - s.evaluate(samples))
+    return RealizationReport(float(gap.max(initial=0.0)), len(samples))
 
 
 @dataclass(frozen=True)
@@ -79,17 +77,19 @@ def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
     """Build the model and parameter realizations and intertwine them.
 
     Both realize b, so a failure to intertwine them is the library's
-    (InternalInconsistency), not the input's.
+    (InternalInconsistency), not the input's.  The minimality flags are
+    read off the lower forms the equivalence was found from, so each
+    colligation is reduced once; the closed form is its own lower form.
     """
     model = model_colligation(b)
     params = schur_parameters(blaschke_to_rational(b))
     closed = colligation_from_schur_parameters(params)
-    model_ok = is_minimal(model)
-    closed_ok = is_minimal(closed)
-    V = find_equivalence(model, closed)
+    V, model_cert, closed_cert = _equivalence(model, closed)
     if V is None:
         raise InternalInconsistency(
             "realizations of the same function failed to intertwine"
         )
     residual = intertwining_residual(model, closed, V)
-    return UniquenessReport(residual, model.n, model_ok, closed_ok)
+    return UniquenessReport(
+        residual, model.n, is_minimal_form(model_cert.H), is_minimal_form(closed_cert.H)
+    )

@@ -283,13 +283,8 @@ def verify_gauge_family(
     expected_row = np.zeros(n, dtype=complex)
     expected_row[0] = epsilon * delta0
     row_residual = float(np.abs(row - expected_row).max())
-    char_residual = 0.0
-    for z in disc_samples(20, radius=0.9):
-        char_residual = max(
-            char_residual,
-            abs(
-                characteristic_function(gauged, z)
-                - characteristic_function(base, z)
-            ),
-        )
+    points = disc_samples(20, radius=0.9)
+    char_residual = np.abs(
+        characteristic_function(gauged, points) - characteristic_function(base, points)
+    ).max()
     return GaugeFamilyReport(matrix_residual, float(char_residual), row_residual)

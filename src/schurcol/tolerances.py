@@ -7,6 +7,8 @@ and POLE is the predicate next to its margin; NaN and +-inf fail all three.
 
 import math
 
+import numpy as np
+
 # relative coefficient magnitude below which a polynomial entry is noise
 TRIM = 1e-11
 
@@ -32,8 +34,12 @@ def on_circle(x) -> bool:
 POLE = 1e-12
 
 
-def clear_of_pole(x) -> bool:
-    return bool(POLE < abs(x) < math.inf)
+def clear_of_pole(x):
+    """A bool for one value; for an array, its elementwise verdicts."""
+    if np.ndim(x) == 0:
+        return bool(POLE < abs(x) < math.inf)
+    magnitude = np.abs(x)
+    return (POLE < magnitude) & (magnitude < math.inf)
 
 
 # sampled inner-function check

@@ -140,6 +140,33 @@ def reference_simulation(col, inputs):
     return outputs, states
 
 
+def reference_resolvent(D, points, rhs):
+    """Rows (I - z D)^{-1} rhs_z, one LU solve per point z.
+
+    rhs is shared, shape (n,), or one row per point.  Kept as an
+    independent reference for the stacked solve.
+    """
+    points = np.asarray(points, dtype=complex)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=complex), (len(points), len(D)))
+    eye = np.eye(len(D))
+    return np.array(
+        [np.linalg.solve(eye - z * D, b) for z, b in zip(points, rhs)]
+    ).reshape(len(points), len(D))
+
+
+def count_full_reductions(monkeypatch):
+    """A list that gains the degree of every reduction entering the reflector loop."""
+    entered = []
+    loop = sc.hessenberg._reflect_lower
+
+    def recording(M):
+        entered.append(M.shape[0] - 1)
+        return loop(M)
+
+    monkeypatch.setattr(sc.hessenberg, "_reflect_lower", recording)
+    return entered
+
+
 def band_length(col):
     """Leading band entries of the lower form above the minimality threshold.
 

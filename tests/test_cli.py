@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import mobius_fold, random_params, random_unitary
+from helpers import count_full_reductions, mobius_fold, random_params, random_unitary
 from schurcol import cli
 from schurcol import serialize as js
 
@@ -235,6 +235,42 @@ class TestHessenberg:
         assert out.returncode == 0, out.stderr
         doc = json.loads(out.stdout)
         assert_allclose(matrix_from_doc({"matrix": doc["H"]}), col.matrix, atol=1e-14)
+
+    def test_params_pipeline_runs_no_full_reduction(self, tmp_path, monkeypatch):
+        # realize builds the closed form, which is its own lower form, and
+        # its JSON round trip keeps the exact zeros and the real band
+        entered = count_full_reductions(monkeypatch)
+        params = tmp_path / "params.json"
+        params.write_text(
+            js.dumps_canonical(
+                js.params_to_json(random_params(np.random.default_rng(71), 32, rmax=0.9))
+            )
+        )
+        realized = tmp_path / "col.json"
+        assert cli.main(["realize", "--input", str(params), "--output", str(realized)]) == 0
+        assert cli.main(["schur", "--input", str(realized), "--output", str(tmp_path / "t")]) == 0
+        assert entered == []
+
+    def test_schur_parameters_match_the_full_reduction(self, tmp_path, monkeypatch):
+        params = tmp_path / "params.json"
+        params.write_text(
+            js.dumps_canonical(
+                js.params_to_json(random_params(np.random.default_rng(72), 32, rmax=0.9))
+            )
+        )
+        realized = tmp_path / "col.json"
+        assert cli.main(["realize", "--input", str(params), "--output", str(realized)]) == 0
+
+        def schur_parameters(out):
+            assert cli.main(["schur", "--input", str(realized), "--output", str(out)]) == 0
+            return np.array(
+                [complex(re, im) for re, im in json.loads(out.read_text())["parameters"]]
+            )
+
+        shortcut = schur_parameters(tmp_path / "shortcut.json")
+        monkeypatch.setattr(sc.hessenberg, "_in_lower_form", lambda M: False)
+        full = schur_parameters(tmp_path / "full.json")
+        assert np.abs(shortcut - full).max() <= 1e-15
 
     def test_random_unitary_via_upper(self):
         rng = np.random.default_rng(70)

@@ -1,17 +1,21 @@
 """Characteristic functions, minimality, gauges and simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import colligation as co
+from schurcol.sampling import circle_samples, disc_samples
 from helpers import (
     band_length,
     hankel_rank,
     random_colligation,
     random_params,
     random_unitary,
+    reference_resolvent,
     reference_simulation,
     taylor_coefficients,
 )
@@ -98,6 +102,79 @@ class TestCharacteristicFunction:
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, CLUSTER))
         value = sc.characteristic_function(col, 0.97)
         assert abs(value - zero_product(CLUSTER, 0.97)) <= 1e-12
+
+
+class TestBatchedResolvent:
+    """The stacked solve against one LU solve per point."""
+
+    POINTS = np.concatenate(
+        [disc_samples(40, radius=0.95), circle_samples(16), [0.0, 1e-8]]
+    )
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_agrees_with_per_point_solves(self, n):
+        rng = np.random.default_rng(3000 + n)
+        col = gauged_colligation(rng, n)
+        x = co._resolvent_apply(col.D, self.POINTS, col.C)
+        ref = reference_resolvent(col.D, self.POINTS, col.C)
+        assert x.shape == ref.shape == (len(self.POINTS), n)
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+        # one right-hand side per point, as the mixed identities use
+        rows = rng.standard_normal((len(self.POINTS), n)) + 0j
+        x = co._resolvent_apply(col.D, self.POINTS, rows)
+        ref = reference_resolvent(col.D, self.POINTS, rows)
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+        values = sc.characteristic_function(col, self.POINTS)
+        singles = [sc.characteristic_function(col, z) for z in self.POINTS]
+        assert np.abs(values - singles).max() <= 1e-14
+
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(3001)
+        col = gauged_colligation(rng, 8)
+        whole = co._resolvent_apply(col.D, self.POINTS, col.C)
+        # three points per chunk, the last one partial
+        monkeypatch.setattr(co, "STACK", 3 * 8 * 8)
+        assert np.array_equal(co._resolvent_apply(col.D, self.POINTS, col.C), whole)
+
+    @pytest.mark.parametrize("pole", [-2.0, -2.0 + 1e-13])
+    def test_near_pole_names_the_point(self, pole):
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 1.0))
+        )
+        # D = [-0.5]: I - z D is singular at z = -2 and amplifies by 2e13 beside it
+        with pytest.raises(sc.NearPole) as info:
+            sc.characteristic_function(col, np.array([0.1, 0.5j, pole, -0.3]))
+        assert repr(complex(pole)) in str(info.value)
+
+    def test_scalar_and_array_shapes(self):
+        rng = np.random.default_rng(3002)
+        col = random_colligation(rng, 4)
+        assert type(sc.characteristic_function(col, 0.3)) is complex
+        assert type(sc.characteristic_function(col, np.complex128(0.3j))) is complex
+        grid = disc_samples(6).reshape(2, 3)
+        values = sc.characteristic_function(col, grid)
+        assert values.shape == (2, 3)
+        assert values[1, 2] == sc.characteristic_function(col, grid[1, 2])
+        assert sc.characteristic_function(col, np.empty(0)).shape == (0,)
+        constant = sc.UnitaryColligation(np.array([[1.0j]]))
+        assert sc.characteristic_function(constant, 0.3) == 1.0j
+        assert np.array_equal(
+            sc.characteristic_function(constant, grid), np.full((2, 3), 1.0j)
+        )
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # unchunked, 200 points at n = 256 would stack 200 MiB of matrices
+        rng = np.random.default_rng(3003)
+        col = random_colligation(rng, 256, rmax=0.9)
+        D, C = np.array(col.D), np.array(col.C)
+        points = disc_samples(200, radius=0.9)
+        tracemalloc.start()
+        try:
+            co._resolvent_apply(D, points, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMinimality:
@@ -307,6 +384,19 @@ class TestBlockedSimulation:
             impulse[0] = 1.0
             outputs, _ = sc.simulate_time_domain(col, impulse)
             assert np.array_equal(outputs, sc.markov_parameters(col, m))
+
+
+    def test_block_power_is_formed_once_per_colligation(self, monkeypatch):
+        calls = []
+        power = co._block_power
+        monkeypatch.setattr(co, "_block_power", lambda D: calls.append(1) or power(D))
+        col = gauged_colligation(np.random.default_rng(2100), 8)
+        inputs = np.ones(3 * L + 5)
+        first, _ = sc.simulate_time_domain(col, inputs)
+        second, _ = sc.simulate_time_domain(col, inputs)
+        sc.markov_parameters(col, 3 * L)
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
 
 
 class TestMarkovParameters:

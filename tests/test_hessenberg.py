@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import hankel_rank, random_params, random_unitary, reference_reduction
+from helpers import (
+    count_full_reductions,
+    hankel_rank,
+    random_params,
+    random_unitary,
+    reference_reduction,
+)
 
 
 def gauge(matrix, v):
@@ -201,6 +207,45 @@ class TestInPlaceReduction:
         cert = sc.reduce_to_special_lower_hessenberg(m)
         assert sc.is_special_lower_hessenberg(cert.H)
         assert sc.unitarity_residual(cert.V) <= 1e-11
+
+
+class TestExactLowerForm:
+    """An input exactly in lower form is its own form, without the reflector loop."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_closed_form_is_returned_bitwise(self, n, monkeypatch):
+        entered = count_full_reductions(monkeypatch)
+        closed = sc.closed_form_matrix(random_params(np.random.default_rng(250 + n), n))
+        cert = sc.reduce_to_special_lower_hessenberg(closed)
+        assert cert.H.tobytes() == closed.tobytes()
+        assert np.array_equal(cert.V, np.eye(n))
+        upper = sc.reduce_to_special_upper_hessenberg(closed.conj().T)
+        assert upper.H.tobytes() == closed.conj().T.tobytes()
+        assert np.array_equal(upper.V, np.eye(n))
+        assert entered == []
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_full_reduction_changes_only_roundoff(self, n, monkeypatch):
+        # the loop the shortcut skips: phase-only steps that recompute the
+        # band as row norms
+        monkeypatch.setattr(sc.hessenberg, "_in_lower_form", lambda M: False)
+        closed = sc.closed_form_matrix(random_params(np.random.default_rng(250 + n), n))
+        cert = sc.reduce_to_special_lower_hessenberg(closed)
+        assert np.abs(cert.H - closed).max() <= 1e-15
+        assert np.abs(cert.V - np.eye(n)).max() <= 1e-15
+
+    @pytest.mark.parametrize("where", ["above_band", "band_imaginary"])
+    def test_tiny_deviation_takes_the_full_reduction(self, where, monkeypatch):
+        entered = count_full_reductions(monkeypatch)
+        closed = sc.closed_form_matrix(random_params(np.random.default_rng(260), 8))
+        if where == "above_band":
+            closed[1, 5] = 1e-300
+        else:
+            closed[2, 3] += 1e-300j
+        cert = sc.reduce_to_special_lower_hessenberg(closed)
+        assert entered == [8]
+        assert sc.is_special_lower_hessenberg(cert.H)
+        assert np.abs(cert.H - closed).max() <= 1e-15
 
 
 class TestUpperReduction:

@@ -133,6 +133,15 @@ class TestEvaluate:
         with pytest.raises(sc.NearPole):
             s.evaluate(2.0)  # pole of (0.5 - z)/(1 - 0.5 z)
 
+    def test_array_of_points(self):
+        s = sc.blaschke_to_rational(sc.BlaschkeProduct(1.0, (0.5,)))
+        grid = np.array([[0.0, 0.3j], [-0.4, 1.0]])
+        values = s.evaluate(grid)
+        assert values.shape == (2, 2)
+        assert all(values[k] == s.evaluate(grid[k]) for k in np.ndindex(2, 2))
+        with pytest.raises(sc.NearPole, match=r"\(2\+0j\)"):
+            s.evaluate(np.array([0.1, 2.0, 0.2]))
+
 
 class TestSchurTransform:
     def test_identity_function(self):

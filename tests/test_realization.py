@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import ZerosTooClose, band_length, kernel_basis, random_blaschke
+from helpers import (
+    ZerosTooClose,
+    band_length,
+    count_full_reductions,
+    kernel_basis,
+    random_blaschke,
+)
 from schurcol import tolerances as tol
 from schurcol.sampling import disc_samples
 
@@ -190,6 +196,15 @@ class TestUniqueness:
         )
         with pytest.raises(sc.InternalInconsistency, match="failed to intertwine"):
             sc.realization_uniqueness_check(b)
+
+    def test_one_reduction_per_check(self, monkeypatch):
+        # the cascade is reduced once; the closed form is its own lower form
+        entered = count_full_reductions(monkeypatch)
+        report = sc.realization_uniqueness_check(
+            random_blaschke(np.random.default_rng(64), 6)
+        )
+        assert report.model_minimal and report.closed_form_minimal
+        assert len(entered) <= 1
 
     def test_random_products(self):
         rng = np.random.default_rng(63)
