@@ -207,14 +207,16 @@ def _cmd_couple(cmd: _Command) -> dict:
     col2 = js.colligation_from_json(doc["second"])
     coupled = rd.redheffer_product(pc, col2)
     cmd.diag("unitarity", co.unitarity_residual(coupled.matrix), tol.UNITARY)
+    points = disc_samples(cmd.args.samples, radius=0.9)
+    omegas = co.characteristic_function(col2, points)
+    values = co.characteristic_function(coupled, points)
     worst = 0.0
-    for z in disc_samples(cmd.args.samples, radius=0.9):
+    for z, omega, value in zip(points, omegas, values):
         s_blocks = rd.characteristic_matrix(pc, z)
-        omega = co.characteristic_function(col2, z)
         expected = rd.redheffer_transform(
             s_blocks[0, 0], s_blocks[0, 1], s_blocks[1, 0], s_blocks[1, 1], omega
         )
-        worst = max(worst, abs(co.characteristic_function(coupled, z) - expected))
+        worst = max(worst, abs(value - expected))
     cmd.diag("coupling_consistency", worst, 1e-10)
     return js.colligation_to_json(coupled)
 

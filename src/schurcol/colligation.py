@@ -6,25 +6,37 @@ and ``D`` is nxn.  Its characteristic function
 
     S(z) = A + z B (I - z D)^{-1} C
 
-is evaluated through one LU solve of (I - z D) x = C; the matrix is never
-inverted explicitly and no determinant is taken.  The solve itself is the
-pole test: z counts as a pole (NearPole) when LAPACK finds I - z D
-singular or when max|x| exceeds max|C| / POLE.  An array of points is
-solved as a stack: the matrices I - z_k D of a chunk of points go to one
-stacked LAPACK call, which gives each point the result of its own solve,
-with the pole test applied per point.  A chunk holds at most ``STACK``
-complex matrix entries (1 MiB), so the memory of a batch is bounded at
-every degree.  The sampling checks here and in :mod:`schurcol.realization`
-and :mod:`schurcol.redheffer` take each sample set as one batch.
-Minimality and state equivalence are read off the special lower
-Hessenberg form, in :mod:`schurcol.hessenberg`.  The time-domain
-recursion runs ``BLOCK`` steps per matrix product, carrying the state by
-D^BLOCK, on the same Krylov blocks that give the Markov parameters;
-D^BLOCK is formed once per colligation and kept.
+is evaluated on one of two routes.  A matrix exactly in special lower
+Hessenberg form with a minimal band is the Redheffer coupling of its
+elementary Schur sections, so its S is the Moebius fold of its Schur
+parameters.  These are peeled off the matrix once, O(n^2), and kept with
+the colligation; each point z with |z| <= 1 then costs O(n) operations
+on Python complex numbers.  An array is folded point by point in the
+same arithmetic, so a point gets the same bits alone and in an array
+(numpy's complex array products round differently from Python's).  The
+fold is taken only while every peeled s_p with p < n is inside the disc.
+Every other point (|z| > 1, a gauged or non-minimal matrix, n = 0) takes
+one LU solve of (I - z D) x = C; the matrix is never inverted explicitly
+and no determinant is taken.  The solve itself is the pole test: z
+counts as a pole (NearPole) when LAPACK finds I - z D singular or when
+max|x| exceeds max|C| / POLE.  An array of points is solved as a stack:
+the matrices I - z_k D of a chunk of points go to one stacked LAPACK
+call, which gives each point the result of its own solve, with the pole
+test applied per point.  A chunk holds at most
+``STACK`` complex matrix entries (1 MiB), so the memory of a batch is
+bounded at every degree.  The sampling checks here and in
+:mod:`schurcol.realization` and :mod:`schurcol.redheffer` take each
+sample set as one batch.  Minimality and state equivalence are read off
+the special lower Hessenberg form, in :mod:`schurcol.hessenberg`; the
+exact-form test and the band rule it shares with the fold live here.
+The time-domain recursion runs ``BLOCK`` steps per matrix product,
+carrying the state by D^BLOCK, on the same Krylov blocks that give the
+Markov parameters; D^BLOCK is formed once per colligation and kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +53,8 @@ __all__ = [
     "unitarity_residual",
     "require_unitary",
     "characteristic_function",
+    "band_residual",
+    "is_minimal_form",
     "apply_state_gauge",
     "intertwining_residual",
     "simulate_time_domain",
@@ -106,6 +120,98 @@ class UnitaryColligation:
         """D^BLOCK, formed on first use and kept with the colligation."""
         return _block_power(self.D)
 
+    @cached_property
+    def _sections(self) -> tuple[complex, ...] | None:
+        """Schur parameters s_0 .. s_n to fold S from, or None for the LU route.
+
+        Peeled on first use and kept.  None unless n >= 1, the matrix is
+        exactly in special lower Hessenberg form, its band is minimal
+        (:func:`is_minimal_form`) and every peeled s_p with p < n is
+        inside the disc.
+        """
+        m = self.matrix
+        if self.n == 0 or not _in_lower_form(m) or not is_minimal_form(m):
+            return None
+        params = tuple(_peel(m).tolist())
+        if not all(tol.inside_disc(s) for s in params[:-1]):
+            return None
+        return params
+
+
+def _in_lower_form(M: np.ndarray) -> bool:
+    """M is exactly special lower Hessenberg: zeros above the band, band real >= 0."""
+    band = np.diagonal(M, 1)
+    return not (
+        np.triu(M, 2).any() or band.imag.any() or not (band.real >= 0.0).all()
+    )
+
+
+def band_residual(H: np.ndarray) -> float:
+    """max(n+1, 8) * RANK_REL * max|H| over the smallest band entry of H.
+
+    H is the lower form of a colligation, which is minimal exactly when
+    this is at most 1.  A zero band entry gives inf, and n = 0 gives 0.
+    """
+    band = np.abs(np.diagonal(H, 1))
+    if not len(band):
+        return 0.0
+    cut = max(len(H), 8) * tol.RANK_REL * float(np.abs(H).max())
+    smallest = float(band.min())
+    return cut / smallest if smallest > 0.0 else math.inf
+
+
+def is_minimal_form(H: np.ndarray) -> bool:
+    """The minimality verdict on a lower form H: its band residual is at most 1."""
+    return band_residual(H) <= 1.0
+
+
+def _peel(H: np.ndarray) -> np.ndarray:
+    """Schur parameters s_0 .. s_n of a unitary H in special lower Hessenberg form.
+
+    H is the product of its elementary sections, applied to columns p and
+    p+1 from p = n-1 down to 0 after the terminal phase
+    (:func:`schurcol.schur_state.product_form_matrix`).  They are peeled
+    off from the left (Gragg 1982; Ammar, Gragg & Reichel 1986).  With
+    sections 0 .. p-1 gone, row p holds (a, b) in columns p and p+1 and
+    nothing else: a is the peeled H[p, p] and b the untouched band entry
+    H[p, p+1].  So s_p = a / |(a, b)| and d_p = b / |(a, b)|; the band is
+    real and nonnegative, so b carries no phase.  The section's inverse
+    [[conj(s_p), d_p], [d_p, -s_p]] then acts on columns p and p+1 of the
+    rows below.  It leaves column p zero there, so only the new
+    column p+1, d_p H[p+1:, p] - s_p H[p+1:, p+1], is carried: O(n) per
+    section.  Each s_p is read from entries of size about |s_p|, not from
+    the products of d_j in the first column.  The last entry is the
+    terminal H[n, n] of the peeled matrix.
+    """
+    n = len(H) - 1
+    s = np.empty(n + 1, dtype=complex)
+    column = H[:, 0]
+    for p in range(n):
+        a = complex(column[0])
+        b = float(H[p, p + 1].real)
+        r = math.hypot(a.real, a.imag, b)
+        s[p] = a / r
+        column = (b / r) * column[1:] - s[p] * H[p + 1 :, p + 1]
+    s[n] = column[0]
+    return s
+
+
+def _fold(params, z):
+    """S(z) from its Schur parameters s_0 .. s_n, O(n) per point.
+
+    Folds w <- (s + z w) / (1 + conj(s) z w) from w = s_n.  params holds
+    Python complex numbers.  z is one Python complex, or an array whose
+    points are folded together in numpy's complex arithmetic; numpy's
+    array products round differently from Python's (they may fuse a
+    multiply and an add), so a caller whose values must have the same
+    bits alone and in an array folds them one Python complex at a time.
+    """
+    w = params[-1]
+    for s in reversed(params[:-1]):
+        zw = z * w
+        w = (s + zw) / (1.0 + s.conjugate() * zw)
+    return w
+
 
 # complex matrix entries per chunk of a stacked resolvent solve (1 MiB)
 STACK = 2**16
@@ -170,17 +276,33 @@ def characteristic_function(col: UnitaryColligation, z):
     """S(z) = A + z B (I - z D)^{-1} C.
 
     A complex for one point z; for an array of points, an array of their
-    shape, from one batch of resolvent solves.
+    shape.  A point with |z| <= 1 is folded from the colligation's peeled
+    Schur parameters when it has them (``UnitaryColligation._sections``),
+    one Python complex at a time, so it gets the same bits alone and in an
+    array; every other point takes a resolvent solve, all of an array's
+    in one batch.
     """
     if np.ndim(z) == 0:
         if col.n == 0:
             return col.A
+        point = complex(z)
+        if abs(point) <= 1.0 and col._sections is not None:
+            return _fold(col._sections, point)
         return complex(col.A + z * (col.B @ _resolvent_apply(col.D, z, col.C)))
     z = np.asarray(z, dtype=complex)
     if col.n == 0:
         return np.full(z.shape, col.A)
     flat = z.ravel()
-    values = col.A + flat * (_resolvent_apply(col.D, flat, col.C) @ col.B)
+    values = np.empty(flat.shape, dtype=complex)
+    solve = np.ones(flat.shape, dtype=bool)
+    if col._sections is not None:
+        # np.hypot, like abs for one point, is correctly rounded here, so a
+        # root of unity is not pushed above 1 onto the LU route
+        solve = ~(np.hypot(flat.real, flat.imag) <= 1.0)
+        values[~solve] = [_fold(col._sections, x) for x in flat[~solve].tolist()]
+    if solve.any():
+        rest = flat[solve]
+        values[solve] = col.A + rest * (_resolvent_apply(col.D, rest, col.C) @ col.B)
     return values.reshape(z.shape)
 
 

@@ -20,15 +20,17 @@ it only in the roundoff of the band norms and the phases of V.  The
 test is exact, not STRUCT, so a matrix that is lower only to a
 tolerance takes the full reduction.  Closed forms of parameter
 sequences pass it, and so do their JSON round trips.  The certificate
-check runs either way.
+check runs either way.  The test, ``colligation._in_lower_form``, is also
+the first condition for folding S from the peeled Schur sections.
 
 The lower form is the canonical form of a unitary colligation, and one
 reduction answers both questions asked of it.  Minimality: the
 colligation is minimal exactly when no band entry is zero, read at the
 threshold ``max(n+1, 8) * RANK_REL`` relative to the largest entry
-(:func:`band_residual`).  Equivalence: with a nonzero band the form is
-unique (implicit Q), so two minimal colligations of one function reduce
-to the same H, and V1 V2* intertwines them.
+(:func:`band_residual`, defined next to the fold that shares it in
+:mod:`schurcol.colligation`).  Equivalence: with a nonzero band the form
+is unique (implicit Q), so two minimal colligations of one function
+reduce to the same H, and V1 V2* intertwines them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ from .errors import (
 )
 from .colligation import (
     UnitaryColligation,
+    _in_lower_form,
+    band_residual,
     intertwining_residual,
+    is_minimal_form,
     markov_parameters,
     unitarity_residual,
 )
@@ -177,14 +182,6 @@ def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     return cert
 
 
-def _in_lower_form(M: np.ndarray) -> bool:
-    """M is exactly special lower Hessenberg: zeros above the band, band real >= 0."""
-    band = np.diagonal(M, 1)
-    return not (
-        np.triu(M, 2).any() or band.imag.any() or not (band.real >= 0.0).all()
-    )
-
-
 def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H, V) of the lower reduction, unchecked; the public reductions check it.
 
@@ -279,25 +276,6 @@ def is_hl_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
 
 def is_hu_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
     return is_hl_nonsingular(np.asarray(M, dtype=complex).conj().T, tolerance)
-
-
-def band_residual(H: np.ndarray) -> float:
-    """max(n+1, 8) * RANK_REL * max|H| over the smallest band entry of H.
-
-    H is the lower form of a colligation, which is minimal exactly when
-    this is at most 1.  A zero band entry gives inf, and n = 0 gives 0.
-    """
-    band = np.abs(np.diagonal(H, 1))
-    if not len(band):
-        return 0.0
-    cut = max(len(H), 8) * tol.RANK_REL * float(np.abs(H).max())
-    smallest = float(band.min())
-    return cut / smallest if smallest > 0.0 else math.inf
-
-
-def is_minimal_form(H: np.ndarray) -> bool:
-    """The minimality verdict on a lower form H: its band residual is at most 1."""
-    return band_residual(H) <= 1.0
 
 
 def is_minimal(col: UnitaryColligation) -> bool:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import UnitaryColligation, apply_state_gauge
+from .colligation import UnitaryColligation, _fold, apply_state_gauge
 from .errors import (
     InternalInconsistency,
     NotMinimal,
@@ -180,18 +180,6 @@ def _check_count(n: int) -> int:
     return 16 * -(-(n + 1) // 4)
 
 
-def _mobius_fold(params, z: np.ndarray) -> np.ndarray:
-    """S(z) from its Schur parameters, O(n) per point.
-
-    Folds w <- (s + z w) / (1 + conj(s) z w) from the terminal value.
-    """
-    w = np.full(z.shape, params[-1], dtype=complex)
-    for s in reversed(params[:-1]):
-        zw = z * w
-        w = (s + zw) / (1.0 + np.conj(s) * zw)
-    return w
-
-
 def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:
     """S at the count-th roots of unity t, count a multiple of 16.
 
@@ -220,7 +208,7 @@ def _backward_error(col: UnitaryColligation, params) -> float:
     """max |S_rec(t) - S(t)| over the _check_count(n) roots of unity t."""
     count = _check_count(col.n)
     exact = _circle_values(col, count)
-    return float(np.abs(_mobius_fold(params, circle_samples(count)) - exact).max())
+    return float(np.abs(_fold(params, circle_samples(count)) - exact).max())
 
 
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:

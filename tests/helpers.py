@@ -167,6 +167,23 @@ def count_full_reductions(monkeypatch):
     return entered
 
 
+def count_resolvent_solves(monkeypatch):
+    """A list that gains the number of points of every characteristic-function solve.
+
+    Wraps ``colligation._resolvent_apply``, which every LU evaluation of S
+    in that module goes through; a scalar point counts as 1.
+    """
+    solved = []
+    solve = sc.colligation._resolvent_apply
+
+    def recording(D, z, rhs):
+        solved.append(int(np.size(z)))
+        return solve(D, z, rhs)
+
+    monkeypatch.setattr(sc.colligation, "_resolvent_apply", recording)
+    return solved
+
+
 def band_length(col):
     """Leading band entries of the lower form above the minimality threshold.
 

@@ -1,6 +1,8 @@
 """Characteristic functions, minimality, gauges and simulation."""
 
+import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import colligation as co
+from schurcol import serialize as js
 from schurcol.sampling import circle_samples, disc_samples
 from helpers import (
     band_length,
+    count_resolvent_solves,
     hankel_rank,
     random_colligation,
     random_params,
@@ -175,6 +179,103 @@ class TestBatchedResolvent:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def json_round_trip(col):
+    return js.colligation_from_json(
+        json.loads(js.dumps_canonical(js.colligation_to_json(col)))
+    )
+
+
+class TestSectionFold:
+    """S folded from the peeled Schur sections of a matrix in exact lower form."""
+
+    POINTS = np.concatenate(
+        [disc_samples(40, radius=0.99), circle_samples(32), [0.0, 1.0, -1.0j]]
+    )
+
+    @pytest.mark.parametrize("rmax", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 8, 64, 128])
+    def test_closed_forms_run_no_resolvent_solve(self, n, rmax, monkeypatch):
+        col = random_colligation(np.random.default_rng(5000 + n), n, rmax=rmax)
+        ref = col.A + self.POINTS * (
+            reference_resolvent(col.D, self.POINTS, col.C) @ col.B
+        )
+        solved = count_resolvent_solves(monkeypatch)
+        for form in (col, json_round_trip(col)):
+            values = sc.characteristic_function(form, self.POINTS)
+            assert np.abs(values - ref).max() <= 1e-11
+            singles = [sc.characteristic_function(form, z) for z in self.POINTS[::5]]
+            assert np.abs(singles - ref[::5]).max() <= 1e-11
+        assert solved == []
+
+    def test_scalar_and_array_bits_agree(self, monkeypatch):
+        rng = np.random.default_rng(5001)
+        col = random_colligation(rng, 64)
+        # roots of unity and exp(2 pi i u) as the benchmark draws them: the
+        # moduli of all of them must read at most 1 to stay on the fold
+        points = np.concatenate(
+            [
+                disc_samples(64, radius=0.99),
+                circle_samples(64),
+                np.exp(2j * np.pi * rng.uniform(size=256)),
+            ]
+        )
+        solved = count_resolvent_solves(monkeypatch)
+        values = sc.characteristic_function(col, points)
+        singles = np.array([sc.characteristic_function(col, z) for z in points])
+        assert values.tobytes() == singles.tobytes()
+        assert solved == []
+
+    def test_other_inputs_take_the_resolvent_solve(self, monkeypatch):
+        rng = np.random.default_rng(5002)
+        closed = random_colligation(rng, 8)
+        gauged = sc.apply_state_gauge(closed, random_unitary(rng, 8))
+        # exact lower form with a zero band entry between two closed forms;
+        # its function is the first block's
+        first = sc.closed_form_matrix(random_params(rng, 4))
+        split = np.zeros((8, 8), dtype=complex)
+        split[:5, :5] = first
+        split[5:, 5:] = sc.closed_form_matrix(random_params(rng, 2))
+        split = sc.UnitaryColligation(split)
+        assert split.D[3, 4] == 0.0
+        # a minimal closed form with |s_2| = 1 - 1e-10, outside the DISC margin
+        params = list(random_params(rng, 8).params)
+        params[2] = (1.0 - 1e-10) * 1j
+        near = sc.UnitaryColligation(
+            sc.closed_form_matrix(SimpleNamespace(params=tuple(params)))
+        )
+        assert sc.band_residual(near.matrix) <= 1.0
+        points = disc_samples(10, radius=0.9)
+        expected = sc.characteristic_function(closed, points)
+        first_values = sc.characteristic_function(sc.UnitaryColligation(first), points)
+
+        solved = count_resolvent_solves(monkeypatch)
+        gauged_values = sc.characteristic_function(gauged, points)
+        assert np.abs(gauged_values - expected).max() <= 1e-12
+        split_values = sc.characteristic_function(split, points)
+        assert np.abs(split_values - first_values).max() <= 1e-12
+        sc.characteristic_function(near, points)
+        assert solved == [10, 10, 10]
+        # outside the closed disc, alone and among points inside it
+        outside = np.array([1.5, -1.2j, 1.0 + 1e-15])
+        sc.characteristic_function(closed, outside)
+        sc.characteristic_function(closed, 1.5)
+        mixed = sc.characteristic_function(closed, np.array([0.5, 1.5, -0.5j]))
+        assert solved == [10, 10, 10, 3, 1, 1]
+        assert mixed[0] == sc.characteristic_function(closed, 0.5)
+        assert mixed[1] == sc.characteristic_function(closed, np.array([1.5]))[0]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_peel_rebuilds_reduced_gauged_forms(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng([5100 + n, seed])
+            col = sc.apply_state_gauge(
+                random_colligation(rng, n, rmax=0.9), random_unitary(rng, n)
+            )
+            H = sc.reduce_to_special_lower_hessenberg(col.matrix).H
+            params = sc.SchurParameterSequence(tuple(co._peel(H)))
+            assert np.linalg.norm(H - sc.closed_form_matrix(params), 2) <= 1e-13
 
 
 class TestMinimality:

@@ -263,6 +263,13 @@ class TestInnerSampling:
         assert not report.passed
         assert_allclose(report.max_circle_deviation, 0.5)
 
+    def test_pole_in_a_sample_set_gives_inf(self):
+        # 1 / (1 - z) has its pole at the circle sample z = 1
+        report = sc.is_inner_sampled(sc.RationalInner([1.0], [1.0, -1.0]))
+        assert report.max_circle_deviation == np.inf
+        assert np.isfinite(report.max_disc_excess)
+        assert not report.passed
+
     def test_random_blaschke_passes_tightly(self):
         rng = np.random.default_rng(11)
         b = random_blaschke(rng, 4)
