@@ -132,7 +132,7 @@ class UnitaryColligation:
         m = self.matrix
         if self.n == 0 or not _in_lower_form(m) or not is_minimal_form(m):
             return None
-        params = tuple(_peel(m).tolist())
+        params = _peel(m)
         if not all(tol.inside_disc(s) for s in params[:-1]):
             return None
         return params
@@ -165,35 +165,59 @@ def is_minimal_form(H: np.ndarray) -> bool:
     return band_residual(H) <= 1.0
 
 
-def _peel(H: np.ndarray) -> np.ndarray:
-    """Schur parameters s_0 .. s_n of a unitary H in special lower Hessenberg form.
+def _peel_row(column: np.ndarray, b: float, following: np.ndarray):
+    """Peel the elementary section of one row off a unitary matrix, O(len(column)).
+
+    column is column p of the matrix, rows p and below, with sections
+    0 .. p-1 peeled off, so row p holds (a, b) = (column[0], b) in
+    columns p and p+1 and nothing else; b >= 0 is the band entry and
+    following is column p+1, rows p+1 and below.  With
+    scale = 1 / |(a, b)|, the section's parameters are s = a scale and
+    d = b scale.  Its inverse [[conj(s), d], [d, -s]] on columns p and
+    p+1 leaves column p zero below row p, so only the new column p+1,
+    d column[1:] - s following, is carried.  Returns (s, scale, that
+    column).
+    """
+    a = complex(column[0])
+    scale = 1.0 / math.hypot(a.real, a.imag, b)
+    s = a * scale
+    return s, scale, (b * scale) * column[1:] - s * following
+
+
+def _peel_steps(H: np.ndarray):
+    """The peel of a unitary H in special lower Hessenberg form, one section at a time.
 
     H is the product of its elementary sections, applied to columns p and
     p+1 from p = n-1 down to 0 after the terminal phase
     (:func:`schurcol.schur_state.product_form_matrix`).  They are peeled
-    off from the left (Gragg 1982; Ammar, Gragg & Reichel 1986).  With
-    sections 0 .. p-1 gone, row p holds (a, b) in columns p and p+1 and
-    nothing else: a is the peeled H[p, p] and b the untouched band entry
-    H[p, p+1].  So s_p = a / |(a, b)| and d_p = b / |(a, b)|; the band is
-    real and nonnegative, so b carries no phase.  The section's inverse
-    [[conj(s_p), d_p], [d_p, -s_p]] then acts on columns p and p+1 of the
-    rows below.  It leaves column p zero there, so only the new
-    column p+1, d_p H[p+1:, p] - s_p H[p+1:, p+1], is carried: O(n) per
-    section.  Each s_p is read from entries of size about |s_p|, not from
-    the products of d_j in the first column.  The last entry is the
-    terminal H[n, n] of the peeled matrix.
+    off from the left (Gragg 1982; Ammar, Gragg & Reichel 1986) by
+    :func:`_peel_row`, row p's pair being the carried column's head and
+    the untouched band entry H[p, p+1].  Yields (s_p, scale_p, column_p)
+    for p = 0 .. n, column_p being column p of the peeled matrix from
+    row p down and s_p = column_p[0] * scale_p.  The last row has no
+    band entry, so the terminal s_n is its head over its modulus.  Each
+    s_p is read from entries of size about |s_p|, O(n) per section.
     """
     n = len(H) - 1
-    s = np.empty(n + 1, dtype=complex)
+    band = np.diagonal(H, 1).real.tolist()
     column = H[:, 0]
     for p in range(n):
-        a = complex(column[0])
-        b = float(H[p, p + 1].real)
-        r = math.hypot(a.real, a.imag, b)
-        s[p] = a / r
-        column = (b / r) * column[1:] - s[p] * H[p + 1 :, p + 1]
-    s[n] = column[0]
-    return s
+        s, scale, following = _peel_row(column, band[p], H[p + 1 :, p + 1])
+        yield s, scale, column
+        column = following
+    a = complex(column[0])
+    scale = 1.0 / abs(a)
+    yield a * scale, scale, column
+
+
+def _peel(H: np.ndarray) -> tuple[complex, ...]:
+    """Schur parameters s_0 .. s_n of a unitary H in special lower Hessenberg form.
+
+    The one readout of parameters off a lower form: the section peel of
+    :func:`_peel_steps`, O(n^2).  The caller decides what to do with an
+    s_p on or past the unit circle.
+    """
+    return tuple(s for s, _, _ in _peel_steps(H))
 
 
 def _fold(params, z):

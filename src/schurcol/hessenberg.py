@@ -296,13 +296,6 @@ def find_equivalence(
     kappa = prod 1 / sqrt(1 - |s_j|^2) leaves its forward error in H
     (InternalInconsistency).
     """
-    return _equivalence(col1, col2)[0]
-
-
-def _equivalence(
-    col1: UnitaryColligation, col2: UnitaryColligation
-) -> tuple[np.ndarray | None, HessenbergCertificate, HessenbergCertificate]:
-    """find_equivalence's answer with the two lower forms it was read from."""
     cert1 = reduce_to_special_lower_hessenberg(col1.matrix)
     cert2 = reduce_to_special_lower_hessenberg(col2.matrix)
     if not (is_minimal_form(cert1.H) and is_minimal_form(cert2.H)):
@@ -312,11 +305,11 @@ def _equivalence(
         V = cert1.V @ cert2.V.conj().T
         residual = intertwining_residual(col1, col2, V)
         if residual <= tol.EQUIV:
-            return V, cert1, cert2
+            return V
     order = 2 * max(col1.n, col2.n) + 1
     gap = np.abs(markov_parameters(col1, order) - markov_parameters(col2, order)).max()
     if gap > tol.ROUND:
-        return None, cert1, cert2
+        return None
     if col1.n != col2.n:
         raise InternalInconsistency(
             "equal Markov parameters but different minimal state dimensions"

@@ -25,7 +25,7 @@ from .colligation import (
     intertwining_residual,
 )
 from .errors import InternalInconsistency
-from .hessenberg import _equivalence, is_minimal_form
+from .hessenberg import find_equivalence
 from .rational import BlaschkeProduct, RationalInner, blaschke_to_rational, schur_parameters
 from .schur_state import colligation_from_schur_parameters
 
@@ -69,27 +69,22 @@ def verify_realization(
 class UniquenessReport:
     intertwining_residual: float
     state_dimension: int
-    model_minimal: bool
-    closed_form_minimal: bool
 
 
 def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
     """Build the model and parameter realizations and intertwine them.
 
     Both realize b, so a failure to intertwine them is the library's
-    (InternalInconsistency), not the input's.  The minimality flags are
-    read off the lower forms the equivalence was found from, so each
-    colligation is reduced once; the closed form is its own lower form.
+    (InternalInconsistency), not the input's.  :func:`find_equivalence`
+    raises NotSimple unless both are minimal; it reduces each colligation
+    once, and the closed form is its own lower form.
     """
     model = model_colligation(b)
     params = schur_parameters(blaschke_to_rational(b))
     closed = colligation_from_schur_parameters(params)
-    V, model_cert, closed_cert = _equivalence(model, closed)
+    V = find_equivalence(model, closed)
     if V is None:
         raise InternalInconsistency(
             "realizations of the same function failed to intertwine"
         )
-    residual = intertwining_residual(model, closed, V)
-    return UniquenessReport(
-        residual, model.n, is_minimal_form(model_cert.H), is_minimal_form(closed_cert.H)
-    )
+    return UniquenessReport(intertwining_residual(model, closed, V), model.n)

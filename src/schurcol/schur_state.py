@@ -1,24 +1,29 @@
 """The Schur algorithm on the special lower Hessenberg form of a colligation.
 
 One Hessenberg reduction, with its certificate check, brings the input
-to special lower Hessenberg form H.  Deleting the first row and column
-of such a matrix preserves the form, so iterate p of the state-space
-recursion is H[p:, p:] with its first column replaced by
-H[p:, 0] / |H[p:, 0]|, and only that column feeds a parameter:
+to special lower Hessenberg form H.  H is the Redheffer coupling of its
+elementary sections, and the recursion peels them off from the left
+(``colligation._peel``; Gragg 1982; Ammar, Gragg & Reichel 1986): with
+sections 0 .. p-1 gone, row p holds only the pair (a, b) of the peeled
+H[p, p] and the band entry H[p, p+1], and
 
-    s_p = H[p, 0] / |H[p:, 0]|  (p < n),    s_n = H[n, 0] / |H[n, 0]|.
+    s_p = a / |(a, b)|,    d_p = b / |(a, b)|,
 
-All tail norms come from one reversed cumulative sum, so the readout
-costs O(n) after the O(n^3) reduction.  The recursion stops at the
-first |s_p| >= 1 - DISC, and the band of H says whether the input was
-not minimal.  A complete run is checked once, by its backward error
-max |S_rec(t) - S(t)| over at least 4(n + 1) roots of unity t: S_rec is
-the Moebius fold of the recovered parameters, O(n) per point, and S the
-input's own function, from one solve and one Krylov sequence of its
-state matrix.  The parameters themselves are ill-conditioned:
-their error grows with kappa = prod 1 / sqrt(1 - |s_j|^2) = 1 / |H[n, 0]|,
-which the trace reports next to the backward error.  The iterates and
-their denominators are rebuilt from H only when a caller asks for them.
+after which the section's inverse acts on columns p and p+1, O(n) per
+section and O(n^2) in all after the O(n^3) reduction.  The last row has
+no band entry, so the terminal s_n is its head over its modulus.  Each
+s_p is read from entries of size about |s_p|.  Iterate p of the
+recursion is the peeled matrix's lower-right block from row and column
+p on.  The recursion stops at the first |s_p| >= 1 - DISC, and the band
+of H says whether the input was not minimal.  A complete run is checked
+once, by its backward error max |S_rec(t) - S(t)| over at least
+4(n + 1) roots of unity t: S_rec is the Moebius fold of the recovered
+parameters, O(n) per point, and S the input's own function, from one
+solve and one Krylov sequence of its state matrix.  The parameters
+themselves are ill-conditioned: their error grows with
+kappa = prod 1 / sqrt(1 - |s_p|^2) over p < n, which the trace reports
+next to the backward error.  The iterates and their denominators are
+rebuilt from H only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import UnitaryColligation, _fold, apply_state_gauge
+from .colligation import (
+    UnitaryColligation,
+    _fold,
+    _peel,
+    _peel_row,
+    _peel_steps,
+    apply_state_gauge,
+)
 from .errors import (
     InternalInconsistency,
     NotMinimal,
@@ -77,31 +89,30 @@ def _check_special_row(col: UnitaryColligation) -> None:
 
 
 def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
-    """Extract s_p = A and the smaller colligation of the transformed function.
+    """Extract s_p and the smaller colligation of the transformed function.
 
-    Requires the channel row in special form.  The next matrix is
-    [C / sqrt(1-|s_p|^2) | D[:, 1:]]; for a 1x1 principal block the
-    remaining scalar C / sqrt(1-|s_p|^2) is the terminal parameter.
+    Requires the channel row in special form, [A, b, 0, ...].  The step
+    peels the elementary section of that row (``colligation._peel_row``,
+    the recursion's own kernel): s_p = A / |(A, b)|, d_p = b / |(A, b)|,
+    and the next matrix is [d_p C - s_p D[:, 0] | D[:, 1:]]; for a 1x1
+    principal block the remaining scalar is the terminal parameter.
     """
     if col.n < 1:
         raise Terminal("colligation is already the terminal constant")
     _check_special_row(col)
-    s_p = col.A
+    s_p, _, first_col = _peel_row(
+        col.matrix[:, 0], float(col.B[0].real), col.D[:, 0]
+    )
     if not tol.inside_disc(s_p):
         raise Terminal(
             f"|s_p| = {abs(s_p):.17g} is within {tol.DISC:g} of the unit circle"
         )
-    # sqrt(1 - |s_p|^2) equals |C| by unitarity; scaling by the measured
-    # norm keeps the new first column at unit length even after roundoff
-    # has accumulated over a deep recursion
+    # by unitarity |C| = sqrt(1 - |s_p|^2), so the section's column agrees
+    # with C / |C|, and C conj(s_p) + D[:, 0] |C| = 0 is the other half of
+    # the section's inverse, which leaves the peeled column zero
     delta = float(np.linalg.norm(col.C))
-    first_col = col.C / delta
-
-    # the subtraction form -D[:,0] s_p + C delta and the division form C / delta
-    # coincide through the orthogonality C conj(s_p) + D[:,0] delta = 0
     ortho = np.abs(col.C * np.conj(s_p) + col.D[:, 0] * delta).max()
-    subtraction = -col.D[:, 0] * s_p + col.C * delta
-    agreement = np.abs(subtraction - first_col).max()
+    agreement = np.abs(first_col - col.C / delta).max()
     if max(ortho, agreement) > tol.ROUND:
         raise InternalInconsistency(
             f"closed forms of the step disagree: orthogonality {ortho:.3e}, "
@@ -114,12 +125,13 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
 
 @dataclass(frozen=True)
 class SchurStateTrace:
-    """Parameters of one run and the reduced matrix H they were read from.
+    """Parameters of one run and the reduced matrix H they were peeled from.
 
-    kappa = 1 / |H[n, 0]| = prod 1 / sqrt(1 - |s_j|^2) (infinite when
-    H[n, 0] = 0); the error of the parameters grows with it.
-    backward_error is the final check's max |S_rec(t) - S(t)| on the unit
-    circle, None on a partial trace.  minimal is the band verdict on H.
+    kappa = prod 1 / d_p over p < n, with d_p = sqrt(1 - |s_p|^2) of the
+    peeled parameters (infinite when some d_p = 0); the error of the
+    parameters grows with it.  backward_error is the final check's
+    max |S_rec(t) - S(t)| on the unit circle, None on a partial trace.
+    minimal is the band verdict on H.
     """
 
     parameters: tuple[complex, ...]
@@ -134,16 +146,18 @@ class SchurStateTrace:
     def matrices(self) -> tuple[np.ndarray, ...]:
         """Iterates 0..p as read-only arrays, rebuilt from H on first access.
 
-        Iterate p is H[p:, p:] with its first column replaced by
-        H[p:, 0] / |H[p:, 0]|.  A complete trace has n + 1 of them, a
+        Iterate p is H[p:, p:] with its first column replaced by the
+        peel's carried column p (``colligation._peel_steps``), scaled so
+        that its head is s_p: the lower-right block of H with sections
+        0 .. p-1 peeled off.  A complete trace has n + 1 of them, a
         partial one ends with the iterate at which the recursion stopped.
         No unitarity gate is applied.
         """
         count = len(self.parameters) + (0 if self.complete else 1)
         iterates = []
-        for p in range(count):
+        for p, (_, scale, column) in zip(range(count), _peel_steps(self.H)):
             m = self.H[p:, p:].copy()
-            m[:, 0] = self.H[p:, 0] / np.linalg.norm(self.H[p:, 0])
+            m[:, 0] = column * scale
             m.setflags(write=False)
             iterates.append(m)
         return tuple(iterates)
@@ -214,28 +228,22 @@ def _backward_error(col: UnitaryColligation, params) -> float:
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
-    One Hessenberg reduction, then s_p = H[p, 0] / |H[p:, 0]| for p < n
-    and s_n = H[n, 0] / |H[n, 0]|.  If some |s_p| with p < n reaches
-    1 - DISC, the input was not minimal or the reduction lost it: a
-    partial trace is returned with the diagnostic message instead of an
-    exception, so callers can report how far the recursion went.  A
-    complete run raises InternalInconsistency when the recovered
-    parameters miss the input's function by more than BACKWARD on the
-    unit circle.
+    One Hessenberg reduction, then the section peel of ``colligation._peel``
+    reads s_0 .. s_n off H.  If some |s_p| with p < n reaches 1 - DISC,
+    the input was not minimal or the reduction lost it: a partial trace
+    is returned with the diagnostic message instead of an exception, so
+    callers can report how far the recursion went.  A complete run raises
+    InternalInconsistency when the recovered parameters miss the input's
+    function by more than BACKWARD on the unit circle.
     """
     n = col.n
     cert = reduce_to_special_lower_hessenberg(col.matrix)
     H = cert.H
-    column = H[:, 0]
-    # tails[p] = |H[p:, 0]| = d_0 ... d_{p-1}, summed from the bottom; a
-    # zero tail gives NaN, which no disc test accepts
-    tails = np.sqrt(np.cumsum(np.abs(column[::-1]) ** 2)[::-1])
-    s = np.divide(
-        column, tails, out=np.full(n + 1, np.nan, dtype=complex), where=tails > 0.0
-    )
+    s = _peel(H)
     stop = next((p for p in range(n) if not tol.inside_disc(s[p])), n)
-    last = float(abs(column[n]))
-    kappa = 1.0 / last if last > 0.0 else np.inf
+    d = np.sqrt(np.maximum(1.0 - np.abs(np.array(s[:n])) ** 2, 0.0))
+    product = float(np.prod(d))
+    kappa = 1.0 / product if product > 0.0 else np.inf
     if stop < n:
         message = (
             f"terminated at step {stop} of {n}: |s_p| = {abs(s[stop]):.17g} "
@@ -243,16 +251,14 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
         )
         if not is_minimal_form(H):
             message += " (input colligation is not minimal)"
-        params = tuple(complex(x) for x in s[:stop])
-        return SchurStateTrace(params, H, cert.V, False, message, None, kappa)
-    params = tuple(complex(x) for x in s[:n]) + (complex(column[n] / last),)
-    backward = _backward_error(col, params)
+        return SchurStateTrace(s[:stop], H, cert.V, False, message, None, kappa)
+    backward = _backward_error(col, s)
     if not backward <= tol.BACKWARD:
         raise InternalInconsistency(
             f"recovered parameters miss the input's function by {backward:.3e} "
             f"on the unit circle (tolerance {tol.BACKWARD:g}, kappa {kappa:.3e})"
         )
-    return SchurStateTrace(params, H, cert.V, True, None, backward, kappa)
+    return SchurStateTrace(s, H, cert.V, True, None, backward, kappa)
 
 
 def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:

@@ -164,8 +164,10 @@ def certificate_to_json(cert: HessenbergCertificate) -> dict:
 def trace_to_json(trace: SchurStateTrace) -> dict:
     """Parameters, the reduced matrix H and the denominator chain, O(n^2).
 
-    Iterate p of the recursion is H[p:, p:] with its first column
-    replaced by H[p:, 0] / |H[p:, 0]| (``SchurStateTrace.matrices``).
+    The parameters were peeled off H section by section, and iterate p of
+    the recursion is H[p:, p:] with its first column replaced by the
+    peel's carried column p, scaled so that its head is s_p
+    (``SchurStateTrace.matrices``; the loop is in README).
     """
     return {
         "parameters": _vector_to_json(trace.parameters),

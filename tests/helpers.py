@@ -77,21 +77,35 @@ def reference_reduction(M):
     return H, V
 
 
-def reference_peel(H):
-    """Parameters of a reduced matrix H, peeled one iterate at a time.
+def cluster(count, radius, turn=0.0):
+    """count zeros on a circle of radius 0.015 about `radius`, turned by 2 pi turn."""
+    return tuple(
+        (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
+        for k in range(count)
+    )
 
-    Each step reads s = A, then moves to [C / |C|, D[:, 1:]], the
-    step-by-step state-space recursion on arrays without its gates.
-    Kept as an independent reference for the first-column readout.
+
+def blaschke_values(zeros, t):
+    """The product of (a - t) / (1 - t conj(a)) over the zeros a, at the points t."""
+    t = np.asarray(t, dtype=complex)
+    return np.prod([(a - t) / (1.0 - t * np.conj(a)) for a in zeros], axis=0)
+
+
+def half_step_samples(count):
+    """exp(2 pi i (j + 1/2) / count), j < count: midway between the roots of unity."""
+    return np.exp(2j * np.pi * (np.arange(count) + 0.5) / count)
+
+
+def half_step_values(col, count):
+    """S of a colligation at half_step_samples(count), count a multiple of 16.
+
+    S(w t) is the function of the colligation with B and D multiplied by
+    w, so with w = exp(i pi / count) it is read off the roots of unity by
+    ``schur_state._circle_values``: one solve and one Krylov sequence.
     """
-    m = np.asarray(H, dtype=complex)
-    params = []
-    while len(m) > 1:
-        params.append(m[0, 0])
-        c = m[1:, 0]
-        m = np.column_stack([c / np.linalg.norm(c), m[1:, 1:]])
-    params.append(m[0, 0])
-    return np.array(params)
+    turned = np.array(col.matrix)
+    turned[:, 1:] *= np.exp(1j * np.pi / count)
+    return sc.schur_state._circle_values(sc.UnitaryColligation(turned), count)
 
 
 def mobius_fold(params, z):

@@ -1,6 +1,7 @@
 """End-to-end command-line checks via subprocess."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import count_full_reductions, mobius_fold, random_params, random_unitary
+from helpers import (
+    blaschke_values,
+    cluster,
+    count_full_reductions,
+    half_step_samples,
+    mobius_fold,
+    random_params,
+    random_unitary,
+)
 from schurcol import cli
 from schurcol import serialize as js
 
@@ -41,12 +50,9 @@ def gauged_n128():
     )
 
 
-def cluster(count, radius, turn=0.0):
-    """count zeros on a circle of radius 0.015 about `radius`, turned by 2 pi turn."""
-    return tuple(
-        (radius + 0.015 * np.exp(2j * np.pi * k / count)) * np.exp(2j * np.pi * turn)
-        for k in range(count)
-    )
+def diagnostics(stderr):
+    """The {check, residual, tolerance} lines of a run's stderr, by check name."""
+    return {c["check"]: c for c in map(json.loads, stderr.splitlines())}
 
 
 class TestRealize:
@@ -92,12 +98,15 @@ class TestRealize:
         expected = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros)).matrix
         assert np.abs(matrix_from_doc(json.loads(out.stdout)) - expected).max() == 0.0
 
-    def test_clustered_zeros_closed_form_route_fails_the_check(self):
+    def test_clustered_zeros_closed_form_route_passes_the_check(self):
+        # kappa 1e17: the parameters peeled off the cascade's lower form
+        # rebuild it, so the closed form intertwines with the cascade
         zeros = cluster(12, 0.97)
         doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["realize"], js.dumps_canonical(doc))
-        assert out.returncode == 3
-        assert "schurcol realize: recovered parameters miss" in out.stderr
+        assert out.returncode == 0, out.stderr
+        checks = diagnostics(out.stderr)
+        assert checks["cross_route_equivalence"]["residual"] <= sc.tolerances.EQUIV
 
     def test_invalid_input_exits_2(self):
         out = run_cli(["realize"], '{"params":[[2,0],[1,0]]}')
@@ -154,21 +163,23 @@ class TestSchur:
     @pytest.mark.parametrize(
         "count, radius, turn", [(10, 0.9, 0.0), (12, 0.97, 1 / 32)]
     )
-    def test_clustered_cascade_exits_3(self, count, radius, turn):
+    def test_clustered_cascade_completes(self, count, radius, turn):
         # turn 1/32 puts the 12 zeros between two 16th roots of unity
         zeros = cluster(count, radius, turn)
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
-        assert out.returncode == 3
-        assert "schurcol schur: recovered parameters miss" in out.stderr
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["complete"] is True
 
     def test_gauged_n128_is_never_a_validation_failure(self):
-        # unitary to 1e-15; the per-iterate gate used to reject it with exit 2
+        # unitary to 1e-15, kappa 1e12: the closed form of the peeled
+        # parameters rebuilds H, so the round trip meets ROUND
         col = gauged_n128()
         assert sc.unitarity_residual(col.matrix) <= 1e-14
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
-        assert out.returncode in (0, 3), out.stderr
-        assert "Traceback" not in out.stderr
+        assert out.returncode == 0, out.stderr
+        roundtrip = diagnostics(out.stderr)["parameter_roundtrip"]
+        assert roundtrip["residual"] <= sc.tolerances.ROUND
 
     def test_gauged_n128_trace_is_small_and_holds_the_iterates(self):
         col = gauged_n128()
@@ -179,10 +190,18 @@ class TestSchur:
         H = matrix_from_doc({"matrix": doc["H"]})
         trace = sc.schur_algorithm_state_space(col)
         assert len(trace.matrices) == 129
+        # the recipe of README: the peel loop, one section at a time
+        n = len(H) - 1
+        column = H[:, 0]
         for p, iterate in enumerate(trace.matrices):
+            a = complex(column[0])
+            b = H[p, p + 1].real if p < n else 0.0
+            scale = 1.0 / math.hypot(a.real, a.imag, b)
             rebuilt = H[p:, p:].copy()
-            rebuilt[:, 0] = H[p:, 0] / np.linalg.norm(H[p:, 0])
+            rebuilt[:, 0] = column * scale
             assert np.abs(rebuilt - iterate).max() <= 1e-15
+            if p < n:
+                column = (b * scale) * column[1:] - (a * scale) * H[p + 1 :, p + 1]
 
     def test_krylov_rank_deficient_input_completes(self):
         # sequence k = 1 of degree 32 and the degree-64 sequence of the
@@ -448,8 +467,17 @@ class TestParams:
         params = [complex(*v) for v in json.loads(out.stdout)["params"]]
         assert len(params) == 65
         t = sc.sampling.circle_samples(256)
-        product = np.prod([(a - t) / (1.0 - t * np.conj(a)) for a in zeros], axis=0)
-        assert np.abs(mobius_fold(params, t) - product).max() <= 1e-10
+        assert np.abs(mobius_fold(params, t) - blaschke_values(zeros, t)).max() <= 1e-10
+
+    def test_clustered_zeros_exit_0(self):
+        # kappa 1e17, folded between the roots of unity
+        zeros = cluster(12, 0.97)
+        b = sc.BlaschkeProduct(1.0, zeros)
+        out = run_cli(["params"], js.dumps_canonical(js.blaschke_to_json(b)))
+        assert out.returncode == 0, out.stderr
+        params = [complex(*v) for v in json.loads(out.stdout)["params"]]
+        t = half_step_samples(4096)
+        assert np.abs(mobius_fold(params, t) - blaschke_values(zeros, t)).max() <= 1e-10
 
     def test_partial_trace_on_the_cascade_exits_3(self, tmp_path, monkeypatch, capsys):
         # the cascade is minimal, so an early stop is the recursion's failure
