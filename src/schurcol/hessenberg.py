@@ -226,12 +226,11 @@ def _reflect_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:
     scale = max(float(np.abs(M).max()), 1e-300)
-    if cert.orientation == "lower":
-        if not is_special_lower_hessenberg(cert.H):
-            raise InternalInconsistency("reduction failed to produce the lower form")
-    else:
-        if not is_special_upper_hessenberg(cert.H):
-            raise InternalInconsistency("reduction failed to produce the upper form")
+    lower = cert.H if cert.orientation == "lower" else cert.H.conj().T
+    if not is_special_lower_hessenberg(lower):
+        raise InternalInconsistency(
+            f"reduction failed to produce the {cert.orientation} form"
+        )
     gauge_res = unitarity_residual(cert.V) if len(cert.V) else 0.0
     size = M.shape[0]
     G = np.eye(size, dtype=complex)
@@ -244,27 +243,19 @@ def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:
         )
 
 
-def _band_ok(band: np.ndarray, off_band_max: float, tolerance: float, scale: float) -> bool:
-    cut = tolerance * scale
-    if off_band_max > cut:
+def is_special_lower_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
+    M = np.asarray(M, dtype=complex)
+    cut = tolerance * max(float(np.abs(M).max()), 1e-300)
+    if np.abs(np.triu(M, 2)).max() > cut:
         return False
+    band = np.diagonal(M, 1)
     if np.abs(band.imag).max(initial=0.0) > cut:
         return False
     return bool(band.real.min(initial=0.0) >= -cut)
 
 
-def is_special_lower_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
-    M = np.asarray(M, dtype=complex)
-    scale = max(float(np.abs(M).max()), 1e-300)
-    above = np.triu(M, 2)
-    return _band_ok(np.diagonal(M, 1), float(np.abs(above).max()), tolerance, scale)
-
-
 def is_special_upper_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
-    M = np.asarray(M, dtype=complex)
-    scale = max(float(np.abs(M).max()), 1e-300)
-    below = np.tril(M, -2)
-    return _band_ok(np.diagonal(M, -1), float(np.abs(below).max()), tolerance, scale)
+    return is_special_lower_hessenberg(np.asarray(M, dtype=complex).conj().T, tolerance)
 
 
 def is_hl_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:

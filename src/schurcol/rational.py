@@ -218,16 +218,27 @@ def schur_transform(s: RationalInner) -> tuple[complex, RationalInner]:
     return s0, omega
 
 
+def _couple_section(s: complex, num: np.ndarray, den: np.ndarray):
+    """Coefficients of the coupling of the section of s with num / den.
+
+    Returns (s den + z num, den + conj(s) z num), one degree higher.  With
+    num / den the function of iterate p+1 of the Schur recursion and
+    den = det(I - z D_{p+1}), the second is det(I - z D_p) of iterate p,
+    with no division, trimming or disc test: O(n) per section.
+    """
+    z_num = np.zeros(len(num) + 1, dtype=complex)
+    z_num[1:] = num
+    den_z = np.zeros(len(den) + 1, dtype=complex)
+    den_z[:-1] = den
+    return s * den_z + z_num, den_z + s.conjugate() * z_num
+
+
 def inverse_schur_transform(s0: complex, omega: RationalInner) -> RationalInner:
     """Rebuild ``s(z) = (s0 + z omega(z)) / (1 + z conj(s0) omega(z))``."""
     s0 = complex(s0)
     if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
-    z_num = np.concatenate(([0.0], omega.num))
-    z_den = np.concatenate(([0.0], omega.num))
-    num = s0 * np.append(omega.den, 0.0) + z_num
-    den = np.append(omega.den, 0.0) + np.conj(s0) * z_den
-    return RationalInner(num, den)
+    return RationalInner(*_couple_section(s0, omega.num, omega.den))
 
 
 def schur_parameters(s: RationalInner) -> SchurParameterSequence:

@@ -23,7 +23,15 @@ solve and one Krylov sequence of its state matrix.  The parameters
 themselves are ill-conditioned: their error grows with
 kappa = prod 1 / sqrt(1 - |s_p|^2) over p < n, which the trace reports
 next to the backward error.  The iterates and their denominators are
-rebuilt from H only when a caller asks for them.
+rebuilt from H only when a caller asks for them.  Iterate p is the
+Redheffer coupling of section p with iterate p+1, so its denominator
+follows from the next one's numerator and denominator and s_p:
+
+    det(I - z D_p) = det(I - z D_{p+1}) + conj(s_p) z N_{p+1},
+    N_p = s_p det(I - z D_{p+1}) + z N_{p+1},
+
+the coefficient step of ``rational.inverse_schur_transform``, O(n) per
+section and O(n^2) for the chain.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .hessenberg import (
     normalize_first_row,
     reduce_to_special_lower_hessenberg,
 )
-from .rational import SchurParameterSequence
+from .rational import SchurParameterSequence, _couple_section
 from .sampling import circle_samples
 
 __all__ = [
@@ -166,12 +174,25 @@ class SchurStateTrace:
     def denominators(self) -> tuple[np.ndarray, ...]:
         """det(I - z D_p) for every iterate p = 0..n, each with value 1 at 0.
 
-        D_p is the lower-right corner H[p+1:, p+1:], so partial traces
-        have the full chain as well.  Computed on first access, by one
-        Hessenberg minor recurrence at n + 1 shared roots of unity and
-        one FFT per level, O(n^3), and then kept.
+        D_p is the lower-right corner H[p+1:, p+1:].  Iterate p is the
+        Redheffer coupling of section p with iterate p+1, whose function
+        is N_{p+1} / det(I - z D_{p+1}), so
+
+            det(I - z D_p) = det(I - z D_{p+1}) + conj(s_p) z N_{p+1},
+            N_p = s_p det(I - z D_{p+1}) + z N_{p+1},
+
+        from N_n = s_n and det = 1 at p = n (``rational._couple_section``).
+        The parameters are all n + 1 peeled off H, so partial traces have
+        the full chain as well: the identity holds past the stop, where
+        |s_p| is about 1.  Computed on first access, O(n^2), and then kept.
         """
-        return _denominator_chain_from_first(self.H[1:, 1:])
+        s = _peel(self.H)
+        num, den = np.array([s[-1]]), np.ones(1, dtype=complex)
+        chain = [den]
+        for s_p in reversed(s[:-1]):
+            num, den = _couple_section(s_p, num, den)
+            chain.append(den)
+        return tuple(reversed(chain))
 
     @property
     def minimal(self) -> bool:
@@ -319,37 +340,3 @@ def colligation_from_schur_parameters(
     if not isinstance(p, SchurParameterSequence):
         p = SchurParameterSequence(tuple(p))
     return UnitaryColligation(closed_form_matrix(p))
-
-
-def _denominator_chain_from_first(D0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Coefficients of det(I - z D0[p:, p:]) for p = 0..m, ascending, each 1 at 0.
-
-    D0 is lower Hessenberg, so E = J D0 J, with J the index reversal, is
-    upper Hessenberg, and the trailing minor of I - z D0 of size k is the
-    leading minor f_k of I - z E.  Expanding f_k along its last column,
-
-        f_k = sum_{i<k} a[i, k-1] g_i,  g_i = (-1)^(k-1-i) a[i+1, i] ... a[k-1, k-2] f_i,
-
-    and moving to k + 1 multiplies every g_i by -a[k, k-1] and appends
-    g_k = f_k: one O(m^2) recurrence without division at each of the
-    m + 1 shared roots of unity, vectorised over them.  Each level is
-    then read off its m + 1 values by one FFT.  O(m^3) in all.
-    """
-    m = len(D0)
-    count = m + 1
-    nodes = np.exp(2j * np.pi * np.arange(count) / count)
-    E = np.asarray(D0, dtype=complex)[::-1, ::-1]
-    minors = np.empty((count, count), dtype=complex)
-    minors[0] = 1.0
-    g = np.empty((m, count), dtype=complex)
-    for k in range(m):
-        g[k] = minors[k]
-        # f_{k+1} = sum_i (delta_ik - z E[i, k]) g_i
-        minors[k + 1] = g[k] - nodes * (E[: k + 1, k] @ g[: k + 1])
-        if k + 1 < m:
-            g[: k + 1] *= nodes * E[k + 1, k]
-    # values[j] = sum_l a_l exp(+2 pi i jl / count), so the forward FFT inverts it
-    coeffs = np.fft.fft(minors, axis=1) / count
-    return tuple(
-        coeffs[m - p, : m - p + 1] / coeffs[m - p, 0] for p in range(count)
-    )

@@ -122,7 +122,9 @@ def reference_det_polynomial(D):
 
     The determinant is taken at the len(D) + 1 roots of unity and read
     back by an inverse DFT, O(n^4).  Kept as an independent reference
-    for the Hessenberg minor recurrence of the denominator chain.
+    for the denominator chain, which the trace couples section by
+    section from the peeled parameters, det(I - z D_p) =
+    det(I - z D_{p+1}) + conj(s_p) z N_{p+1}, in O(n^2).
     """
     size = len(D)
     if size == 0:

@@ -161,15 +161,20 @@ class TestSchur:
         assert "not minimal" not in doc["message"]
 
     @pytest.mark.parametrize(
-        "count, radius, turn", [(10, 0.9, 0.0), (12, 0.97, 1 / 32)]
+        "count, radius, turn", [(10, 0.9, 0.0), (12, 0.97, 1 / 32), (64, 0.9, 0.0)]
     )
     def test_clustered_cascade_completes(self, count, radius, turn):
-        # turn 1/32 puts the 12 zeros between two 16th roots of unity
+        # turn 1/32 puts the 12 zeros between two 16th roots of unity; the
+        # written denominator is the zero product's, prod (1 - z conj(a))
         zeros = cluster(count, radius, turn)
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["complete"] is True
+        doc = json.loads(out.stdout)
+        assert doc["complete"] is True
+        written = np.array([complex(re, im) for re, im in doc["denominators"][0]])
+        den = np.poly(np.conj(zeros))
+        assert np.abs(written - den).max() <= 1e-14 * np.abs(den).sum()
 
     def test_gauged_n128_is_never_a_validation_failure(self):
         # unitary to 1e-15, kappa 1e12: the closed form of the peeled

@@ -134,7 +134,13 @@ class TestFullAlgorithm:
             assert not trace.complete
             assert f"step {n} of {n + 1}" in trace.message
             assert "not minimal" in trace.message
+            # the chain couples the unimodular section past the stop too
+            D0 = trace.H[1:, 1:]
             assert len(trace.denominators) == n + 2
+            for p, chi in enumerate(trace.denominators):
+                reference = reference_det_polynomial(D0[p:, p:])
+                assert chi.shape == reference.shape
+                assert np.abs(chi - reference).max() <= 1e-12 * np.abs(reference).sum()
             with pytest.raises(sc.NotMinimal):
                 trace.parameter_sequence()
 
@@ -216,6 +222,11 @@ class TestReadout:
         t = half_step_samples(32768)
         folded = mobius_fold(trace.parameters, t)
         assert np.abs(folded - blaschke_values(zeros, t)).max() <= 1e-10
+        # the section coupling keeps the denominator to roundoff of its
+        # coefficients' 1-norm (measured 1.5e-16); the zero product's
+        # denominator is prod (1 - z conj(a)) over the zeros a
+        den = np.poly(np.conj(zeros))
+        assert np.abs(trace.denominators[0] - den).max() <= 1e-14 * np.abs(den).sum()
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_gauged_draws_fold_to_S_between_the_check_points(self, n):
@@ -355,21 +366,22 @@ class TestMatrixBuilders:
 
 class TestDenominatorChain:
     def test_computed_once_on_first_access(self, monkeypatch):
+        # one section coupling per parameter before the terminal, n in all
         calls = []
-        original = sc.schur_state._denominator_chain_from_first
+        original = sc.schur_state._couple_section
 
-        def counted(first):
-            calls.append(first)
-            return original(first)
+        def counted(s, num, den):
+            calls.append(s)
+            return original(s, num, den)
 
-        monkeypatch.setattr(sc.schur_state, "_denominator_chain_from_first", counted)
+        monkeypatch.setattr(sc.schur_state, "_couple_section", counted)
         rng = np.random.default_rng(58)
         trace = sc.schur_algorithm_state_space(random_colligation(rng, 4))
         assert len(calls) == 0
         first = trace.denominators
-        assert len(calls) == 1
+        assert len(calls) == 4
         assert trace.denominators is first
-        assert len(calls) == 1
+        assert len(calls) == 4
 
     def test_delay(self):
         trace = sc.schur_algorithm_state_space(sc.UnitaryColligation(DELAY))
@@ -409,8 +421,9 @@ class TestDenominatorChain:
     @pytest.mark.parametrize("n", [8, 32, 64])
     @pytest.mark.parametrize("gauged", [False, True])
     def test_recurrence_matches_the_lu_chain(self, n, gauged):
-        # both interpolate at roots of unity, so they share the DFT's
-        # conditioning: about 1e-13 of the coefficients' 1-norm at n = 64
+        # the reference interpolates at roots of unity, so its DFT's
+        # conditioning sets the bound: about 1e-13 of the coefficients'
+        # 1-norm at n = 64
         rng = np.random.default_rng(70 + n)
         col = random_colligation(rng, n)
         if gauged:
