@@ -2,26 +2,41 @@
 
 "Special lower Hessenberg" means zero above the first superdiagonal and
 nonnegative real entries on the superdiagonal itself; "HL-non-singular"
-additionally requires those entries to be nonzero.  A square matrix is
-reduced to this form by a state gauge diag(1, V).  Row r's tail
-H[r, r+1:] defines one reflector, a phase times a Householder matrix
-(the one :func:`normalize_first_row` builds), that maps the tail onto
-[|tail|, 0, ..., 0].  It is applied in place as rank-one updates of the
-columns H[:, r+1:], the rows H[r+1:, :] and the gauge columns V[:, r:],
-so the reduction costs O(n^3) and never forms an embedded gauge.  The
-upper form is obtained from the reduction of the adjoint, which is
-equivalent because the conjugate of a nonnegative real is itself.
+additionally requires those entries to be nonzero.  A square matrix
+M = [[a, B], [C, D]] is reduced to this form by a state gauge
+G = diag(1, V), H = G* M G.  Row 0 of H is [a, B V], and the state rows
+are V* D V, so H is in lower form exactly when B V = [|B|, 0, ..., 0]
+and V* D* V is upper Hessenberg with a real nonnegative subdiagonal:
+the columns of V are the orthonormal Krylov basis of D* started at
+q_0 = B* / |B|.  Arnoldi builds it from matrix-vector products.  Step
+k forms w = D* q_{k-1}, takes two classical Gram-Schmidt passes
+against q_0 .. q_{k-1} ("twice is enough": Daniel, Gragg, Kaufman &
+Stewart 1976; Giraud, Langou & Rozloznik 2005), stores |w| as the band
+entry H[k, k+1] and sets q_k = w / |w|; q_0's band entry H[0, 1] is
+|B|.  The cost is O(n^3) in matrix-vector products, and H is formed
+once as G* M G.  The upper form is obtained from the reduction of the
+adjoint, which is equivalent because the conjugate of a nonnegative
+real is itself.
+
+A breakdown, |w| <= STRUCT max|M| (the Krylov space is numerically
+invariant, or B numerically zero), stores a band entry of exactly 0 and restarts
+from the unit vector e_j farthest from the span, the one with the
+least weight sum_i |q_i[j]|^2 in it, orthogonalized the same way.  Its
+residual has norm at least sqrt(1 - k/n), so the restart is always
+well defined.  What the form promises is stored exactly, not as its
+roundoff: zeros above the band, the real nonnegative band (exactly 0
+at each breakdown), and H[0, 0] = M[0, 0].
 
 A matrix already exactly in lower form (every entry above the
 superdiagonal an exact zero, the superdiagonal real with exact zero
 imaginary parts and nonnegative) is its own form: the reduction returns
-a copy of it with V = I, without the reflector loop, which would change
-it only in the roundoff of the band norms and the phases of V.  The
-test is exact, not STRUCT, so a matrix that is lower only to a
-tolerance takes the full reduction.  Closed forms of parameter
-sequences pass it, and so do their JSON round trips.  The certificate
-check runs either way.  The test, ``colligation._in_lower_form``, is also
-the first condition for folding S from the peeled Schur sections.
+a copy of it with V = I, without the Arnoldi loop, which would change
+it only in the roundoff of the band norms and of V.  The test is
+exact, not STRUCT, so a matrix that is lower only to a tolerance takes
+the full reduction.  Closed forms of parameter sequences pass it, and
+so do their JSON round trips.  The certificate check runs either way.
+The test, ``colligation._in_lower_form``, is also the first condition
+for folding S from the peeled Schur sections.
 
 The lower form is the canonical form of a unitary colligation, and one
 reduction answers both questions asked of it.  Minimality: the
@@ -153,17 +168,15 @@ def normalize_first_row(b: np.ndarray) -> np.ndarray:
 def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     """Reduce M by a state gauge to special lower Hessenberg form.
 
-    Row r's tail is mapped onto [|tail|, 0, ..., 0] by the reflector
-    Q = lam (I - 2 conj(v) v^T) of :func:`normalize_first_row`, applied
-    in place as H[:, r+1:] <- H[:, r+1:] Q, H[r+1:, :] <- Q* H[r+1:, :]
-    and V[:, r:] <- V[:, r:] Q: rank-one updates for the Householder
-    part and a scaling for the phase lam, O(n^2) per row and O(n^3) in
-    all.  A phase-only Q is that scaling alone.  The reflected tail is
-    stored as exactly [|tail|, 0, ..., 0].  Always succeeds: a
-    (numerically) zero row tail is skipped, leaving a zero superdiagonal
-    entry and the gauge columns untouched.  The first row and column
-    index is never touched, so ``H[0, 0] == M[0, 0]``.  An input exactly
-    in lower form is returned as a copy, with V = I and no reflector.
+    The gauge columns are the Arnoldi basis of D* from q_0 = B* / |B|,
+    each step orthogonalized by two classical Gram-Schmidt passes, and
+    H = G* M G with G = diag(1, V): O(n^3) in matrix-vector products
+    and two matrix products.  Always succeeds: a breakdown,
+    |w| <= STRUCT max|M|, stores a band entry of exactly 0 and restarts
+    from the unit vector farthest from the span built so far.  Stored
+    exactly: zeros above the band, the real nonnegative band of the |w|,
+    and ``H[0, 0] == M[0, 0]``.  An input exactly in lower form is
+    returned as a copy, with V = I and no Arnoldi step.
     """
     M = np.asarray(M, dtype=complex)
     H, V = _reduce_lower(M)
@@ -189,39 +202,55 @@ def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if _in_lower_form(M):
         return M.copy(), np.eye(M.shape[0] - 1, dtype=complex)
-    return _reflect_lower(M)
+    return _arnoldi_lower(M)
 
 
-def _reflect_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reflector loop of the lower reduction, one row tail at a time."""
+def _orthogonalize(
+    w: np.ndarray, basis: np.ndarray, basis_bar: np.ndarray
+) -> np.ndarray:
+    """w less its projection on the span of the rows of basis, updated in place.
+
+    Two classical Gram-Schmidt passes.  basis_bar is conj(basis), kept by
+    the caller so that no pass conjugates the basis again.
+    """
+    for _ in range(2):
+        w -= (basis_bar @ w) @ basis
+    return w
+
+
+def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Arnoldi loop of the lower reduction, one gauge column at a time."""
     size = M.shape[0]
     n = size - 1
-    scale = max(float(np.abs(M).max()), 1e-300)
-    H = M.copy()
-    V = np.eye(n, dtype=complex)
-    for row in range(n):
-        tail = H[row, row + 1 :]
-        norm = np.linalg.norm(tail)
-        if norm <= tol.STRUCT * scale:
-            continue
-        lam, v = _reflector(tail, norm)
-        gauge = V[:, row:]
-        if v is not None:
-            cols, rows = H[:, row + 1 :], H[row + 1 :, :]
-            two_v, v_bar = 2.0 * v, v.conj()
-            cols -= np.outer(cols @ v_bar, two_v)
-            rows -= np.outer(v_bar, two_v @ rows)
-            gauge -= np.outer(gauge @ v_bar, two_v)
-        # lam and conj(lam) cancel on the trailing block H[row+1:, row+1:]
-        H[: row + 1, row + 1 :] *= lam
-        H[row + 1 :, : row + 1] *= np.conj(lam)
-        gauge *= lam
-        # the reflector maps the tail (a view of H) onto [norm, 0, ..., 0]:
-        # store that, not its roundoff.  Later reflectors update this row
-        # from its own entries only, so the rest of H is bitwise the same
-        tail.fill(0.0)
-        tail[0] = norm
-    return H, V
+    cut = tol.STRUCT * max(float(np.abs(M).max()), 1e-300)
+    # D* with contiguous rows: each product is one dot product per row
+    D_adj = np.ascontiguousarray(M[1:, 1:].conj().T)
+    # row k is q_k, the gauge's column k; basis_bar holds the conjugates
+    basis = np.zeros((n, n), dtype=complex)
+    basis_bar = np.zeros((n, n), dtype=complex)
+    band = np.zeros(n)
+    w = M[0, 1:].conj()
+    for k in range(n):
+        if k:
+            w = _orthogonalize(D_adj @ basis[k - 1], basis[:k], basis_bar[:k])
+        norm = math.sqrt(np.vdot(w, w).real)
+        if norm > cut:
+            band[k] = norm
+        else:
+            # breakdown: restart from the unit vector least in the span
+            weight = (np.abs(basis[:k]) ** 2).sum(axis=0)
+            w = np.zeros(n, dtype=complex)
+            w[int(np.argmin(weight))] = 1.0
+            w = _orthogonalize(w, basis[:k], basis_bar[:k])
+            norm = math.sqrt(np.vdot(w, w).real)
+        basis[k] = w / norm
+        basis_bar[k] = basis[k].conj()
+    G = np.eye(size, dtype=complex)
+    G[1:, 1:] = basis.T
+    H = np.tril(G.conj().T @ M @ G, 1)
+    H[0, 0] = M[0, 0]
+    H[np.arange(n), np.arange(1, size)] = band
+    return H, basis.T.copy()
 
 
 def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:

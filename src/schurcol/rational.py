@@ -234,11 +234,30 @@ def _couple_section(s: complex, num: np.ndarray, den: np.ndarray):
 
 
 def inverse_schur_transform(s0: complex, omega: RationalInner) -> RationalInner:
-    """Rebuild ``s(z) = (s0 + z omega(z)) / (1 + z conj(s0) omega(z))``."""
+    """Rebuild ``s(z) = (s0 + z omega(z)) / (1 + z conj(s0) omega(z))``.
+
+    The result has degree exactly one more than omega, with den(0) that of
+    omega.  DegreeDropFailure when RationalInner's relative trim would
+    take either from the coupled coefficients: their largest has grown
+    past den(0) / TRIM (about 7e16 for 64 zeros clustered at 0.9), so
+    double precision no longer holds the function at that degree.
+    """
     s0 = complex(s0)
     if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
-    return RationalInner(*_couple_section(s0, omega.num, omega.den))
+    num, den = _couple_section(s0, omega.num, omega.den)
+    cut = tol.TRIM * np.abs(np.concatenate((num, den))).max()
+    if abs(den[0]) <= cut:
+        raise DegreeDropFailure(
+            f"den(0) = {abs(den[0]):.3e} is within the trim cut {cut:.3e} "
+            f"of the degree-{omega.degree + 1} coefficients"
+        )
+    s = RationalInner(num, den)
+    if s.degree != omega.degree + 1:
+        raise DegreeDropFailure(
+            f"expected degree {omega.degree + 1}, trimming produced {s.degree}"
+        )
+    return s
 
 
 def schur_parameters(s: RationalInner) -> SchurParameterSequence:

@@ -182,11 +182,13 @@ class SchurStateTrace:
             N_p = s_p det(I - z D_{p+1}) + z N_{p+1},
 
         from N_n = s_n and det = 1 at p = n (``rational._couple_section``).
-        The parameters are all n + 1 peeled off H, so partial traces have
-        the full chain as well: the identity holds past the stop, where
-        |s_p| is about 1.  Computed on first access, O(n^2), and then kept.
+        A complete trace's parameters are the n + 1 peeled off H, so they
+        are coupled as they are.  A partial trace peels all n + 1 off H
+        again and has the full chain as well: the identity holds past the
+        stop, where |s_p| is about 1.  Computed on first access, O(n^2),
+        and then kept.
         """
-        s = _peel(self.H)
+        s = self.parameters if self.complete else _peel(self.H)
         num, den = np.array([s[-1]]), np.ones(1, dtype=complex)
         chain = [den]
         for s_p in reversed(s[:-1]):

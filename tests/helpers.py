@@ -171,15 +171,15 @@ def reference_resolvent(D, points, rhs):
 
 
 def count_full_reductions(monkeypatch):
-    """A list that gains the degree of every reduction entering the reflector loop."""
+    """A list that gains the degree of every reduction entering the Arnoldi loop."""
     entered = []
-    loop = sc.hessenberg._reflect_lower
+    loop = sc.hessenberg._arnoldi_lower
 
     def recording(M):
         entered.append(M.shape[0] - 1)
         return loop(M)
 
-    monkeypatch.setattr(sc.hessenberg, "_reflect_lower", recording)
+    monkeypatch.setattr(sc.hessenberg, "_arnoldi_lower", recording)
     return entered
 
 

@@ -484,6 +484,30 @@ class TestParams:
         t = half_step_samples(4096)
         assert np.abs(mobius_fold(params, t) - blaschke_values(zeros, t)).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "count,radius,code", [(12, 0.97, 0), (32, 0.9, 0), (48, 0.9, 3), (64, 0.9, 3)]
+    )
+    def test_clustered_parameters_to_function(
+        self, count, radius, code, tmp_path, capsys
+    ):
+        # the coefficients of 48 or 64 zeros at 0.9 outgrow den(0) / TRIM:
+        # the fold fails typed instead of reading den(0) as zero (exit 2)
+        zeros = tmp_path / "zeros.json"
+        b = sc.BlaschkeProduct(1.0, cluster(count, radius))
+        zeros.write_text(js.dumps_canonical(js.blaschke_to_json(b)), encoding="utf-8")
+        params = tmp_path / "params.json"
+        assert cli.main(["params", "--input", str(zeros), "--output", str(params)]) == 0
+        capsys.readouterr()
+        function = tmp_path / "function.json"
+        args = ["params", "--input", str(params), "--output", str(function)]
+        assert cli.main(args) == code
+        if code:
+            assert "is within the trim cut" in capsys.readouterr().err
+            assert not function.exists()
+        else:
+            doc = json.loads(function.read_text(encoding="utf-8"))
+            assert len(doc["num"]) == len(doc["den"]) == count + 1
+
     def test_partial_trace_on_the_cascade_exits_3(self, tmp_path, monkeypatch, capsys):
         # the cascade is minimal, so an early stop is the recursion's failure
         original = sc.schur_state.schur_algorithm_state_space

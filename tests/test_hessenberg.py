@@ -1,10 +1,13 @@
 """Row matching, Hessenberg reduction and the minimality criterion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol.hessenberg import is_minimal_form
 from helpers import (
     count_full_reductions,
     hankel_rank,
@@ -174,13 +177,13 @@ class TestInPlaceReduction:
         assert cert.band[n] == 0.0
         assert cert.band[:n].min() > 0.1
         assert np.array_equal(cert.H[:, n + 1], block[:, n + 1])
-        # the reflectors of the rows above only multiply it by their phases
+        # the Arnoldi basis breaks down after n steps and restarts from e_n
         assert not cert.V[:n, n].any() and not cert.V[n, :n].any()
 
     @pytest.mark.parametrize("eps", [1e-15, 1e-11, 1e-7, 1e-3])
     def test_nearly_reduced_input(self, eps):
         # a gauge within eps of I leaves every row tail within about eps of
-        # a multiple of e_0; formed as a difference, the reflector's head
+        # a multiple of e_0; formed as a difference, a reflector's head
         # would lose eps_machine / eps and leave entries above the band
         rng = np.random.default_rng(240)
         n = 32
@@ -209,8 +212,104 @@ class TestInPlaceReduction:
         assert sc.unitarity_residual(cert.V) <= 1e-11
 
 
+def assert_stored_exactly(cert, M):
+    """Exact zeros above the band, a real nonnegative band and H[0, 0] = M[0, 0]."""
+    assert not np.triu(cert.H, 2).any()
+    band = np.diagonal(cert.H, 1)
+    assert not band.imag.any() and (band.real >= 0.0).all()
+    assert cert.H[0, 0] == M[0, 0]
+
+
+class TestBreakdownRule:
+    """A band entry within STRUCT of zero is stored as 0, and the basis restarts."""
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_near_unimodular_parameter(self, n, where):
+        # s_p = (1 - delta) i^p makes d_p = sqrt(2 delta), down to an exact
+        # 0: minimal for every delta > 0 here (d_p >= 1.4e-8 against a band
+        # cut of at most 6.5e-9), not minimal at delta = 0.  The gauge
+        # leaves the reduced d_p its forward error (it reads 1.1e-8 at
+        # delta = 1e-16 and up to 7.7e-10 at delta = 0), so it is read by
+        # the verdict, not compared with d_p or 0
+        p = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        rng = np.random.default_rng(270 + n + p)
+        s = np.array(random_params(rng, n, rmax=0.9).params)
+        for delta in [10.0**-k for k in range(2, 17, 2)] + [0.0]:
+            s[p] = (1.0 - delta) * 1j**p
+            closed = sc.closed_form_matrix(SimpleNamespace(params=s))
+            m = gauge(closed, random_unitary(rng, n))
+            cert = sc.reduce_to_special_lower_hessenberg(m)
+            assert_stored_exactly(cert, m)
+            assert is_minimal_form(cert.H) == (delta > 0.0)
+            assert np.argmin(cert.band) == p
+
+    def test_two_decoupled_states(self):
+        # a gauged parameter colligation with two uncoupled unimodular
+        # states: the Krylov space breaks down after n steps, the restart
+        # is the first uncoupled state, which breaks down at once
+        rng = np.random.default_rng(280)
+        n = 6
+        block = np.zeros((n + 3, n + 3), dtype=complex)
+        block[: n + 1, : n + 1] = gauged_parameter_matrix(rng, n)
+        block[n + 1, n + 1] = np.exp(0.4j)
+        block[n + 2, n + 2] = np.exp(-1.1j)
+        cert = sc.reduce_to_special_lower_hessenberg(block)
+        assert_stored_exactly(cert, block)
+        assert cert.band[n] == cert.band[n + 1] == 0.0
+        assert cert.band[:n].min() > 0.1
+        assert not is_minimal_form(cert.H)
+        assert np.array_equal(cert.V[:, n:], np.eye(n + 2)[:, n:])
+
+    @pytest.mark.parametrize("size", [1e-13, 0.0])
+    def test_channel_row_within_struct_of_zero(self, size):
+        # B within STRUCT of zero: band entry 0 at once and the basis
+        # restarts from the first state
+        rng = np.random.default_rng(281)
+        n = 6
+        m = np.zeros((n + 1, n + 1), dtype=complex)
+        m[0, 0] = np.exp(0.3j)
+        m[1:, 1:] = random_unitary(rng, n)
+        m[0, 1:] = size * rng.standard_normal(n)
+        cert = sc.reduce_to_special_lower_hessenberg(m)
+        assert_stored_exactly(cert, m)
+        assert cert.band[0] == 0.0
+        assert cert.band[1:].min() > 1e-6
+        assert not is_minimal_form(cert.H)
+        assert np.array_equal(cert.V[:, 0], np.eye(n)[:, 0])
+
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    def test_zero_matrix(self, size, monkeypatch):
+        # the exact-form shortcut returns it; the Arnoldi loop, forced,
+        # restarts at every step from the next unit vector
+        zero = np.zeros((size, size), dtype=complex)
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(sc.hessenberg, "_in_lower_form", lambda M: False)
+            cert = sc.reduce_to_special_lower_hessenberg(zero)
+            assert not cert.H.any()
+            assert np.array_equal(cert.V, np.eye(size - 1))
+
+    def test_column_scaled_general_matrices(self):
+        # columns scaled by 1e-8 to 1e8 leave band entries on both sides of
+        # the cuts; the verdict is that of the dense reflector reference
+        zeros = 0
+        for seed in range(60):
+            rng = np.random.default_rng(290 + seed)
+            size = int(rng.integers(3, 13))
+            re, im = rng.standard_normal((2, size, size))
+            m = re + 1j * im
+            m *= 10.0 ** rng.uniform(-8.0, 8.0, size)
+            cert = sc.reduce_to_special_lower_hessenberg(m)
+            assert_stored_exactly(cert, m)
+            H, _ = reference_reduction(m)
+            assert is_minimal_form(cert.H) == is_minimal_form(H)
+            zeros += np.count_nonzero(cert.band == 0.0)
+        assert zeros > 0
+
+
 class TestExactLowerForm:
-    """An input exactly in lower form is its own form, without the reflector loop."""
+    """An input exactly in lower form is its own form, without the Arnoldi loop."""
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_closed_form_is_returned_bitwise(self, n, monkeypatch):
@@ -226,8 +325,8 @@ class TestExactLowerForm:
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_full_reduction_changes_only_roundoff(self, n, monkeypatch):
-        # the loop the shortcut skips: phase-only steps that recompute the
-        # band as row norms
+        # the loop the shortcut skips: its basis is the unit vectors, and
+        # the band is recomputed as norms
         monkeypatch.setattr(sc.hessenberg, "_in_lower_form", lambda M: False)
         closed = sc.closed_form_matrix(random_params(np.random.default_rng(250 + n), n))
         cert = sc.reduce_to_special_lower_hessenberg(closed)

@@ -197,6 +197,13 @@ class TestInverseSchurTransform:
         with pytest.raises(sc.DiscViolation):
             sc.inverse_schur_transform(1.0, sc.RationalInner([1.0], [1.0]))
 
+    def test_lost_degree_is_a_degree_drop(self):
+        # omega's numerator has no top coefficient, so neither has the
+        # coupling, which the trim would cut to degree 1
+        omega = sc.RationalInner([1.0, 0.0], [1.0, 0.5])
+        with pytest.raises(sc.DegreeDropFailure, match="expected degree 2"):
+            sc.inverse_schur_transform(0.5, omega)
+
 
 class TestParameterExtraction:
     @pytest.mark.parametrize(

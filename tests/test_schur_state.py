@@ -1,5 +1,7 @@
 """The recursion on colligation matrices, cross-checked against coefficients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -382,6 +384,33 @@ class TestDenominatorChain:
         assert len(calls) == 4
         assert trace.denominators is first
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("n", [1, 16, 33])
+    def test_complete_trace_couples_its_own_parameters(self, n, monkeypatch):
+        # a complete trace's parameters are the peel of H bit for bit, so
+        # the chain peels nothing again; the partial path peels H and must
+        # give the same bytes
+        rng = np.random.default_rng(59 + n)
+        col = sc.apply_state_gauge(
+            random_colligation(rng, n), random_unitary(rng, n)
+        )
+        trace = sc.schur_algorithm_state_space(col)
+        assert trace.complete
+        peeled = []
+        original = sc.colligation._peel_steps
+
+        def counted(H):
+            peeled.append(len(H) - 1)
+            return original(H)
+
+        monkeypatch.setattr(sc.colligation, "_peel_steps", counted)
+        chain = trace.denominators
+        assert peeled == []
+        repeeled = dataclasses.replace(trace, complete=False).denominators
+        assert peeled == [n]
+        assert len(chain) == len(repeeled) == n + 1
+        for mine, theirs in zip(chain, repeeled):
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_delay(self):
         trace = sc.schur_algorithm_state_space(sc.UnitaryColligation(DELAY))
