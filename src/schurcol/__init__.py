@@ -44,10 +44,8 @@ from .hessenberg import (
     band_residual,
     find_equivalence,
     is_hl_nonsingular,
-    is_hu_nonsingular,
     is_minimal,
     is_special_lower_hessenberg,
-    is_special_upper_hessenberg,
     match_rows,
     normalize_first_row,
     reduce_to_special_lower_hessenberg,

@@ -35,6 +35,7 @@ from .errors import (
     FeedbackSingular,
     InternalInconsistency,
     NearPole,
+    NotUnitary,
     SchurColError,
     Terminal,
 )
@@ -147,7 +148,7 @@ def _cmd_realize(cmd: _Command) -> dict:
                 )
     else:
         raise ValueError("input must carry either 'params' or 'zeros'")
-    cmd.diag("unitarity", co.unitarity_residual(col.matrix), tol.UNITARY)
+    cmd.diag("unitarity", col.unitarity, tol.UNITARY)
     _band_diagnostic(cmd, col)
     return js.colligation_to_json(col)
 
@@ -187,12 +188,8 @@ def _cmd_hessenberg(cmd: _Command) -> dict:
     scale = max(float(np.abs(matrix).max()), 1e-300)
     cmd.diag("structural_zeros", float(off_band), tol.STRUCT * scale)
     if len(cert.V):
-        cmd.diag("gauge_unitarity", co.unitarity_residual(cert.V), tol.UNITARY)
-    size = matrix.shape[0]
-    G = np.eye(size, dtype=complex)
-    G[1:, 1:] = cert.V
-    recon = float(np.abs(G.conj().T @ matrix @ G - cert.H).max())
-    cmd.diag("reconstruction", recon, 1e-11 * scale)
+        cmd.diag("gauge_unitarity", cert.gauge_unitarity, tol.UNITARY)
+    cmd.diag("reconstruction", cert.reconstruction, 1e-11 * scale)
     return js.certificate_to_json(cert)
 
 
@@ -206,7 +203,7 @@ def _cmd_couple(cmd: _Command) -> dict:
         pc = js.partitioned_from_json(first)
     col2 = js.colligation_from_json(doc["second"])
     coupled = rd.redheffer_product(pc, col2)
-    cmd.diag("unitarity", co.unitarity_residual(coupled.matrix), tol.UNITARY)
+    cmd.diag("unitarity", coupled.unitarity, tol.UNITARY)
     points = disc_samples(cmd.args.samples, radius=0.9)
     omegas = co.characteristic_function(col2, points)
     values = co.characteristic_function(coupled, points)
@@ -247,15 +244,18 @@ def _cmd_eval(cmd: _Command) -> dict:
 def _cmd_verify(cmd: _Command) -> dict:
     doc = _read_input(cmd.args)
     matrix = js.matrix_from_json(doc["matrix"])
-    residual = co.unitarity_residual(matrix)
+    try:
+        col = co.UnitaryColligation(matrix)
+        residual = col.unitarity
+    except NotUnitary as exc:
+        col, residual = None, exc.residual
     cmd.diag("unitarity", residual, tol.UNITARY)
     summary: dict = {
         "n": matrix.shape[0] - 1,
         "unitarity_residual": _json_residual(residual),
     }
-    if not residual <= tol.UNITARY:
+    if col is None:
         return summary
-    col = co.UnitaryColligation(matrix)
     _band_diagnostic(cmd, col)
     disc_excess, circle_dev = co.inner_sampling_report(
         col, disc_count=cmd.args.samples, circle_count=cmd.args.samples

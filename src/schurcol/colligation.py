@@ -37,7 +37,7 @@ Markov parameters; D^BLOCK is formed once per colligation and kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,24 +73,26 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(max(left, right))
 
 
-def require_unitary(matrix: np.ndarray, what: str) -> None:
-    """NotUnitary unless the unitarity residual is at most UNITARY (NaN fails)."""
+def require_unitary(matrix: np.ndarray, what: str) -> float:
+    """The unitarity residual; NotUnitary unless it is at most UNITARY (NaN fails)."""
     residual = unitarity_residual(matrix)
     if not residual <= tol.UNITARY:
-        raise NotUnitary(f"{what} is not unitary: residual {residual:.3e}")
+        raise NotUnitary(f"{what} is not unitary: residual {residual:.3e}", residual)
+    return residual
 
 
 @dataclass(frozen=True)
 class UnitaryColligation:
-    """A verified-unitary matrix with the canonical 1/n block split."""
+    """A verified-unitary matrix, its unitarity residual and the 1/n block split."""
 
     matrix: np.ndarray
+    unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        require_unitary(m, "colligation matrix")
+        object.__setattr__(self, "unitarity", require_unitary(m, "colligation matrix"))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -26,7 +26,11 @@ class DegreeDropFailure(SchurColError):
 
 
 class NotUnitary(SchurColError):
-    """Matrix fails the unitarity residual bound."""
+    """Matrix fails the unitarity residual bound; ``residual`` is the one found."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NotSimple(SchurColError):

@@ -14,9 +14,11 @@ against q_0 .. q_{k-1} ("twice is enough": Daniel, Gragg, Kaufman &
 Stewart 1976; Giraud, Langou & Rozloznik 2005), stores |w| as the band
 entry H[k, k+1] and sets q_k = w / |w|; q_0's band entry H[0, 1] is
 |B|.  The cost is O(n^3) in matrix-vector products, and H is formed
-once as G* M G.  The upper form is obtained from the reduction of the
-adjoint, which is equivalent because the conjugate of a nonnegative
-real is itself.
+once as G* M G.  The certificate's two residuals, max|G* M G - H| and
+the unitarity residual of V, are taken once from that product and V
+and kept on it; the check reads them.  The upper form is obtained from
+the reduction of the adjoint, which is equivalent because the
+conjugate of a nonnegative real is itself.
 
 A breakdown, |w| <= STRUCT max|M| (the Krylov space is numerically
 invariant, or B numerically zero), stores a band entry of exactly 0 and restarts
@@ -34,9 +36,11 @@ a copy of it with V = I, without the Arnoldi loop, which would change
 it only in the roundoff of the band norms and of V.  The test is
 exact, not STRUCT, so a matrix that is lower only to a tolerance takes
 the full reduction.  Closed forms of parameter sequences pass it, and
-so do their JSON round trips.  The certificate check runs either way.
-The test, ``colligation._in_lower_form``, is also the first condition
-for folding S from the peeled Schur sections.
+so do their JSON round trips.  Such an input certifies itself in
+O(n^2): with V = I both residuals are exactly 0, and no product is
+formed.  The test, ``colligation._in_lower_form``, is also the first
+condition for folding S from the peeled Schur sections.  A non-finite
+entry is rejected before either path.
 
 The lower form is the canonical form of a unitary colligation, and one
 reduction answers both questions asked of it.  Minimality: the
@@ -51,7 +55,7 @@ reduce to the same H, and V1 V2* intertwines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -80,9 +84,7 @@ __all__ = [
     "reduce_to_special_lower_hessenberg",
     "reduce_to_special_upper_hessenberg",
     "is_special_lower_hessenberg",
-    "is_special_upper_hessenberg",
     "is_hl_nonsingular",
-    "is_hu_nonsingular",
     "band_residual",
     "is_minimal_form",
     "is_minimal",
@@ -92,12 +94,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HessenbergCertificate:
-    """Reduced matrix, the gauge that produced it, and the band entries."""
+    """Reduced matrix, the gauge that produced it, the band and the residuals.
+
+    reconstruction is max|G* M G - H| for G = diag(1, V), taken on M*
+    for the upper form, and gauge_unitarity the unitarity residual of V.
+    """
 
     H: np.ndarray
     V: np.ndarray
     orientation: Literal["lower", "upper"]
     band: np.ndarray
+    reconstruction: float
+    gauge_unitarity: float
 
 
 def _reflector(b: np.ndarray, norm: float) -> tuple[complex, np.ndarray | None]:
@@ -171,16 +179,15 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     The gauge columns are the Arnoldi basis of D* from q_0 = B* / |B|,
     each step orthogonalized by two classical Gram-Schmidt passes, and
     H = G* M G with G = diag(1, V): O(n^3) in matrix-vector products
-    and two matrix products.  Always succeeds: a breakdown,
+    and one matrix product.  Succeeds on every finite input: a breakdown,
     |w| <= STRUCT max|M|, stores a band entry of exactly 0 and restarts
     from the unit vector farthest from the span built so far.  Stored
     exactly: zeros above the band, the real nonnegative band of the |w|,
     and ``H[0, 0] == M[0, 0]``.  An input exactly in lower form is
-    returned as a copy, with V = I and no Arnoldi step.
+    returned as a copy, with V = I, no Arnoldi step and zero residuals.
     """
     M = np.asarray(M, dtype=complex)
-    H, V = _reduce_lower(M)
-    cert = HessenbergCertificate(H, V, "lower", np.real(np.diagonal(H, 1)).copy())
+    cert = _reduce_lower(M)
     _check_certificate(cert, M)
     return cert
 
@@ -188,21 +195,27 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
 def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     """Adjoint trick: reduce M* to lower form with gauge V, then H = (H_lower)*."""
     M = np.asarray(M, dtype=complex)
-    H_lower, V = _reduce_lower(M.conj().T)
-    H = H_lower.conj().T
-    cert = HessenbergCertificate(H, V, "upper", np.real(np.diagonal(H, -1)).copy())
+    lower = _reduce_lower(M.conj().T)
+    cert = replace(lower, H=lower.H.conj().T, orientation="upper")
     _check_certificate(cert, M)
     return cert
 
 
-def _reduce_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H, V) of the lower reduction, unchecked; the public reductions check it.
+def _reduce_lower(M: np.ndarray) -> HessenbergCertificate:
+    """The lower reduction with its residuals, unchecked; the callers check it.
 
-    An input exactly in lower form is returned as a copy with V = I.
+    InternalInconsistency on a non-finite entry.  An input exactly in
+    lower form is returned as a copy with V = I and residuals of 0.
     """
+    if not np.isfinite(M).all():
+        raise InternalInconsistency("cannot reduce a matrix with non-finite entries")
     if _in_lower_form(M):
-        return M.copy(), np.eye(M.shape[0] - 1, dtype=complex)
-    return _arnoldi_lower(M)
+        H, V = M.copy(), np.eye(M.shape[0] - 1, dtype=complex)
+        recon = gauge_res = 0.0
+    else:
+        H, V, recon, gauge_res = _arnoldi_lower(M)
+    band = np.real(np.diagonal(H, 1)).copy()
+    return HessenbergCertificate(H, V, "lower", band, recon, gauge_res)
 
 
 def _orthogonalize(
@@ -218,8 +231,8 @@ def _orthogonalize(
     return w
 
 
-def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Arnoldi loop of the lower reduction, one gauge column at a time."""
+def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The Arnoldi loop of the lower reduction: H, V and the two residuals."""
     size = M.shape[0]
     n = size - 1
     cut = tol.STRUCT * max(float(np.abs(M).max()), 1e-300)
@@ -247,28 +260,27 @@ def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         basis_bar[k] = basis[k].conj()
     G = np.eye(size, dtype=complex)
     G[1:, 1:] = basis.T
-    H = np.tril(G.conj().T @ M @ G, 1)
+    product = G.conj().T @ M @ G
+    H = np.tril(product, 1)
     H[0, 0] = M[0, 0]
     H[np.arange(n), np.arange(1, size)] = band
-    return H, basis.T.copy()
+    V = basis.T.copy()
+    recon = float(np.abs(product - H).max())
+    return H, V, recon, unitarity_residual(V) if n else 0.0
 
 
 def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:
+    """InternalInconsistency unless cert has its form and its residuals are small."""
     scale = max(float(np.abs(M).max()), 1e-300)
     lower = cert.H if cert.orientation == "lower" else cert.H.conj().T
     if not is_special_lower_hessenberg(lower):
         raise InternalInconsistency(
             f"reduction failed to produce the {cert.orientation} form"
         )
-    gauge_res = unitarity_residual(cert.V) if len(cert.V) else 0.0
-    size = M.shape[0]
-    G = np.eye(size, dtype=complex)
-    G[1:, 1:] = cert.V
-    recon = np.abs(G.conj().T @ M @ G - cert.H).max() if size else 0.0
-    if not (gauge_res <= 1e-11 and recon <= 1e-11 * scale):
+    if not (cert.gauge_unitarity <= 1e-11 and cert.reconstruction <= 1e-11 * scale):
         raise InternalInconsistency(
-            f"gauge residuals too large: unitarity {gauge_res:.3e}, "
-            f"reconstruction {recon:.3e}"
+            f"gauge residuals too large: unitarity {cert.gauge_unitarity:.3e}, "
+            f"reconstruction {cert.reconstruction:.3e}"
         )
 
 
@@ -283,19 +295,11 @@ def is_special_lower_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) ->
     return bool(band.real.min(initial=0.0) >= -cut)
 
 
-def is_special_upper_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
-    return is_special_lower_hessenberg(np.asarray(M, dtype=complex).conj().T, tolerance)
-
-
 def is_hl_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
     M = np.asarray(M, dtype=complex)
     scale = max(float(np.abs(M).max()), 1e-300)
     band = np.abs(np.diagonal(M, 1))
     return bool(band.min(initial=np.inf) > tolerance * scale) if len(band) else True
-
-
-def is_hu_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
-    return is_hl_nonsingular(np.asarray(M, dtype=complex).conj().T, tolerance)
 
 
 def is_minimal(col: UnitaryColligation) -> bool:

@@ -160,7 +160,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
     )
     residual = unitarity_residual(m)
     if not residual <= 1e-14:
-        raise NotUnitary(f"section unitarity residual {residual:.3e}")
+        raise NotUnitary(f"section unitarity residual {residual:.3e}", residual)
     return SchurSection(s0, m)
 
 

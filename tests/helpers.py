@@ -183,6 +183,23 @@ def count_full_reductions(monkeypatch):
     return entered
 
 
+def count_unitarity_residuals(monkeypatch):
+    """A list that gains the size of every matrix whose unitarity residual is taken.
+
+    Wraps ``colligation.unitarity_residual`` under each module's name for it.
+    """
+    taken = []
+    residual = sc.colligation.unitarity_residual
+
+    def recording(matrix):
+        taken.append(len(matrix))
+        return residual(matrix)
+
+    for module in (sc.colligation, sc.hessenberg, sc.redheffer):
+        monkeypatch.setattr(module, "unitarity_residual", recording)
+    return taken
+
+
 def count_resolvent_solves(monkeypatch):
     """A list that gains the number of points of every characteristic-function solve.
 

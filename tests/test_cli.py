@@ -14,6 +14,7 @@ from helpers import (
     blaschke_values,
     cluster,
     count_full_reductions,
+    count_unitarity_residuals,
     half_step_samples,
     mobius_fold,
     random_params,
@@ -424,6 +425,75 @@ class TestCoupleEvalVerify:
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
         assert json.loads(out.stdout)["unitarity_residual"] is None
+
+
+class TestResidualsTakenOnce:
+    """Each command reads the unitarity residual its colligation or reduction kept."""
+
+    def realized(self, tmp_path, n):
+        params = tmp_path / "params.json"
+        params.write_text(
+            js.dumps_canonical(
+                js.params_to_json(random_params(np.random.default_rng(73), n, rmax=0.9))
+            )
+        )
+        realized = tmp_path / "col.json"
+        assert cli.main(["realize", "--input", str(params), "--output", str(realized)]) == 0
+        return params, realized
+
+    def test_realize_and_verify(self, tmp_path, monkeypatch, capsys):
+        params, realized = self.realized(tmp_path, 16)
+        taken = count_unitarity_residuals(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(["realize", "--input", str(params), "--output", str(realized)]) == 0
+        assert taken == [17]
+        col = js.colligation_from_json(json.loads(realized.read_text()))
+        unitarity = diagnostics(capsys.readouterr().err)["unitarity"]["residual"]
+        assert unitarity == col.unitarity
+        taken.clear()
+        summary = tmp_path / "summary.json"
+        assert cli.main(["verify", "--input", str(realized), "--output", str(summary)]) == 0
+        # the closed form is its own lower form: the band check takes no gauge
+        assert taken == [17]
+        assert json.loads(summary.read_text())["unitarity_residual"] == col.unitarity
+
+    def test_hessenberg_takes_the_gauge_once(self, tmp_path, monkeypatch, capsys):
+        _, realized = self.realized(tmp_path, 16)
+        col = js.colligation_from_json(json.loads(realized.read_text()))
+        gauged = tmp_path / "gauged.json"
+        gauged.write_text(
+            js.dumps_canonical(js.colligation_to_json(
+                sc.apply_state_gauge(col, random_unitary(np.random.default_rng(74), 16))
+            ))
+        )
+        taken = count_unitarity_residuals(monkeypatch)
+        capsys.readouterr()
+        for orientation in ("lower", "upper"):
+            argv = ["hessenberg", "--orientation", orientation, "--input", str(gauged)]
+            assert cli.main([*argv, "--output", str(tmp_path / "cert.json")]) == 0
+            assert taken == [16]
+            checks = diagnostics(capsys.readouterr().err)
+            assert set(checks) == {"structural_zeros", "gauge_unitarity", "reconstruction"}
+            taken.clear()
+        # the exact-form shortcut certifies itself without a residual
+        assert cli.main(["hessenberg", "--input", str(realized)]) == 0
+        assert taken == []
+        checks = diagnostics(capsys.readouterr().err)
+        assert checks["gauge_unitarity"]["residual"] == 0.0
+        assert checks["reconstruction"]["residual"] == 0.0
+
+    def test_couple_takes_the_coupled_residual_once(self, tmp_path, monkeypatch):
+        _, realized = self.realized(tmp_path, 8)
+        doc = tmp_path / "couple.json"
+        doc.write_text(
+            js.dumps_canonical(
+                {"first": {"s0": [0.3, 0.1]}, "second": json.loads(realized.read_text())}
+            )
+        )
+        taken = count_unitarity_residuals(monkeypatch)
+        assert cli.main(["couple", "--input", str(doc), "--output", str(tmp_path / "o")]) == 0
+        # the section, its partitioned gate, the second colligation, the coupling
+        assert taken == [3, 3, 9, 10]
 
 
 class TestNoTraceback:

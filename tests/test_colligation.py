@@ -63,6 +63,16 @@ class TestConstruction:
         with pytest.raises(sc.NotUnitary, match="^inner gauge is not unitary"):
             co.require_unitary(2.0 * DELAY, "inner gauge")
 
+    def test_residual_is_kept(self):
+        # the residual the gate took, on the colligation or on its failure
+        col = random_colligation(np.random.default_rng(31), 9)
+        assert col.unitarity == co.unitarity_residual(col.matrix)
+        assert co.require_unitary(col.matrix, "colligation") == col.unitarity
+        noisy = col.matrix + 1e-6
+        with pytest.raises(sc.NotUnitary) as failure:
+            sc.UnitaryColligation(noisy)
+        assert failure.value.residual == co.unitarity_residual(noisy)
+
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
         assert col.n == 1

@@ -202,7 +202,7 @@ class TestInPlaceReduction:
         assert np.abs(cert.H - closed).max() <= 1e-14
         assert np.abs(cert.V - np.eye(n)).max() <= 1e-14
 
-    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("n", [1, 8, 64, 128, 256])
     def test_certificate_holds_at_scale(self, n):
         # the reduction raises InternalInconsistency unless the gauge is
         # unitary and reconstructs H to 1e-11, so returning is the check
@@ -210,6 +210,50 @@ class TestInPlaceReduction:
         cert = sc.reduce_to_special_lower_hessenberg(m)
         assert sc.is_special_lower_hessenberg(cert.H)
         assert sc.unitarity_residual(cert.V) <= 1e-11
+        # the residuals it checked are those the product G* M G gives: the
+        # same bits for the lower form; the upper form's product was taken
+        # on M*, which rounds differently.  The closed form and its adjoint
+        # take the exact-form shortcut, whose residuals are exactly 0
+        assert stored_residuals(cert) == recomputed_residuals(cert, m)
+        upper = sc.reduce_to_special_upper_hessenberg(m)
+        assert_allclose(
+            stored_residuals(upper), recomputed_residuals(upper, m), rtol=0, atol=1e-15
+        )
+        closed = sc.closed_form_matrix(random_params(np.random.default_rng(230 + n), n))
+        for exact, M in [
+            (sc.reduce_to_special_lower_hessenberg(closed), closed),
+            (sc.reduce_to_special_upper_hessenberg(closed.conj().T), closed.conj().T),
+        ]:
+            assert stored_residuals(exact) == recomputed_residuals(exact, M) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("path", ["exact_form", "arnoldi"])
+    def test_non_finite_entry_is_rejected(self, path, bad):
+        # on the diagonal of a closed form the matrix stays exactly in
+        # lower form; above the band of a gauged one it takes the loop
+        rng = np.random.default_rng(235)
+        if path == "exact_form":
+            m = sc.closed_form_matrix(random_params(rng, 6))
+            m[3, 3] = bad
+        else:
+            m = gauged_parameter_matrix(rng, 6)
+            m[1, 4] = bad
+        with pytest.raises(sc.InternalInconsistency, match="non-finite"):
+            sc.reduce_to_special_lower_hessenberg(m)
+        with pytest.raises(sc.InternalInconsistency, match="non-finite"):
+            sc.reduce_to_special_upper_hessenberg(m.conj().T)
+
+
+def stored_residuals(cert):
+    return cert.reconstruction, cert.gauge_unitarity
+
+
+def recomputed_residuals(cert, M):
+    """max|G* M G - H| with G = diag(1, V), and the unitarity residual of V."""
+    g = np.eye(len(M), dtype=complex)
+    g[1:, 1:] = cert.V
+    reconstruction = float(np.abs(g.conj().T @ M @ g - cert.H).max())
+    return reconstruction, sc.unitarity_residual(cert.V) if len(cert.V) else 0.0
 
 
 def assert_stored_exactly(cert, M):
