@@ -43,7 +43,6 @@ from .hessenberg import (
     HessenbergCertificate,
     band_residual,
     find_equivalence,
-    is_hl_nonsingular,
     is_minimal,
     is_special_lower_hessenberg,
     match_rows,

@@ -242,8 +242,7 @@ def _cmd_eval(cmd: _Command) -> dict:
 
 
 def _cmd_verify(cmd: _Command) -> dict:
-    doc = _read_input(cmd.args)
-    matrix = js.matrix_from_json(doc["matrix"])
+    matrix = js.colligation_matrix_from_json(_read_input(cmd.args))
     try:
         col = co.UnitaryColligation(matrix)
         residual = col.unitarity

@@ -16,19 +16,23 @@ same arithmetic, so a point gets the same bits alone and in an array
 (numpy's complex array products round differently from Python's).  The
 fold is taken only while every peeled s_p with p < n is inside the disc.
 Every other point (|z| > 1, a gauged or non-minimal matrix, n = 0) takes
-one LU solve of (I - z D) x = C; the matrix is never inverted explicitly
-and no determinant is taken.  The solve itself is the pole test: z
-counts as a pole (NearPole) when LAPACK finds I - z D singular or when
-max|x| exceeds max|C| / POLE.  An array of points is solved as a stack:
-the matrices I - z_k D of a chunk of points go to one stacked LAPACK
-call, which gives each point the result of its own solve, with the pole
-test applied per point.  A chunk holds at most
-``STACK`` complex matrix entries (1 MiB), so the memory of a batch is
-bounded at every degree.  The sampling checks here and in
-:mod:`schurcol.realization` and :mod:`schurcol.redheffer` take each
-sample set as one batch.  Minimality and state equivalence are read off
-the special lower Hessenberg form, in :mod:`schurcol.hessenberg`; the
-exact-form test and the band rule it shares with the fold live here.
+one LU solve of (I - z D) x = C, and all points take the same path: the
+matrices I - z_k D of a chunk of points go to one stacked LAPACK call,
+which gives each point the result of its own solve.  One point is a
+stack of one, so it gets the same bits alone and in an array, and an
+empty state space (n = 0) needs no branch.  The matrix is never
+inverted explicitly and no determinant is taken.  The solve itself is
+the pole test, applied per point: z counts as a pole (NearPole) when
+LAPACK finds I - z D singular or when max|x| exceeds max|C| / POLE.  A
+chunk holds at most ``STACK`` complex matrix entries (1 MiB), so the
+memory of a batch is bounded at every degree.  The sampling checks here
+and in :mod:`schurcol.realization` and :mod:`schurcol.redheffer` take
+each sample set as one batch, and the four kernel identities of
+:func:`verify_spectral_identities` need only two batches, the resolvent
+vectors (I - z D)^{-1} C and B (I - z D)^{-1} at all their points.  Minimality
+and state equivalence are read off the special lower Hessenberg form, in
+:mod:`schurcol.hessenberg`; the exact-form test and the band rule it
+shares with the fold live here.
 The time-domain recursion runs ``BLOCK`` steps per matrix product,
 carrying the state by D^BLOCK, on the same Krylov blocks that give the
 Markov parameters; D^BLOCK is formed once per colligation and kept.
@@ -243,59 +247,59 @@ def _fold(params, z):
 STACK = 2**16
 
 
-def _amplification_message(z) -> str:
-    return f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} at z = {z!r}"
-
-
 def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - z D) x = rhs by LU with partial pivoting.
+    """Solve (I - z D) x = rhs by LU with partial pivoting, for every point z.
 
     NearPole when LAPACK finds I - z D singular or max|x| > max|rhs| / POLE.
     A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
     disc the rule can fire only within about sqrt(n) * POLE of the circle.
 
-    z is one point, or a 1-D array of k points with rhs shared, shape (n,),
-    or one per point, shape (k, n); the solutions are then the rows of a
-    (k, n) array.  The points are solved in chunks of at most STACK matrix
+    z is a 1-D array of k points, or one point, which is solved as a stack
+    of one.  rhs, a vector or a matrix with n rows, is shared by all the
+    points; the solutions are stacked along a new first axis, which one
+    point drops.  The points are solved in chunks of at most STACK matrix
     entries, each as one stacked LAPACK call, which gives every point the
     result of its own solve.  NearPole names the first point that fails
     the rule.
     """
-    if np.ndim(z) == 0:
-        M = np.eye(len(D)) - z * D
-        try:
-            x = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            raise NearPole(f"I - z D is singular at z = {z!r}") from None
-        if not np.abs(x).max(initial=0.0) <= np.abs(rhs).max(initial=0.0) / tol.POLE:
-            raise NearPole(_amplification_message(z))
-        return x
-    z = np.asarray(z, dtype=complex)
+    points = np.atleast_1d(np.asarray(z, dtype=complex))
     rhs = np.asarray(rhs, dtype=complex)
     n = len(D)
-    rhs = np.broadcast_to(rhs, (len(z), n))
-    x = np.empty((len(z), n), dtype=complex)
+    x = np.empty(points.shape + rhs.shape, dtype=complex)
+    # a vector rhs as one column
+    columns = rhs[:, None] if rhs.ndim == 1 else rhs
+    bound = np.abs(rhs).max(initial=0.0) / tol.POLE
     diagonal = np.arange(n)
     chunk = max(STACK // max(n * n, 1), 1)
-    for start in range(0, len(z), chunk):
-        zc = z[start : start + chunk]
-        bc = rhs[start : start + chunk]
-        M = -zc[:, None, None] * D
+    for start in range(0, len(points), chunk):
+        zc = points[start : start + chunk]
+        # z D as a column of points times a row of entries: numpy rounds
+        # every entry alike at every batch size, which it does not for a
+        # product broadcast over three axes with a lone entry (n = 1)
+        M = (-zc[:, None] * D.reshape(1, n * n)).reshape(len(zc), n, n)
         M[:, diagonal, diagonal] += 1.0
+        # rhs repeated along the stack (a view): numpy 1.x reads a
+        # right-hand side with one axis fewer than M as a stack of vectors
+        stacked = np.broadcast_to(columns, (len(zc),) + columns.shape)
         try:
-            xc = np.linalg.solve(M, bc[:, :, None])[:, :, 0]
+            xc = np.linalg.solve(M, stacked).reshape(zc.shape + rhs.shape)
         except np.linalg.LinAlgError:
+            if len(zc) == 1:
+                singular = complex(zc[0])
+                raise NearPole(f"I - z D is singular at z = {singular!r}") from None
             # the stacked call does not say which matrix was singular:
-            # solve the chunk point by point, which raises at the first
-            for w, b in zip(zc, bc):
-                _resolvent_apply(D, complex(w), b)
+            # solve the chunk as stacks of one, which raises at the first
+            for k in range(len(zc)):
+                _resolvent_apply(D, zc[k : k + 1], rhs)
             raise
-        bound = np.abs(bc).max(axis=1, initial=0.0) / tol.POLE
-        bad = ~(np.abs(xc).max(axis=1, initial=0.0) <= bound)
+        bad = ~(np.abs(xc).reshape(len(zc), -1).max(axis=1, initial=0.0) <= bound)
         if bad.any():
-            raise NearPole(_amplification_message(complex(zc[bad.argmax()])))
+            raise NearPole(
+                f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} "
+                f"at z = {complex(zc[bad.argmax()])!r}"
+            )
         x[start : start + chunk] = xc
-    return x
+    return x[0] if np.ndim(z) == 0 else x
 
 
 def characteristic_function(col: UnitaryColligation, z):
@@ -306,18 +310,14 @@ def characteristic_function(col: UnitaryColligation, z):
     Schur parameters when it has them (``UnitaryColligation._sections``),
     one Python complex at a time, so it gets the same bits alone and in an
     array; every other point takes a resolvent solve, all of an array's
-    in one batch.
+    in one batch, and one point alone as an array of one.
     """
     if np.ndim(z) == 0:
-        if col.n == 0:
-            return col.A
         point = complex(z)
         if abs(point) <= 1.0 and col._sections is not None:
             return _fold(col._sections, point)
-        return complex(col.A + z * (col.B @ _resolvent_apply(col.D, z, col.C)))
+        return complex(characteristic_function(col, np.array([point]))[0])
     z = np.asarray(z, dtype=complex)
-    if col.n == 0:
-        return np.full(z.shape, col.A)
     flat = z.ravel()
     values = np.empty(flat.shape, dtype=complex)
     solve = np.ones(flat.shape, dtype=bool)
@@ -328,7 +328,10 @@ def characteristic_function(col: UnitaryColligation, z):
         values[~solve] = [_fold(col._sections, x) for x in flat[~solve].tolist()]
     if solve.any():
         rest = flat[solve]
-        values[solve] = col.A + rest * (_resolvent_apply(col.D, rest, col.C) @ col.B)
+        # B x as one dot product per point: a matrix-vector product over
+        # the batch would round differently from a batch of one
+        x = _resolvent_apply(col.D, rest, col.C)[:, None]
+        values[solve] = col.A + rest * (x @ col.B)[:, 0]
     return values.reshape(z.shape)
 
 
@@ -479,28 +482,32 @@ def verify_spectral_identities(
             = B (I - zeta D)^{-1} (I - z D)^{-1} C       (zeta != z)
       1 - |S(z)|^2 = (1 - |z|^2) |(I - z D)^{-1} C|^2
 
-    Each resolvent is taken at all the points in one batch; pairs are
+    All four need only the resolvent vectors r = (I - w D)^{-1} C and
+    l = B (I - w D)^{-1} at the points w of both lists, with
+    S(w) = A + w B r: the right-hand sides are conj(r_zeta) r_z,
+    l_z conj(l_zeta), l_zeta r_z and |r_z|^2.  r and l are taken in two
+    batches of all the points, l as the solve with D^T and B.  Pairs are
     zipped, so the shorter sample list sets their number.
     """
     z = np.asarray(z_samples, dtype=complex)
     zeta = np.asarray(zeta_samples, dtype=complex)
     count = min(len(z), len(zeta))
     z, zeta = z[:count], zeta[:count]
-    xz = _resolvent_apply(col.D, z, col.C)
-    xzeta = _resolvent_apply(col.D, zeta, col.C)
-    sz = col.A + z * (xz @ col.B)
-    szeta = col.A + zeta * (xzeta @ col.B)
-    ystar = _resolvent_apply(col.D.conj().T, zeta.conj(), col.B.conj())
+    points = np.concatenate([z, zeta])
+    r = _resolvent_apply(col.D, points, col.C)
+    l = _resolvent_apply(col.D.T, points, col.B)
+    s = col.A + points * (r @ col.B)
+    (rz, rzeta), (lz, lzeta), (sz, szeta) = (np.split(a, [count]) for a in (r, l, s))
     lhs1 = (1.0 - szeta.conj() * sz) / (1.0 - zeta.conj() * z)
-    r1 = np.abs(lhs1 - (xzeta.conj() * xz).sum(axis=1)).max(initial=0.0)
+    r1 = np.abs(lhs1 - (rzeta.conj() * rz).sum(axis=1)).max(initial=0.0)
     lhs2 = (1.0 - sz * szeta.conj()) / (1.0 - z * zeta.conj())
-    r2 = np.abs(lhs2 - _resolvent_apply(col.D, z, ystar) @ col.B).max(initial=0.0)
+    r2 = np.abs(lhs2 - (lz * lzeta.conj()).sum(axis=1)).max(initial=0.0)
     apart = np.abs(zeta - z) > 1e-8
     lhs3 = (szeta[apart] - sz[apart]) / (zeta[apart] - z[apart])
-    mixed = _resolvent_apply(col.D, zeta[apart], xz[apart]) @ col.B
+    mixed = (lzeta[apart] * rz[apart]).sum(axis=1)
     r3 = np.abs(lhs3 - mixed).max(initial=0.0)
     lhs4 = 1.0 - np.abs(sz) ** 2
-    norms = (np.abs(xz) ** 2).sum(axis=1)
+    norms = (np.abs(rz) ** 2).sum(axis=1)
     r4 = np.abs(lhs4 - (1.0 - np.abs(z) ** 2) * norms).max(initial=0.0)
     return SpectralIdentityReport(float(r1), float(r2), float(r3), float(r4))
 

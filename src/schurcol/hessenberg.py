@@ -1,8 +1,7 @@
 """Row matching by complex reflectors and reduction to special Hessenberg form.
 
 "Special lower Hessenberg" means zero above the first superdiagonal and
-nonnegative real entries on the superdiagonal itself; "HL-non-singular"
-additionally requires those entries to be nonzero.  A square matrix
+nonnegative real entries on the superdiagonal itself.  A square matrix
 M = [[a, B], [C, D]] is reduced to this form by a state gauge
 G = diag(1, V), H = G* M G.  Row 0 of H is [a, B V], and the state rows
 are V* D V, so H is in lower form exactly when B V = [|B|, 0, ..., 0]
@@ -84,7 +83,6 @@ __all__ = [
     "reduce_to_special_lower_hessenberg",
     "reduce_to_special_upper_hessenberg",
     "is_special_lower_hessenberg",
-    "is_hl_nonsingular",
     "band_residual",
     "is_minimal_form",
     "is_minimal",
@@ -293,13 +291,6 @@ def is_special_lower_hessenberg(M: np.ndarray, tolerance: float = tol.STRUCT) ->
     if np.abs(band.imag).max(initial=0.0) > cut:
         return False
     return bool(band.real.min(initial=0.0) >= -cut)
-
-
-def is_hl_nonsingular(M: np.ndarray, tolerance: float = tol.STRUCT) -> bool:
-    M = np.asarray(M, dtype=complex)
-    scale = max(float(np.abs(M).max()), 1e-300)
-    band = np.abs(np.diagonal(M, 1))
-    return bool(band.min(initial=np.inf) > tolerance * scale) if len(band) else True
 
 
 def is_minimal(col: UnitaryColligation) -> bool:

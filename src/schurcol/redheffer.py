@@ -13,7 +13,7 @@ first channel row has the special form [sqrt(1-|s0|^2), 0, ..., 0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .colligation import (
     apply_state_gauge,
     characteristic_function,
     require_unitary,
-    unitarity_residual,
 )
 from .errors import (
     DimensionMismatch,
@@ -50,12 +49,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionedColligation:
-    """Unitary matrix on [E1; E2; H] with stored channel dimensions."""
+    """Unitary matrix on [E1; E2; H], its unitarity residual and channel dimensions."""
 
     matrix: np.ndarray
     e1: int
     e2: int
     h: int
+    unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -64,7 +64,7 @@ class PartitionedColligation:
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match dims ({self.e1},{self.e2},{self.h})"
             )
-        require_unitary(m, "partitioned matrix")
+        object.__setattr__(self, "unitarity", require_unitary(m, "partitioned matrix"))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -112,8 +112,6 @@ def characteristic_matrix(pc: PartitionedColligation, z: complex) -> np.ndarray:
     A = pc.matrix[:e, :e]
     B = pc.matrix[:e, e:]
     C = pc.matrix[e:, :e]
-    if pc.h == 0:
-        return A.copy()
     return A + z * (B @ _resolvent_apply(pc.d, z, C))
 
 
@@ -129,14 +127,14 @@ def redheffer_transform(
 
 @dataclass(frozen=True)
 class SchurSection:
-    """The 3x3 unitary section of a single Schur parameter."""
+    """The 3x3 unitary section of a single Schur parameter, split (1, 1, 1)."""
 
     s0: complex
-    matrix: np.ndarray
+    partitioned: PartitionedColligation
 
     @property
-    def partitioned(self) -> PartitionedColligation:
-        return PartitionedColligation(self.matrix, 1, 1, 1)
+    def matrix(self) -> np.ndarray:
+        return self.partitioned.matrix
 
 
 def elementary_schur_section(s0: complex) -> SchurSection:
@@ -158,10 +156,10 @@ def elementary_schur_section(s0: complex) -> SchurSection:
         ],
         dtype=complex,
     )
-    residual = unitarity_residual(m)
-    if not residual <= 1e-14:
-        raise NotUnitary(f"section unitarity residual {residual:.3e}", residual)
-    return SchurSection(s0, m)
+    pc = PartitionedColligation(m, 1, 1, 1)
+    if not pc.unitarity <= 1e-14:
+        raise NotUnitary(f"section unitarity residual {pc.unitarity:.3e}", pc.unitarity)
+    return SchurSection(s0, pc)
 
 
 def redheffer_product(

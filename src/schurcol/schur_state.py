@@ -198,7 +198,7 @@ class SchurStateTrace:
 
     @property
     def minimal(self) -> bool:
-        """The band verdict of :func:`schurcol.hessenberg.is_minimal` on H."""
+        """The minimality verdict on H: :func:`schurcol.colligation.is_minimal_form`."""
         return is_minimal_form(self.H)
 
     def parameter_sequence(self) -> SchurParameterSequence:

@@ -31,6 +31,7 @@ __all__ = [
     "params_from_json",
     "matrix_from_json",
     "colligation_to_json",
+    "colligation_matrix_from_json",
     "colligation_from_json",
     "partitioned_to_json",
     "partitioned_from_json",
@@ -125,14 +126,19 @@ def colligation_to_json(col: UnitaryColligation) -> dict:
     return {"n": col.n, "matrix": _matrix_to_json(col.matrix)}
 
 
-def colligation_from_json(doc: dict) -> UnitaryColligation:
+def colligation_matrix_from_json(doc: dict) -> np.ndarray:
+    """The matrix of a colligation document, checked against a declared n."""
     matrix = matrix_from_json(doc["matrix"])
     if "n" in doc and int(doc["n"]) != matrix.shape[0] - 1:
         raise ValueError(
             f"declared state dimension {doc['n']} does not match matrix size "
             f"{matrix.shape[0]}"
         )
-    return UnitaryColligation(matrix)
+    return matrix
+
+
+def colligation_from_json(doc: dict) -> UnitaryColligation:
+    return UnitaryColligation(colligation_matrix_from_json(doc))
 
 
 def partitioned_to_json(pc: PartitionedColligation) -> dict:

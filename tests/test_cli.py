@@ -420,6 +420,18 @@ class TestCoupleEvalVerify:
             "check": "band_minimum", "residual": None, "tolerance": 1.0
         }
 
+    def test_declared_dimension_is_checked_by_every_command(self, tmp_path, capsys):
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 0.3j, 1.0))
+        )
+        doc = tmp_path / "col.json"
+        doc.write_text(js.dumps_canonical(dict(js.colligation_to_json(col), n=7)))
+        for command in (["verify"], ["schur"], ["eval", "--z", "0.3", "0"]):
+            assert cli.main([*command, "--input", str(doc)]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "declared state dimension 7" in out.err
+
     def test_verify_nan_matrix_fails(self):
         out = run_cli(["verify"], '{"matrix":[[NaN]]}')
         assert out.returncode == 3
@@ -492,8 +504,8 @@ class TestResidualsTakenOnce:
         )
         taken = count_unitarity_residuals(monkeypatch)
         assert cli.main(["couple", "--input", str(doc), "--output", str(tmp_path / "o")]) == 0
-        # the section, its partitioned gate, the second colligation, the coupling
-        assert taken == [3, 3, 9, 10]
+        # the section, the second colligation, the coupling
+        assert taken == [3, 9, 10]
 
 
 class TestNoTraceback:

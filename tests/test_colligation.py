@@ -133,14 +133,31 @@ class TestBatchedResolvent:
         ref = reference_resolvent(col.D, self.POINTS, col.C)
         assert x.shape == ref.shape == (len(self.POINTS), n)
         assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
-        # one right-hand side per point, as the mixed identities use
-        rows = rng.standard_normal((len(self.POINTS), n)) + 0j
-        x = co._resolvent_apply(col.D, self.POINTS, rows)
-        ref = reference_resolvent(col.D, self.POINTS, rows)
-        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
         values = sc.characteristic_function(col, self.POINTS)
         singles = [sc.characteristic_function(col, z) for z in self.POINTS]
         assert np.abs(values - singles).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_one_point_is_a_stack_of_one(self, n, monkeypatch):
+        col = gauged_colligation(np.random.default_rng(3100 + n), n)
+        # inside, on and outside the circle
+        points = np.concatenate(
+            [self.POINTS, 1.2 + 0.5 * disc_samples(8), [2.0, -1.5j]]
+        )
+        solved = count_resolvent_solves(monkeypatch)
+        values = sc.characteristic_function(col, points)
+        singles = np.array([sc.characteristic_function(col, z) for z in points])
+        assert values.tobytes() == singles.tobytes()
+        assert solved == [len(points)] + [1] * len(points)
+
+    def test_singular_point_alone_is_named(self):
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 1.0))
+        )
+        # D = [-0.5]: I - z D is exactly singular at z = -2
+        with pytest.raises(sc.NearPole, match="singular") as info:
+            sc.characteristic_function(col, -2.0)
+        assert repr(complex(-2.0)) in str(info.value)
 
     def test_chunks_do_not_change_the_result(self, monkeypatch):
         rng = np.random.default_rng(3001)
@@ -149,6 +166,24 @@ class TestBatchedResolvent:
         # three points per chunk, the last one partial
         monkeypatch.setattr(co, "STACK", 3 * 8 * 8)
         assert np.array_equal(co._resolvent_apply(col.D, self.POINTS, col.C), whole)
+
+    def test_right_hand_side_has_the_axes_of_the_stack(self, monkeypatch):
+        # numpy 1.x solves a right-hand side with one axis fewer than the
+        # stack as a stack of vectors, numpy 2 as one shared matrix; with
+        # the stack's axes both read it as one matrix per point
+        solve = np.linalg.solve
+        axes = []
+
+        def recording(a, b):
+            axes.append((np.ndim(a), np.ndim(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        col = gauged_colligation(np.random.default_rng(3004), 8)
+        for z in (self.POINTS, 1.5):
+            for rhs in (col.C, np.eye(8, 2)):
+                co._resolvent_apply(col.D, z, rhs)
+        assert axes == [(3, 3)] * 4
 
     @pytest.mark.parametrize("pole", [-2.0, -2.0 + 1e-13])
     def test_near_pole_names_the_point(self, pole):
@@ -562,6 +597,16 @@ class TestSpectralIdentities:
             sc.UnitaryColligation(np.array([[1.0j]])), [0.3], [0.2]
         )
         assert report.max_residual == 0.0
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_two_solves_of_all_the_points(self, n, monkeypatch):
+        col = gauged_colligation(np.random.default_rng(1800 + n), n)
+        zs, zetas = disc_samples(20, radius=0.9), 0.5 * disc_samples(13)
+        solved = count_resolvent_solves(monkeypatch)
+        report = sc.verify_spectral_identities(col, zs, zetas)
+        # r and l at the 13 pairs' 26 points, no solve of a solve
+        assert solved == [26, 26]
+        assert report.max_residual <= 1e-13
 
     def test_random_minimal_degree_four(self):
         rng = np.random.default_rng(18)

@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from helpers import band_length, random_colligation, random_unitary
+from helpers import (
+    band_length,
+    count_unitarity_residuals,
+    random_colligation,
+    random_unitary,
+    reference_resolvent,
+)
 
 ROOT75 = np.sqrt(0.75)
 
@@ -70,6 +76,28 @@ class TestElementarySection:
                 section_char(s0, z),
                 atol=1e-14,
             )
+
+    @pytest.mark.parametrize("h", [0, 4])
+    def test_characteristic_matrix_against_per_point_solves(self, h):
+        rng = np.random.default_rng(42 + h)
+        pc = sc.PartitionedColligation(random_unitary(rng, 2 + h), 1, 1, h)
+        A, B, C = pc.matrix[:2, :2], pc.matrix[:2, 2:], pc.matrix[2:, :2]
+        for z in (0.0, 0.3 - 0.4j, 0.9j, -0.2 + 1.1j):
+            columns = [reference_resolvent(pc.d, [z], C[:, j])[0] for j in range(2)]
+            expected = A + z * (B @ np.column_stack(columns))
+            value = sc.characteristic_matrix(pc, z)
+            assert value.shape == (2, 2)
+            assert np.abs(value - expected).max() <= 1e-14
+            if h == 0:
+                assert np.array_equal(value, A)
+
+    def test_section_keeps_its_partitioned_colligation(self, monkeypatch):
+        section = sc.elementary_schur_section(0.4 - 0.3j)
+        taken = count_unitarity_residuals(monkeypatch)
+        pc = section.partitioned
+        assert pc is section.partitioned and pc.matrix is section.matrix
+        assert taken == []
+        assert pc.unitarity == sc.unitarity_residual(section.matrix) <= 1e-14
 
     def test_characteristic_matrix_at_state_pole(self):
         rng = np.random.default_rng(41)
