@@ -87,6 +87,7 @@ from .schur_state import (
     colligation_from_schur_parameters,
     normalize_B_row,
     product_form_matrix,
+    readout_residual,
     schur_algorithm_state_space,
     schur_step,
 )

@@ -208,8 +208,8 @@ def _cmd_couple(cmd: _Command) -> dict:
     omegas = co.characteristic_function(col2, points)
     values = co.characteristic_function(coupled, points)
     worst = 0.0
-    for z, omega, value in zip(points, omegas, values):
-        s_blocks = rd.characteristic_matrix(pc, z)
+    blocks = rd.characteristic_matrix(pc, points)
+    for s_blocks, omega, value in zip(blocks, omegas, values):
         expected = rd.redheffer_transform(
             s_blocks[0, 0], s_blocks[0, 1], s_blocks[1, 0], s_blocks[1, 1], omega
         )
@@ -266,8 +266,12 @@ def _cmd_verify(cmd: _Command) -> dict:
         zs = random_disc_points(rng, cmd.args.samples, 0.9)
         zetas = random_disc_points(rng, cmd.args.samples, 0.9)
         spectral = co.verify_spectral_identities(col, zs, zetas)
-        cmd.diag("spectral_identities", spectral.max_residual, 1e-10)
+        cmd.diag("spectral_identities", spectral.max_residual, tol.SPECTRAL)
         summary["spectral_max_residual"] = _json_residual(spectral.max_residual)
+    # S, r and l off the sections describe the closed form of the peel
+    readout = ss.readout_residual(col)
+    if readout is not None:
+        cmd.diag("readout", readout, tol.READOUT)
     summary["inner_disc_excess"] = _json_residual(disc_excess)
     summary["inner_circle_deviation"] = _json_residual(circle_dev)
     return summary

@@ -10,11 +10,23 @@ is evaluated on one of two routes.  A matrix exactly in special lower
 Hessenberg form with a minimal band is the Redheffer coupling of its
 elementary Schur sections, so its S is the Moebius fold of its Schur
 parameters.  These are peeled off the matrix once, O(n^2), and kept with
-the colligation; each point z with |z| <= 1 then costs O(n) operations
-on Python complex numbers.  An array is folded point by point in the
-same arithmetic, so a point gets the same bits alone and in an array
-(numpy's complex array products round differently from Python's).  The
-fold is taken only while every peeled s_p with p < n is inside the disc.
+the colligation; each point z with |z| <= 1 then costs O(n) operations.
+The same sweep carries the resolvent vectors r = (I - z D)^{-1} C and
+l = B (I - z D)^{-1} (:func:`_section_chain`).  The fold is taken only
+while every peeled s_p with p < n is inside the disc.  Its consumers:
+
+- :func:`characteristic_function` folds one Python complex at a time,
+  also for the points of an array, so a point gets the same bits alone
+  and in an array (numpy's complex array products round differently
+  from Python's);
+- :func:`verify_spectral_identities` takes S, r and l off the section
+  chain, and :func:`inner_sampling_report` S off the fold, in numpy's
+  arithmetic over all their points, when every point has |z| <= 1;
+  their values are the closed form's, which
+  ``schur_state.readout_residual`` ties to the matrix;
+- ``schur_state`` folds the recovered parameters over the roots of unity
+  of its backward check, in numpy's arithmetic.
+
 Every other point (|z| > 1, a gauged or non-minimal matrix, n = 0) takes
 one LU solve of (I - z D) x = C, and all points take the same path: the
 matrices I - z_k D of a chunk of points go to one stacked LAPACK call,
@@ -27,15 +39,16 @@ LAPACK finds I - z D singular or when max|x| exceeds max|C| / POLE.  A
 chunk holds at most ``STACK`` complex matrix entries (1 MiB), so the
 memory of a batch is bounded at every degree.  The sampling checks here
 and in :mod:`schurcol.realization` and :mod:`schurcol.redheffer` take
-each sample set as one batch, and the four kernel identities of
-:func:`verify_spectral_identities` need only two batches, the resolvent
-vectors (I - z D)^{-1} C and B (I - z D)^{-1} at all their points.  Minimality
-and state equivalence are read off the special lower Hessenberg form, in
-:mod:`schurcol.hessenberg`; the exact-form test and the band rule it
-shares with the fold live here.
-The time-domain recursion runs ``BLOCK`` steps per matrix product,
-carrying the state by D^BLOCK, on the same Krylov blocks that give the
-Markov parameters; D^BLOCK is formed once per colligation and kept.
+each sample set as one batch on this route, and the four kernel
+identities of :func:`verify_spectral_identities` need only two batches,
+r and l at all their points.
+
+Minimality and state equivalence are read off the special lower
+Hessenberg form, in :mod:`schurcol.hessenberg`; the exact-form test and
+the band rule it shares with the fold live here.  The time-domain
+recursion runs ``BLOCK`` steps per matrix product, carrying the state by
+D^BLOCK, on the same Krylov blocks that give the Markov parameters;
+D^BLOCK is formed once per colligation and kept.
 """
 
 from __future__ import annotations
@@ -226,7 +239,7 @@ def _peel(H: np.ndarray) -> tuple[complex, ...]:
     return tuple(s for s, _, _ in _peel_steps(H))
 
 
-def _fold(params, z):
+def _fold(params, z, steps=None):
     """S(z) from its Schur parameters s_0 .. s_n, O(n) per point.
 
     Folds w <- (s + z w) / (1 + conj(s) z w) from w = s_n.  params holds
@@ -235,12 +248,51 @@ def _fold(params, z):
     array products round differently from Python's (they may fuse a
     multiply and an add), so a caller whose values must have the same
     bits alone and in an array folds them one Python complex at a time.
+    A list passed as steps gains each step's (w, 1 + conj(s) z w), the
+    tail before it and its denominator, from s_{n-1} down to s_0.
     """
     w = params[-1]
-    for s in reversed(params[:-1]):
+    for s in params[-2::-1]:
         zw = z * w
-        w = (s + zw) / (1.0 + s.conjugate() * zw)
+        denominator = 1.0 + s.conjugate() * zw
+        if steps is not None:
+            steps.append((w, denominator))
+        w = (s + zw) / denominator
     return w
+
+
+def _section_chain(col: UnitaryColligation, z: np.ndarray):
+    """(S, r, l) at the points z off the sections of a lower form, O(n) per point.
+
+    col has peeled sections s_0 .. s_n (``UnitaryColligation._sections``),
+    its matrix H band entries d_k = H[k, k+1], and z is a 1-D array of
+    points with |z| <= 1.  H is the Redheffer coupling of its sections,
+    so the fold's tails f_n = s_n, f_k = (s_k + z f_{k+1}) / (1 + conj(s_k)
+    z f_{k+1}) carry the resolvent vectors along: with e_0 = 1 and
+    e_{k+1} = e_k d_k / (1 + conj(s_k) z f_{k+1}),
+
+        S = f_0,  r_j = ((I - z D)^{-1} C)_j = f_{j+1} e_{j+1},
+        l_j = (B (I - z D)^{-1})_j = z^j e_{j+1},
+
+    r and l with one row per point.  The fold's array mode gives the
+    tails and denominators; e and z^j e are running products down them.
+    Inside the closed disc |f_{k+1}| <= 1, so |conj(s_k) z f_{k+1}| <=
+    |s_k| < 1 - DISC: no denominator vanishes and the chain needs no pole
+    rule.
+    """
+    band = np.diagonal(col.matrix, 1).real
+    steps = []
+    values = _fold(col._sections, z, steps)
+    shape = (len(steps), len(z))
+    tails = np.empty(shape, dtype=complex)
+    ratios = np.empty(shape, dtype=complex)
+    # steps run from s_{n-1} down to s_0; row k holds section k's
+    for k, (tail, denominator) in enumerate(reversed(steps)):
+        tails[k] = tail
+        ratios[k] = band[k] / denominator
+    e = np.cumprod(ratios, axis=0)
+    ratios[1:] *= z
+    return values, (tails * e).T, np.cumprod(ratios, axis=0).T
 
 
 # complex matrix entries per chunk of a stacked resolvent solve (1 MiB)
@@ -333,6 +385,13 @@ def characteristic_function(col: UnitaryColligation, z):
         x = _resolvent_apply(col.D, rest, col.C)[:, None]
         values[solve] = col.A + rest * (x @ col.B)[:, 0]
     return values.reshape(z.shape)
+
+
+def _on_the_chain(col: UnitaryColligation, points: np.ndarray) -> bool:
+    """The colligation has peeled sections and every point has |z| <= 1."""
+    return col._sections is not None and bool(
+        (np.hypot(points.real, points.imag) <= 1.0).all()
+    )
 
 
 def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligation:
@@ -485,18 +544,24 @@ def verify_spectral_identities(
     All four need only the resolvent vectors r = (I - w D)^{-1} C and
     l = B (I - w D)^{-1} at the points w of both lists, with
     S(w) = A + w B r: the right-hand sides are conj(r_zeta) r_z,
-    l_z conj(l_zeta), l_zeta r_z and |r_z|^2.  r and l are taken in two
-    batches of all the points, l as the solve with D^T and B.  Pairs are
-    zipped, so the shorter sample list sets their number.
+    l_z conj(l_zeta), l_zeta r_z and |r_z|^2.  On a colligation with
+    peeled sections (``UnitaryColligation._sections``) whose points all
+    have |w| <= 1, S, r and l come off the section chain, O(n) per point;
+    otherwise r and l are taken in two batches of all the points, l as
+    the solve with D^T and B.  Pairs are zipped, so the shorter sample
+    list sets their number.
     """
     z = np.asarray(z_samples, dtype=complex)
     zeta = np.asarray(zeta_samples, dtype=complex)
     count = min(len(z), len(zeta))
     z, zeta = z[:count], zeta[:count]
     points = np.concatenate([z, zeta])
-    r = _resolvent_apply(col.D, points, col.C)
-    l = _resolvent_apply(col.D.T, points, col.B)
-    s = col.A + points * (r @ col.B)
+    if _on_the_chain(col, points):
+        s, r, l = _section_chain(col, points)
+    else:
+        r = _resolvent_apply(col.D, points, col.C)
+        l = _resolvent_apply(col.D.T, points, col.B)
+        s = col.A + points * (r @ col.B)
     (rz, rzeta), (lz, lzeta), (sz, szeta) = (np.split(a, [count]) for a in (r, l, s))
     lhs1 = (1.0 - szeta.conj() * sz) / (1.0 - zeta.conj() * z)
     r1 = np.abs(lhs1 - (rzeta.conj() * rz).sum(axis=1)).max(initial=0.0)
@@ -519,12 +584,21 @@ def inner_sampling_report(
 ):
     """(max disc excess, max circle deviation) of |S| for this colligation.
 
-    Each sample set is one batch; a pole on the circle makes the deviation inf.
+    Each sample set is one batch: folded from the peeled sections in
+    numpy's arithmetic when the colligation has them (every sample has
+    |z| <= 1), else by ``characteristic_function``, where a pole on the
+    circle makes the deviation inf.
     """
-    disc = characteristic_function(col, disc_samples(disc_count, radius=0.99))
+
+    def values(points):
+        if _on_the_chain(col, points):
+            return _fold(col._sections, points)
+        return characteristic_function(col, points)
+
+    disc = values(disc_samples(disc_count, radius=0.99))
     disc_excess = np.max(np.abs(disc) - 1.0, initial=0.0)
     try:
-        circle = characteristic_function(col, circle_samples(circle_count))
+        circle = values(circle_samples(circle_count))
         circle_dev = np.abs(np.abs(circle) - 1.0).max(initial=0.0)
     except NearPole:
         circle_dev = np.inf

@@ -106,13 +106,18 @@ class PartitionedColligation:
         return self.matrix[self.e1 + self.e2 :, self.e1 + self.e2 :]
 
 
-def characteristic_matrix(pc: PartitionedColligation, z: complex) -> np.ndarray:
-    """The (e1+e2) x (e1+e2) characteristic matrix of a partitioned colligation."""
+def characteristic_matrix(pc: PartitionedColligation, z) -> np.ndarray:
+    """The (e1+e2) x (e1+e2) characteristic matrix of a partitioned colligation.
+
+    z is one point, or a 1-D array of points whose matrices are stacked
+    along a new first axis; all of them are one batch of resolvent solves.
+    """
     e = pc.e1 + pc.e2
     A = pc.matrix[:e, :e]
     B = pc.matrix[:e, e:]
     C = pc.matrix[e:, :e]
-    return A + z * (B @ _resolvent_apply(pc.d, z, C))
+    w = np.asarray(z, dtype=complex)[..., None, None]
+    return A + w * (B @ _resolvent_apply(pc.d, z, C))
 
 
 def redheffer_transform(

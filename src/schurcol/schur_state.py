@@ -36,6 +36,7 @@ section and O(n^2) for the chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,6 +73,7 @@ __all__ = [
     "closed_form_matrix",
     "product_form_matrix",
     "colligation_from_schur_parameters",
+    "readout_residual",
 ]
 
 
@@ -311,6 +313,22 @@ def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
     u = np.tril(s[:, None] * runs * right)
     u[np.arange(n), np.arange(1, n + 1)] = d[:-1]
     return u
+
+
+def readout_residual(col: UnitaryColligation) -> float | None:
+    """sqrt(|E|_1 |E|_inf) >= |E|_2 for E = H - closed_form_matrix(peel(H)), O(n^2).
+
+    H is the colligation's matrix and peel(H) its ``_sections``, from which
+    ``verify_spectral_identities`` and ``inner_sampling_report`` take S, r
+    and l inside the disc.  Their values are those of the closed form, and
+    this residual ties them to H: E moves them by O(|E|_2) (see
+    ``tolerances.READOUT``).  None when H has no sections (those checks
+    solve with H itself).
+    """
+    if col._sections is None:
+        return None
+    error = col.matrix - closed_form_matrix(SchurParameterSequence(col._sections))
+    return float(math.sqrt(np.linalg.norm(error, 1) * np.linalg.norm(error, np.inf)))
 
 
 def product_form_matrix(p: SchurParameterSequence) -> np.ndarray:

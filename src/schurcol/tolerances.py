@@ -52,6 +52,22 @@ ROUND = 1e-8
 # least 4(n + 1) roots of unity, S_rec built from the recovered parameters
 BACKWARD = 1e-8
 
+# the four kernel identities of `schurcol verify`, at sample pairs with
+# |z|, |zeta| <= 0.9
+SPECTRAL = 1e-10
+
+
+# readout residual sqrt(|H - closed(peel(H))|_1 |H - closed(peel(H))|_inf),
+# an O(n^2) bound on the 2-norm, of a lower form H whose S, r and l `verify`
+# reads off its peeled sections.  At |z| <= 0.9, ||(I - zD)^{-1}|| <= 10, so
+# to first order a readout delta moves S by at most (1 + |l|)(1 + |r|) delta
+# <= 121 delta and r and l by at most 100 delta: each identity by O(100
+# delta), which READOUT keeps within SPECTRAL at every degree.  Closed forms
+# of random parameters read out to 7.2e-15 or less up to n = 1024 (|s| <=
+# 0.999), and 12 zeros clustered at 0.97 (kappa 1e17) to 2.8e-14
+READOUT = 1e-12
+
+
 # max-norm unitarity residual
 UNITARY = 1e-10
 

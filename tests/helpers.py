@@ -202,10 +202,11 @@ def count_unitarity_residuals(monkeypatch):
 
 
 def count_resolvent_solves(monkeypatch):
-    """A list that gains the number of points of every characteristic-function solve.
+    """A list that gains the number of points of every resolvent solve.
 
     Wraps ``colligation._resolvent_apply``, which every LU evaluation of S
-    in that module goes through; a scalar point counts as 1.
+    and of ``characteristic_matrix`` goes through, under the name of each
+    module that calls it; a scalar point counts as 1.
     """
     solved = []
     solve = sc.colligation._resolvent_apply
@@ -214,8 +215,23 @@ def count_resolvent_solves(monkeypatch):
         solved.append(int(np.size(z)))
         return solve(D, z, rhs)
 
-    monkeypatch.setattr(sc.colligation, "_resolvent_apply", recording)
+    for module in (sc.colligation, sc.redheffer):
+        monkeypatch.setattr(module, "_resolvent_apply", recording)
     return solved
+
+
+def reference_fold(params, z):
+    """S(z) by the fold's own arithmetic, w <- (s + zw) / (1 + conj(s) zw), zw = z w.
+
+    The operations of ``colligation._fold`` in their order, kept as the
+    reference for its bits: Python complex numbers for one point, numpy's
+    arithmetic for an array.
+    """
+    w = params[-1]
+    for s in reversed(params[:-1]):
+        zw = z * w
+        w = (s + zw) / (1.0 + s.conjugate() * zw)
+    return w
 
 
 def band_length(col):

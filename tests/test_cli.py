@@ -14,6 +14,7 @@ from helpers import (
     blaschke_values,
     cluster,
     count_full_reductions,
+    count_resolvent_solves,
     count_unitarity_residuals,
     half_step_samples,
     mobius_fold,
@@ -340,6 +341,28 @@ class TestCoupleEvalVerify:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["n"] == 2
 
+    def test_couple_solves_its_samples_in_one_batch(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(75)
+        doc = tmp_path / "couple.json"
+        doc.write_text(
+            js.dumps_canonical(
+                {
+                    "first": js.partitioned_to_json(
+                        sc.PartitionedColligation(random_unitary(rng, 6), 1, 1, 4)
+                    ),
+                    "second": js.colligation_to_json(
+                        sc.colligation_from_schur_parameters(random_params(rng, 3))
+                    ),
+                }
+            )
+        )
+        solved = count_resolvent_solves(monkeypatch)
+        argv = ["couple", "--input", str(doc), "--output", str(tmp_path / "o.json")]
+        assert cli.main(argv) == 0
+        # the second factor is a closed form and folds; the coupling's S and
+        # the first factor's characteristic matrix take one batch of 50 each
+        assert solved == [50, 50]
+
     def test_eval_colligation(self):
         out = run_cli(
             ["eval", "--z", "0.25", "0"],
@@ -437,6 +460,60 @@ class TestCoupleEvalVerify:
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
         assert json.loads(out.stdout)["unitarity_residual"] is None
+
+
+class TestReadout:
+    """verify ties the identities read off a lower form's sections to the matrix."""
+
+    def verify(self, tmp_path, capsys, matrix):
+        source = tmp_path / "col.json"
+        doc = {"matrix": [[[z.real, z.imag] for z in row] for row in matrix]}
+        source.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["verify", "--input", str(source), "--output", str(tmp_path / "o")]
+        code = cli.main(argv)
+        summary = json.loads((tmp_path / "o").read_text())
+        return code, summary, diagnostics(capsys.readouterr().err)
+
+    def test_closed_form_reads_out_to_roundoff(self, tmp_path, capsys, monkeypatch):
+        matrix = sc.closed_form_matrix(random_params(np.random.default_rng(76), 8))
+        solved = count_resolvent_solves(monkeypatch)
+        code, summary, checks = self.verify(tmp_path, capsys, matrix)
+        assert code == 0
+        assert solved == []
+        assert checks["readout"]["residual"] <= 1e-14
+        assert checks["readout"]["tolerance"] == sc.tolerances.READOUT
+        assert summary["spectral_max_residual"] <= 1e-13
+
+    def test_entry_below_the_band_moved_by_3e_11(self, tmp_path, capsys):
+        matrix = sc.closed_form_matrix(random_params(np.random.default_rng(76), 8))
+        matrix[6, 2] += 3e-11
+        code, summary, checks = self.verify(tmp_path, capsys, matrix)
+        # unitary and an exact lower form, so the identities come off the
+        # sections and hold; only the readout sees that H is not their closed form
+        assert checks["unitarity"]["residual"] <= checks["unitarity"]["tolerance"]
+        assert 2e-11 <= checks["readout"]["residual"] <= 4e-11
+        assert checks["readout"]["residual"] > checks["readout"]["tolerance"]
+        assert summary["spectral_max_residual"] <= 1e-11
+        assert code == 3
+
+    def test_degree_1024_reads_out_far_below_the_bound(self):
+        # a tolerance of 1e-10 / (100 (n + 1)) on the entrywise max|E| would
+        # reject this genuine closed form (1.3e-15 against 9.8e-16)
+        col = sc.colligation_from_schur_parameters(
+            random_params(np.random.default_rng(1024), 1024, rmax=0.99)
+        )
+        assert sc.readout_residual(col) <= 1e-14
+
+    def test_gauged_form_has_no_readout(self, tmp_path, capsys):
+        rng = np.random.default_rng(77)
+        col = sc.apply_state_gauge(
+            sc.colligation_from_schur_parameters(random_params(rng, 8)),
+            random_unitary(rng, 8),
+        )
+        code, _, checks = self.verify(tmp_path, capsys, col.matrix)
+        assert code == 0
+        assert "readout" not in checks
 
 
 class TestResidualsTakenOnce:

@@ -19,6 +19,7 @@ from helpers import (
     random_colligation,
     random_params,
     random_unitary,
+    reference_fold,
     reference_resolvent,
     reference_simulation,
     taylor_coefficients,
@@ -321,6 +322,96 @@ class TestSectionFold:
             H = sc.reduce_to_special_lower_hessenberg(col.matrix).H
             params = sc.SchurParameterSequence(tuple(co._peel(H)))
             assert np.linalg.norm(H - sc.closed_form_matrix(params), 2) <= 1e-13
+
+
+class TestSectionChain:
+    """S, r and l off the section chain of a matrix in exact lower form."""
+
+    POINTS = np.concatenate(
+        [disc_samples(60, radius=0.999), circle_samples(32), [0.0, 1.0, -1.0j]]
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    def test_agrees_with_per_point_solves(self, n):
+        # both routes are backward stable, so at each point they differ by
+        # at most about eps times the condition number of I - z D (3.5e3 at
+        # n = 256 on the circle, where they differ by 4.5e-13 relative)
+        for seed in range(3 if n < 256 else 1):
+            rng = np.random.default_rng([5200 + n, seed])
+            col = random_colligation(rng, n, rmax=0.99)
+            s, r, l = co._section_chain(col, self.POINTS)
+            r_ref = reference_resolvent(col.D, self.POINTS, col.C)
+            l_ref = reference_resolvent(col.D.T, self.POINTS, col.B)
+            s_ref = col.A + self.POINTS * (r_ref @ col.B)
+            assert r.shape == l.shape == (len(self.POINTS), n)
+            for k, z in enumerate(self.POINTS):
+                M = np.eye(n) - z * col.D
+                bound = 1e-14 * np.linalg.cond(M)
+                assert np.abs(r[k] - r_ref[k]).max() <= bound * np.abs(r_ref[k]).max()
+                assert np.abs(l[k] - l_ref[k]).max() <= bound * np.abs(l_ref[k]).max()
+                assert abs(s[k] - s_ref[k]) <= bound
+                assert np.abs(M @ r[k] - col.C).max() <= 1e-14 * np.abs(r[k]).max()
+                assert np.abs(l[k] @ M - col.B).max() <= 1e-14 * np.abs(l[k]).max()
+
+    def test_values_are_the_folds(self):
+        col = random_colligation(np.random.default_rng(5201), 32)
+        s, _, _ = co._section_chain(col, self.POINTS)
+        # the chain runs the fold's array mode and only adds to it
+        assert s.tobytes() == co._fold(col._sections, self.POINTS).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_closed_form_identities_take_no_solve(self, n, monkeypatch):
+        col = random_colligation(np.random.default_rng(5202 + n), n)
+        zs, zetas = disc_samples(20, radius=0.9), 0.5 * disc_samples(13)
+        solved = count_resolvent_solves(monkeypatch)
+        report = sc.verify_spectral_identities(col, zs, zetas)
+        disc_excess, circle_dev = sc.inner_sampling_report(col)
+        assert solved == []
+        assert report.max_residual <= 1e-13
+        assert disc_excess <= 1e-10
+        assert circle_dev <= 1e-12
+
+    def test_a_point_outside_the_disc_takes_the_solve(self, monkeypatch):
+        col = random_colligation(np.random.default_rng(5203), 8)
+        zs, zetas = disc_samples(6, radius=0.9), disc_samples(6, radius=0.5)
+        zetas[2] = 1.2
+        solved = count_resolvent_solves(monkeypatch)
+        report = sc.verify_spectral_identities(col, zs, zetas)
+        assert solved == [12, 12]
+        assert report.max_residual <= 1e-13
+
+
+class TestFoldBits:
+    """The fold keeps the bits of its arithmetic, alone, in arrays and in checks."""
+
+    POINTS = np.concatenate(
+        [disc_samples(40, radius=0.99), circle_samples(32), [0.0, 1.0, -1.0j]]
+    )
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 128])
+    def test_characteristic_function(self, n):
+        col = random_colligation(np.random.default_rng(5300 + n), n)
+        points = self.POINTS.tolist()
+        expected = np.array([reference_fold(col._sections, z) for z in points])
+        values = sc.characteristic_function(col, self.POINTS)
+        singles = np.array([sc.characteristic_function(col, z) for z in self.POINTS])
+        assert values.tobytes() == singles.tobytes() == expected.tobytes()
+        folded = co._fold(col._sections, self.POINTS)
+        assert folded.tobytes() == reference_fold(col._sections, self.POINTS).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_backward_error(self, n):
+        rng = np.random.default_rng(5400 + n)
+        closed = random_colligation(rng, n, rmax=0.9)
+        cascade = sc.model_colligation(sc.BlaschkeProduct(1.0, CLUSTER))
+        gauged = sc.apply_state_gauge(closed, random_unitary(rng, n))
+        for col in (closed, gauged, cascade):
+            params = sc.schur_algorithm_state_space(col).parameters
+            count = sc.schur_state._check_count(col.n)
+            exact = sc.schur_state._circle_values(col, count)
+            folded = reference_fold(params, circle_samples(count))
+            expected = float(np.abs(folded - exact).max())
+            assert sc.schur_state._backward_error(col, params) == expected
 
 
 class TestMinimality:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import schurcol as sc
 from helpers import (
     band_length,
+    count_resolvent_solves,
     count_unitarity_residuals,
     random_colligation,
     random_unitary,
@@ -90,6 +91,18 @@ class TestElementarySection:
             assert np.abs(value - expected).max() <= 1e-14
             if h == 0:
                 assert np.array_equal(value, A)
+
+    @pytest.mark.parametrize("h", [0, 4])
+    def test_characteristic_matrix_of_an_array_is_one_batch(self, h, monkeypatch):
+        rng = np.random.default_rng(44 + h)
+        pc = sc.PartitionedColligation(random_unitary(rng, 2 + h), 1, 1, h)
+        points = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.2 + 1.1j])
+        singles = np.array([sc.characteristic_matrix(pc, z) for z in points])
+        solved = count_resolvent_solves(monkeypatch)
+        values = sc.characteristic_matrix(pc, points)
+        assert solved == [4]
+        assert values.shape == (4, 2, 2)
+        assert np.abs(values - singles).max() <= 1e-15
 
     def test_section_keeps_its_partitioned_colligation(self, monkeypatch):
         section = sc.elementary_schur_section(0.4 - 0.3j)
