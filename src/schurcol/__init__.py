@@ -44,7 +44,6 @@ from .hessenberg import (
     band_residual,
     find_equivalence,
     is_minimal,
-    is_special_lower_hessenberg,
     match_rows,
     normalize_first_row,
     reduce_to_special_lower_hessenberg,

@@ -181,15 +181,12 @@ def _cmd_hessenberg(cmd: _Command) -> dict:
     matrix = js.matrix_from_json(doc["matrix"])
     if cmd.args.orientation == "upper":
         cert = hs.reduce_to_special_upper_hessenberg(matrix)
-        off_band = np.abs(np.tril(cert.H, -2)).max() if len(matrix) > 2 else 0.0
     else:
         cert = hs.reduce_to_special_lower_hessenberg(matrix)
-        off_band = np.abs(np.triu(cert.H, 2)).max() if len(matrix) > 2 else 0.0
-    scale = max(float(np.abs(matrix).max()), 1e-300)
-    cmd.diag("structural_zeros", float(off_band), tol.STRUCT * scale)
     if len(cert.V):
         cmd.diag("gauge_unitarity", cert.gauge_unitarity, tol.UNITARY)
-    cmd.diag("reconstruction", cert.reconstruction, 1e-11 * scale)
+    scale = max(float(np.abs(matrix).max()), 1e-300)
+    cmd.diag("reconstruction", cert.reconstruction, tol.CERTIFICATE * scale)
     return js.certificate_to_json(cert)
 
 
@@ -214,7 +211,7 @@ def _cmd_couple(cmd: _Command) -> dict:
             s_blocks[0, 0], s_blocks[0, 1], s_blocks[1, 0], s_blocks[1, 1], omega
         )
         worst = max(worst, abs(value - expected))
-    cmd.diag("coupling_consistency", worst, 1e-10)
+    cmd.diag("coupling_consistency", worst, tol.COUPLING)
     return js.colligation_to_json(coupled)
 
 
@@ -259,7 +256,7 @@ def _cmd_verify(cmd: _Command) -> dict:
     disc_excess, circle_dev = co.inner_sampling_report(
         col, disc_count=cmd.args.samples, circle_count=cmd.args.samples
     )
-    cmd.diag("contractive_on_disc", disc_excess, 1e-10)
+    cmd.diag("contractive_on_disc", disc_excess, tol.CONTRACTIVE)
     cmd.diag("unimodular_on_circle", circle_dev, tol.INNER)
     if col.n >= 1:
         rng = np.random.default_rng(cmd.args.seed)

@@ -4,7 +4,8 @@ Complex numbers are two-element arrays [re, im].  The canonical writer
 keeps insertion order of the fields and formats every float with 17
 significant digits, so identical inputs produce identical bytes.  A
 list of [float, float] pairs, the form of every vector and matrix row,
-is formatted by one %-operation instead of one call per number.
+is formatted by one %-operation instead of one call per number, and
+one reader takes vectors and matrices back, numeric pairs in one pass.
 """
 
 from __future__ import annotations
@@ -55,75 +56,70 @@ def complex_from_json(v) -> complex:
     raise ValueError(f"expected [re, im], got {v!r}")
 
 
-def _pairs(a) -> np.ndarray:
-    """[re, im] along a new last axis, as a float array."""
-    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(np.shape(a) + (2,))
+def _complex_array_to_json(a) -> list:
+    """a as nested lists with [re, im] pairs for its entries."""
+    pairs = np.ascontiguousarray(a, dtype=complex).view(float)
+    return pairs.reshape(np.shape(a) + (2,)).tolist()
 
 
-def _vector_to_json(vec) -> list:
-    return _pairs(np.asarray(vec).ravel()).tolist()
+def _complex_array_from_json(doc, rank: int) -> np.ndarray:
+    """A complex array of the given rank from nested lists of [re, im] pairs.
 
-
-def _vector_from_json(doc) -> np.ndarray:
-    return np.array([complex_from_json(v) for v in doc], dtype=complex)
-
-
-def _matrix_to_json(m) -> list:
-    return _pairs(m).tolist()
-
-
-def matrix_from_json(doc) -> np.ndarray:
-    """A complex matrix from rows of [re, im] pairs.
-
-    A list of rows whose entries are all pairs of numbers is read in one
-    pass as a float array and viewed as complex.  Any other document
-    (scalar entries, strings, ragged rows, pairs of another length) is
-    read entry by entry by ``complex_from_json``, which accepts or
-    rejects it.
+    A list whose entries at depth rank are all pairs of numbers is read
+    in one pass as a float array and viewed as complex.  Any other
+    document (scalar entries, strings, ragged lists, pairs of another
+    length) is read item by item down to ``complex_from_json``, which
+    accepts or rejects each entry.
     """
+    if rank == 0:
+        return complex_from_json(doc)
     if type(doc) is list:
         try:
             pairs = np.array(doc)
         except ValueError:  # ragged, e.g. scalar entries next to pairs
             pairs = np.empty(0)
-        if pairs.ndim == 3 and pairs.shape[2] == 2 and pairs.dtype.kind in "biuf":
+        numeric = pairs.dtype.kind in "biuf"
+        if numeric and pairs.ndim == rank + 1 and pairs.shape[-1] == 2:
             return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    return np.array(
-        [[complex_from_json(v) for v in row] for row in doc], dtype=complex
-    )
+    return np.array([_complex_array_from_json(v, rank - 1) for v in doc], dtype=complex)
+
+
+def matrix_from_json(doc) -> np.ndarray:
+    """A complex matrix from rows of [re, im] pairs (or of real scalars)."""
+    return _complex_array_from_json(doc, 2)
 
 
 def blaschke_to_json(b: BlaschkeProduct) -> dict:
-    return {"c": complex_to_json(b.c), "zeros": _vector_to_json(b.zeros)}
+    return {"c": complex_to_json(b.c), "zeros": _complex_array_to_json(b.zeros)}
 
 
 def blaschke_from_json(doc: dict) -> BlaschkeProduct:
     return BlaschkeProduct(
         complex_from_json(doc["c"]),
-        tuple(complex_from_json(z) for z in doc["zeros"]),
+        _complex_array_from_json(doc["zeros"], 1),
     )
 
 
 def rational_to_json(s: RationalInner) -> dict:
-    return {"num": _vector_to_json(s.num), "den": _vector_to_json(s.den)}
+    return {"num": _complex_array_to_json(s.num), "den": _complex_array_to_json(s.den)}
 
 
 def rational_from_json(doc: dict) -> RationalInner:
-    return RationalInner(_vector_from_json(doc["num"]), _vector_from_json(doc["den"]))
-
-
-def params_to_json(p: SchurParameterSequence) -> dict:
-    return {"params": _vector_to_json(p.params)}
-
-
-def params_from_json(doc: dict) -> SchurParameterSequence:
-    return SchurParameterSequence(
-        tuple(complex_from_json(v) for v in doc["params"])
+    return RationalInner(
+        _complex_array_from_json(doc["num"], 1), _complex_array_from_json(doc["den"], 1)
     )
 
 
+def params_to_json(p: SchurParameterSequence) -> dict:
+    return {"params": _complex_array_to_json(p.params)}
+
+
+def params_from_json(doc: dict) -> SchurParameterSequence:
+    return SchurParameterSequence(_complex_array_from_json(doc["params"], 1))
+
+
 def colligation_to_json(col: UnitaryColligation) -> dict:
-    return {"n": col.n, "matrix": _matrix_to_json(col.matrix)}
+    return {"n": col.n, "matrix": _complex_array_to_json(col.matrix)}
 
 
 def colligation_matrix_from_json(doc: dict) -> np.ndarray:
@@ -144,7 +140,7 @@ def colligation_from_json(doc: dict) -> UnitaryColligation:
 def partitioned_to_json(pc: PartitionedColligation) -> dict:
     return {
         "dims": {"e1": pc.e1, "e2": pc.e2, "h": pc.h},
-        "matrix": _matrix_to_json(pc.matrix),
+        "matrix": _complex_array_to_json(pc.matrix),
     }
 
 
@@ -160,8 +156,8 @@ def partitioned_from_json(doc: dict) -> PartitionedColligation:
 
 def certificate_to_json(cert: HessenbergCertificate) -> dict:
     return {
-        "H": _matrix_to_json(cert.H),
-        "V": _matrix_to_json(cert.V),
+        "H": _complex_array_to_json(cert.H),
+        "V": _complex_array_to_json(cert.V),
         "orientation": cert.orientation,
         "band": [float(x) for x in cert.band],
     }
@@ -176,9 +172,9 @@ def trace_to_json(trace: SchurStateTrace) -> dict:
     (``SchurStateTrace.matrices``; the loop is in README).
     """
     return {
-        "parameters": _vector_to_json(trace.parameters),
-        "H": _matrix_to_json(trace.H),
-        "denominators": [_vector_to_json(chi) for chi in trace.denominators],
+        "parameters": _complex_array_to_json(trace.parameters),
+        "H": _complex_array_to_json(trace.H),
+        "denominators": [_complex_array_to_json(chi) for chi in trace.denominators],
         "complete": trace.complete,
         "message": trace.message,
     }

@@ -170,6 +170,20 @@ def reference_resolvent(D, points, rhs):
     ).reshape(len(points), len(D))
 
 
+def assert_stored_exactly(cert, M):
+    """Exact zeros above the band, a real nonnegative band and H[0, 0] = M[0, 0].
+
+    The reduction stores its form exactly and does not scan it, so this is
+    where the promise is checked.  An upper certificate is checked on H*,
+    the lower form of M*.
+    """
+    H = cert.H if cert.orientation == "lower" else cert.H.conj().T
+    assert not np.triu(H, 2).any()
+    band = np.diagonal(H, 1)
+    assert not band.imag.any() and (band.real >= 0.0).all()
+    assert cert.H[0, 0] == M[0, 0]
+
+
 def count_full_reductions(monkeypatch):
     """A list that gains the degree of every reduction entering the Arnoldi loop."""
     entered = []

@@ -298,6 +298,26 @@ class TestHessenberg:
         full = schur_parameters(tmp_path / "full.json")
         assert np.abs(shortcut - full).max() <= 1e-15
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[[1, 0], [0, 0]]],  # 1 x 2
+            [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],  # 2 x 3
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]],  # 3 x 2
+            [[]],  # 1 x 0
+            [],  # 0
+        ],
+    )
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    def test_non_square_input_exits_2(self, matrix, orientation, tmp_path, capsys):
+        source = tmp_path / "matrix.json"
+        source.write_text(json.dumps({"matrix": matrix}))
+        out = tmp_path / "cert.json"
+        argv = ["hessenberg", "--orientation", orientation, "--input", str(source)]
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        assert "non-empty square matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_unitary_via_upper(self):
         rng = np.random.default_rng(70)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -562,7 +582,7 @@ class TestResidualsTakenOnce:
             assert cli.main([*argv, "--output", str(tmp_path / "cert.json")]) == 0
             assert taken == [16]
             checks = diagnostics(capsys.readouterr().err)
-            assert set(checks) == {"structural_zeros", "gauge_unitarity", "reconstruction"}
+            assert set(checks) == {"gauge_unitarity", "reconstruction"}
             taken.clear()
         # the exact-form shortcut certifies itself without a residual
         assert cli.main(["hessenberg", "--input", str(realized)]) == 0
@@ -757,6 +777,95 @@ class TestSerialization:
 def entrywise_matrix(doc):
     """matrix_from_json's entry-by-entry reading, as the reference."""
     return np.array([[js.complex_from_json(v) for v in row] for row in doc], dtype=complex)
+
+
+def entrywise_vector(doc):
+    """The entry-by-entry reading of a vector, as the reference."""
+    return np.array([js.complex_from_json(v) for v in doc], dtype=complex)
+
+
+VECTOR_DOCUMENTS = [
+    # pairs of floats, ints and bools
+    [[0.5, -0.0], [0.0, 1.0]],
+    [[0, 0], [0, 1]],
+    [[False, False], [True, False]],
+    [[0.25, True], [0, 1.0]],
+    # scalar entries, alone or next to pairs
+    [0.5, 1.0],
+    [0, 1],
+    [0.5, [0.0, 1.0]],
+    # ragged lists and pairs of another length
+    [[0.5, 0.0], [1.0]],
+    [[0.5, 0.0, 0.0], [1.0, 0.0, 0.0]],
+    [[0.5], [1.0]],
+    [[[0.5, 0.0]], [[1.0, 0.0]]],
+    [[]],
+    [],
+    # numeric strings, other strings and nulls
+    [["0.5", "0"], ["1", "0"]],
+    [["0.5", 0], [1, "0"]],
+    ["0.5", "1"],
+    [["x", "0"], ["1", "0"]],
+    [[None, 0.0], [1.0, 0.0]],
+    "01",
+    {"params": 1},
+    5,
+    None,
+    # ints beyond 2**63, on both sides of 2**64 and of -2**63
+    [[2**63, 0], [1, 0]],
+    [[2**63 + 1, -1], [0, 1]],
+    [[2**64 - 1, 0.5], [1, 0]],
+    [[2**64 + 1, 0], [1, 0]],
+    [[-(2**63) - 1, 2**63], [1, 0]],
+    [[10**400, 0], [1, 0]],
+    [[0.5, 0], [10**400, 0]],
+]
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=complex), np.asarray(expected, dtype=complex)
+    return got.shape == expected.shape and np.array_equal(
+        got.view(np.uint64), expected.view(np.uint64)
+    )
+
+
+class TestVectorFromJson:
+    """One-pass reading of vectors: the entry-by-entry verdicts and values."""
+
+    @pytest.mark.parametrize("doc", VECTOR_DOCUMENTS)
+    def test_reader_matches_the_entrywise_reading(self, doc):
+        try:
+            expected = entrywise_vector(doc)
+        except Exception as exc:  # the reference's verdict, whatever its type
+            with pytest.raises(type(exc)):
+                js._complex_array_from_json(doc, 1)
+            return
+        got = js._complex_array_from_json(doc, 1)
+        assert got.dtype == complex and same_bits(got, expected)
+
+    @pytest.mark.parametrize("doc", VECTOR_DOCUMENTS)
+    @pytest.mark.parametrize("field", ["params", "zeros", "num"])
+    def test_params_command_matches_the_entrywise_reading(
+        self, doc, field, tmp_path, capsys
+    ):
+        def run(document):
+            source, out = tmp_path / "in.json", tmp_path / "out.json"
+            source.write_text(json.dumps(document))
+            out.unlink(missing_ok=True)
+            code = cli.main(["params", "--input", str(source), "--output", str(out)])
+            capsys.readouterr()
+            return code, out.read_text() if out.exists() else None
+
+        extra = {"params": {}, "zeros": {"c": [1, 0]}, "num": {"den": [[1, 0]]}}[field]
+        got = run({field: doc, **extra})
+        try:
+            values = entrywise_vector(doc)
+        except Exception:
+            assert got == (2, None)
+            return
+        # the same values as float pairs, which every reader takes in one pass
+        pairs = [[v.real, v.imag] for v in values.tolist()]
+        assert got == run({field: pairs, **extra})
 
 
 class TestMatrixFromJson:

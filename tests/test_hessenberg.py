@@ -7,8 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol.colligation import _in_lower_form
 from schurcol.hessenberg import is_minimal_form
 from helpers import (
+    assert_stored_exactly,
     count_full_reductions,
     hankel_rank,
     random_params,
@@ -208,7 +210,7 @@ class TestInPlaceReduction:
         # unitary and reconstructs H to 1e-11, so returning is the check
         m = gauged_parameter_matrix(np.random.default_rng(230 + n), n)
         cert = sc.reduce_to_special_lower_hessenberg(m)
-        assert sc.is_special_lower_hessenberg(cert.H)
+        assert_stored_exactly(cert, m)
         assert sc.unitarity_residual(cert.V) <= 1e-11
         # the residuals it checked are those the product G* M G gives: the
         # same bits for the lower form; the upper form's product was taken
@@ -216,6 +218,7 @@ class TestInPlaceReduction:
         # take the exact-form shortcut, whose residuals are exactly 0
         assert stored_residuals(cert) == recomputed_residuals(cert, m)
         upper = sc.reduce_to_special_upper_hessenberg(m)
+        assert_stored_exactly(upper, m)
         assert_allclose(
             stored_residuals(upper), recomputed_residuals(upper, m), rtol=0, atol=1e-15
         )
@@ -244,6 +247,32 @@ class TestInPlaceReduction:
             sc.reduce_to_special_upper_hessenberg(m.conj().T)
 
 
+class TestInputShape:
+    """Both reductions take a non-empty square matrix and nothing else."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2), (2, 3), (3, 2), (1, 0), (0,), (0, 0), (), (2, 2, 2)]
+    )
+    @pytest.mark.parametrize(
+        "reduce",
+        [sc.reduce_to_special_lower_hessenberg, sc.reduce_to_special_upper_hessenberg],
+    )
+    def test_other_shapes_raise_dimension_mismatch(self, reduce, shape):
+        m = np.random.default_rng(236).standard_normal(shape) + 0.5j
+        with pytest.raises(sc.DimensionMismatch, match="non-empty square"):
+            reduce(m)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_square_inputs_of_every_size_reduce(self, size):
+        m = random_unitary(np.random.default_rng(237), size)
+        for cert in (
+            sc.reduce_to_special_lower_hessenberg(m),
+            sc.reduce_to_special_upper_hessenberg(m),
+        ):
+            assert_stored_exactly(cert, m)
+            assert cert.V.shape == (size - 1, size - 1)
+
+
 def stored_residuals(cert):
     return cert.reconstruction, cert.gauge_unitarity
 
@@ -254,14 +283,6 @@ def recomputed_residuals(cert, M):
     g[1:, 1:] = cert.V
     reconstruction = float(np.abs(g.conj().T @ M @ g - cert.H).max())
     return reconstruction, sc.unitarity_residual(cert.V) if len(cert.V) else 0.0
-
-
-def assert_stored_exactly(cert, M):
-    """Exact zeros above the band, a real nonnegative band and H[0, 0] = M[0, 0]."""
-    assert not np.triu(cert.H, 2).any()
-    band = np.diagonal(cert.H, 1)
-    assert not band.imag.any() and (band.real >= 0.0).all()
-    assert cert.H[0, 0] == M[0, 0]
 
 
 class TestBreakdownRule:
@@ -387,7 +408,7 @@ class TestExactLowerForm:
             closed[2, 3] += 1e-300j
         cert = sc.reduce_to_special_lower_hessenberg(closed)
         assert entered == [8]
-        assert sc.is_special_lower_hessenberg(cert.H)
+        assert_stored_exactly(cert, closed)
         assert np.abs(cert.H - closed).max() <= 1e-15
 
 
@@ -435,19 +456,19 @@ class TestPredicates:
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
-        assert sc.is_special_lower_hessenberg(col.matrix)
+        assert _in_lower_form(col.matrix)
         band = np.abs(np.diagonal(col.matrix, 1))
         assert band.min() > sc.tolerances.STRUCT * np.abs(col.matrix).max()
 
     def test_upper_triangular(self):
         m = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
-        assert not sc.is_special_lower_hessenberg(m)  # entries above the band
+        assert not _in_lower_form(m)  # entries above the band
         bidiagonal = np.eye(3) + np.diag([1.0, 1.0], 1)
-        assert sc.is_special_lower_hessenberg(bidiagonal)
+        assert _in_lower_form(bidiagonal)
 
     def test_zero_band_entry(self):
         m = np.array([[0.5, 0.0], [0.5, 0.5]])
-        assert sc.is_special_lower_hessenberg(m)
+        assert _in_lower_form(m)
         assert not np.abs(np.diagonal(m, 1)).min() > sc.tolerances.STRUCT * np.abs(m).max()
 
 

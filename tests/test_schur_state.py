@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol.colligation import _in_lower_form
 from helpers import (
     blaschke_values,
     cluster,
@@ -152,7 +153,7 @@ class TestFullAlgorithm:
             sc.UnitaryColligation(random_unitary(rng, 6))
         )
         for m in trace.matrices[:-1]:
-            assert sc.is_special_lower_hessenberg(m, tolerance=1e-11)
+            assert _in_lower_form(m)
             # no band entry at or below 1e-8 of the largest entry
             assert np.abs(np.diagonal(m, 1)).min() > 1e-8 * np.abs(m).max()
 
@@ -364,7 +365,7 @@ class TestMatrixBuilders:
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
         assert sc.is_minimal(col)
-        assert sc.is_special_lower_hessenberg(col.matrix)
+        assert _in_lower_form(col.matrix)
 
 
 class TestDenominatorChain:
