@@ -184,9 +184,8 @@ def _cmd_hessenberg(cmd: _Command) -> dict:
     else:
         cert = hs.reduce_to_special_lower_hessenberg(matrix)
     if len(cert.V):
-        cmd.diag("gauge_unitarity", cert.gauge_unitarity, tol.UNITARY)
-    scale = max(float(np.abs(matrix).max()), 1e-300)
-    cmd.diag("reconstruction", cert.reconstruction, tol.CERTIFICATE * scale)
+        cmd.diag("gauge_unitarity", cert.gauge_unitarity, tol.CERTIFICATE)
+    cmd.diag("reconstruction", cert.reconstruction, tol.CERTIFICATE)
     return js.certificate_to_json(cert)
 
 

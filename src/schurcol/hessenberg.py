@@ -13,12 +13,13 @@ against q_0 .. q_{k-1} ("twice is enough": Daniel, Gragg, Kaufman &
 Stewart 1976; Giraud, Langou & Rozloznik 2005), stores |w| as the band
 entry H[k, k+1] and sets q_k = w / |w|; q_0's band entry H[0, 1] is
 |B|.  The cost is O(n^3) in matrix-vector products, and H is formed
-once as G* M G.  The certificate's two residuals, max|G* M G - H| and
-the unitarity residual of V, are taken once from that product and V
-and kept on it; the check reads them, and nothing else, since they are
-all that a reduction can get wrong.  The upper form is obtained from
-the reduction of the adjoint, which is equivalent because the
-conjugate of a nonnegative real is itself.
+once as G* M G.  The certificate's two residuals, max|G* M G - H| /
+max|M| (max|M| taken once, also for the breakdown cut) and the
+unitarity residual of V, are kept on it; the check compares both with
+CERTIFICATE and reads nothing else, since they are all that a
+reduction can get wrong.  The upper form is obtained from the
+reduction of the adjoint, which is equivalent because the conjugate
+of a nonnegative real is itself.
 
 A breakdown, |w| <= STRUCT max|M| (the Krylov space is numerically
 invariant, or B numerically zero), stores a band entry of exactly 0 and restarts
@@ -97,8 +98,10 @@ __all__ = [
 class HessenbergCertificate:
     """Reduced matrix, the gauge that produced it, the band and the residuals.
 
-    reconstruction is max|G* M G - H| for G = diag(1, V), taken on M*
-    for the upper form, and gauge_unitarity the unitarity residual of V.
+    reconstruction is max|G* M G - H| / max|M| for G = diag(1, V), taken
+    on M* for the upper form, and gauge_unitarity the unitarity residual
+    of V.  Both are the quantities CERTIFICATE bounds, and the reduction
+    has checked them against it.
     """
 
     H: np.ndarray
@@ -187,18 +190,16 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     and ``H[0, 0] == M[0, 0]``.  An input exactly in lower form is
     returned as a copy, with V = I, no Arnoldi step and zero residuals.
     """
-    M = np.asarray(M, dtype=complex)
-    cert = _reduce_lower(M)
-    _check_certificate(cert, M)
+    cert = _reduce_lower(np.asarray(M, dtype=complex))
+    _check_certificate(cert)
     return cert
 
 
 def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     """Adjoint trick: reduce M* to lower form with gauge V, then H = (H_lower)*."""
-    M = np.asarray(M, dtype=complex)
-    lower = _reduce_lower(M.conj().T)
+    lower = _reduce_lower(np.asarray(M, dtype=complex).conj().T)
     cert = replace(lower, H=lower.H.conj().T, orientation="upper")
-    _check_certificate(cert, M)
+    _check_certificate(cert)
     return cert
 
 
@@ -240,7 +241,8 @@ def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]
     """The Arnoldi loop of the lower reduction: H, V and the two residuals."""
     size = M.shape[0]
     n = size - 1
-    cut = tol.STRUCT * max(float(np.abs(M).max()), 1e-300)
+    scale = max(float(np.abs(M).max()), 1e-300)
+    cut = tol.STRUCT * scale
     # D* with contiguous rows: each product is one dot product per row
     D_adj = np.ascontiguousarray(M[1:, 1:].conj().T)
     # row k is q_k, the gauge's column k; basis_bar holds the conjugates
@@ -270,14 +272,16 @@ def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]
     H[0, 0] = M[0, 0]
     H[np.arange(n), np.arange(1, size)] = band
     V = basis.T.copy()
-    recon = float(np.abs(product - H).max())
+    recon = float(np.abs(product - H).max()) / scale
     return H, V, recon, unitarity_residual(V) if n else 0.0
 
 
-def _check_certificate(cert: HessenbergCertificate, M: np.ndarray) -> None:
+def _check_certificate(cert: HessenbergCertificate) -> None:
     """InternalInconsistency unless both residuals cert carries meet CERTIFICATE."""
-    bound = tol.CERTIFICATE * max(float(np.abs(M).max()), 1e-300)
-    if not (cert.gauge_unitarity <= tol.CERTIFICATE and cert.reconstruction <= bound):
+    if not (
+        cert.gauge_unitarity <= tol.CERTIFICATE
+        and cert.reconstruction <= tol.CERTIFICATE
+    ):
         raise InternalInconsistency(
             f"gauge residuals too large: unitarity {cert.gauge_unitarity:.3e}, "
             f"reconstruction {cert.reconstruction:.3e}"

@@ -284,19 +284,18 @@ def from_schur_parameters(p: SchurParameterSequence) -> RationalInner:
 class InnerSamplingReport:
     max_disc_excess: float
     max_circle_deviation: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
+        """Both figures within INNER."""
         return (
-            self.max_disc_excess <= self.tolerance
-            and self.max_circle_deviation <= self.tolerance
+            self.max_disc_excess <= tol.INNER
+            and self.max_circle_deviation <= tol.INNER
         )
 
 
 def is_inner_sampled(
     s: RationalInner,
-    tolerance: float = tol.INNER,
     disc_count: int = 64,
     circle_count: int = 64,
 ) -> InnerSamplingReport:
@@ -318,4 +317,4 @@ def is_inner_sampled(
         circle_dev = np.max(np.abs(moduli - 1.0), initial=0.0)
     except NearPole:
         circle_dev = np.inf
-    return InnerSamplingReport(float(disc_excess), float(circle_dev), tolerance)
+    return InnerSamplingReport(float(disc_excess), float(circle_dev))

@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     DiscViolation,
     FeedbackSingular,
-    NotUnitary,
     UnitViolation,
 )
 from .sampling import disc_samples
@@ -147,7 +146,9 @@ def elementary_schur_section(s0: complex) -> SchurSection:
 
     Its characteristic matrix at z is
     [[s0, z d], [d, -z conj(s0)]], the coefficient matrix of the
-    inverse Schur transform in feedback form.
+    inverse Schur transform in feedback form.  Its one unitarity gate
+    is that of :class:`PartitionedColligation` (UNITARY); by
+    construction the residual is of the order of 1e-16.
     """
     s0 = complex(s0)
     if not tol.inside_disc(s0):
@@ -161,10 +162,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
         ],
         dtype=complex,
     )
-    pc = PartitionedColligation(m, 1, 1, 1)
-    if not pc.unitarity <= 1e-14:
-        raise NotUnitary(f"section unitarity residual {pc.unitarity:.3e}", pc.unitarity)
-    return SchurSection(s0, pc)
+    return SchurSection(s0, PartitionedColligation(m, 1, 1, 1))
 
 
 def redheffer_product(

@@ -105,7 +105,9 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
     peels the elementary section of that row (``colligation._peel_row``,
     the recursion's own kernel): s_p = A / |(A, b)|, d_p = b / |(A, b)|,
     and the next matrix is [d_p C - s_p D[:, 0] | D[:, 1:]]; for a 1x1
-    principal block the remaining scalar is the terminal parameter.
+    principal block the remaining scalar is the terminal parameter.  The
+    section is read once, and, as in the recursion, the next
+    colligation's unitarity gate is the step's one check.
     """
     if col.n < 1:
         raise Terminal("colligation is already the terminal constant")
@@ -117,18 +119,6 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
         raise Terminal(
             f"|s_p| = {abs(s_p):.17g} is within {tol.DISC:g} of the unit circle"
         )
-    # by unitarity |C| = sqrt(1 - |s_p|^2), so the section's column agrees
-    # with C / |C|, and C conj(s_p) + D[:, 0] |C| = 0 is the other half of
-    # the section's inverse, which leaves the peeled column zero
-    delta = float(np.linalg.norm(col.C))
-    ortho = np.abs(col.C * np.conj(s_p) + col.D[:, 0] * delta).max()
-    agreement = np.abs(first_col - col.C / delta).max()
-    if max(ortho, agreement) > tol.ROUND:
-        raise InternalInconsistency(
-            f"closed forms of the step disagree: orthogonality {ortho:.3e}, "
-            f"column {agreement:.3e}"
-        )
-
     next_matrix = np.column_stack([first_col, col.D[:, 1:]])
     return s_p, UnitaryColligation(next_matrix)
 

@@ -97,10 +97,6 @@ READOUT = 1e-12
 # degree-256 parameters
 UNITARY = 1e-10
 
-# energy balance of time-domain simulation.  Read by no function of the
-# package; the simulation tests write their 1e-10 bounds as literals
-ENERGY = 1e-10
-
 # intertwining residual of a state-space equivalence.  n = 64:
 # `cross_route_equivalence` of CI's `schurcol realize` on 64 clustered zeros
 EQUIV = 1e-9

@@ -318,6 +318,32 @@ class TestHessenberg:
         assert "non-empty square matrix" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("orientation", ["lower", "upper"])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_lines_are_written_against_the_applied_bound(
+        self, n, orientation, tmp_path, capsys
+    ):
+        # the reduction checks both residuals against CERTIFICATE, the
+        # reconstruction relative to max|M|; the lines carry that bound
+        # and the stored values, on the exact-form shortcut and off it
+        rng = np.random.default_rng(75 + n)
+        closed = sc.colligation_from_schur_parameters(random_params(rng, n, rmax=0.9))
+        reduce = {
+            "lower": sc.reduce_to_special_lower_hessenberg,
+            "upper": sc.reduce_to_special_upper_hessenberg,
+        }[orientation]
+        for col in (closed, sc.apply_state_gauge(closed, random_unitary(rng, n))):
+            source = tmp_path / "matrix.json"
+            source.write_text(js.dumps_canonical(js.colligation_to_json(col)))
+            argv = ["hessenberg", "--orientation", orientation, "--input", str(source)]
+            assert cli.main([*argv, "--output", str(tmp_path / "cert.json")]) == 0
+            checks = diagnostics(capsys.readouterr().err)
+            assert set(checks) == {"gauge_unitarity", "reconstruction"}
+            assert {c["tolerance"] for c in checks.values()} == {1e-11}
+            cert = reduce(col.matrix)
+            assert checks["reconstruction"]["residual"] == cert.reconstruction
+            assert checks["gauge_unitarity"]["residual"] == cert.gauge_unitarity
+
     def test_random_unitary_via_upper(self):
         rng = np.random.default_rng(70)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

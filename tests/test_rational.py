@@ -280,8 +280,9 @@ class TestInnerSampling:
     def test_random_blaschke_passes_tightly(self):
         rng = np.random.default_rng(11)
         b = random_blaschke(rng, 4)
-        report = sc.is_inner_sampled(sc.blaschke_to_rational(b), tolerance=1e-12)
-        assert report.passed
+        report = sc.is_inner_sampled(sc.blaschke_to_rational(b))
+        assert report.max_disc_excess <= 1e-12
+        assert report.max_circle_deviation <= 1e-12
 
 
 class TestProperties:
@@ -307,4 +308,6 @@ class TestProperties:
             omega = sc.blaschke_to_rational(random_blaschke(rng, 3))
             s0 = complex(0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
             s = sc.inverse_schur_transform(s0, omega)
-            assert sc.is_inner_sampled(s, tolerance=1e-10).passed
+            report = sc.is_inner_sampled(s)
+            assert report.max_disc_excess <= 1e-10
+            assert report.max_circle_deviation <= 1e-10

@@ -87,6 +87,46 @@ class TestSchurStep:
         with pytest.raises(sc.NotNormalized):
             sc.schur_step(sc.UnitaryColligation(m))
 
+    def test_near_unimodular_first_parameter_steps_within_unitarity(self):
+        # s_0 = (1 - eps) e^{i theta} makes |C| = sqrt(1 - |s_0|^2) small,
+        # so C / |C| would amplify the entries' rounding by 1 / |C|; the
+        # step reads its section once, and the next colligation's
+        # unitarity gate is its check.  Every entry but the channel row
+        # is moved, so the special-row test still passes
+        rng = np.random.default_rng(1)
+        accepted = 0
+        points = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+        for _ in range(200):
+            eps = 10 ** rng.uniform(-9, -6)
+            s0 = complex((1 - eps) * np.exp(2j * np.pi * rng.uniform()))
+            tail = sc.SchurParameterSequence(
+                tuple(0.5 * np.exp(2j * np.pi * rng.uniform(size=3))) + (1.0,)
+            )
+            exact = sc.closed_form_matrix(sc.SchurParameterSequence((s0, *tail.params)))
+            size = 10 ** rng.uniform(-13, np.log10(3e-11))
+            moved = exact + size * (
+                rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+            )
+            moved[0, 1:] = exact[0, 1:]
+            tail_col = sc.colligation_from_schur_parameters(tail)
+            step, nxt = sc.schur_step(sc.UnitaryColligation(exact))
+            assert step == sc.colligation._peel(exact)[0]
+            assert np.abs(nxt.matrix - tail_col.matrix).max() <= 1e-15
+            try:
+                col = sc.UnitaryColligation(moved)
+            except sc.NotUnitary:
+                continue
+            accepted += 1
+            step, nxt = sc.schur_step(col)
+            assert abs(step - s0) <= 1e-10
+            assert nxt.unitarity <= sc.tolerances.UNITARY
+            for z in points:
+                assert abs(
+                    sc.characteristic_function(nxt, z)
+                    - sc.characteristic_function(tail_col, z)
+                ) <= 1e-9
+        assert accepted >= 150
+
     def test_transformed_function(self):
         rng = np.random.default_rng(51)
         col = random_colligation(rng, 4)
