@@ -63,11 +63,9 @@ from .rational import (
     schur_transform,
 )
 from .realization import (
-    RealizationReport,
     UniquenessReport,
     model_colligation,
     realization_uniqueness_check,
-    verify_realization,
 )
 from .redheffer import (
     GaugeFamilyReport,

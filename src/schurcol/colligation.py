@@ -261,6 +261,16 @@ def _fold(params, z, steps=None):
     return w
 
 
+def _check_count(n: int) -> int:
+    """Points of a check on the circle: at least 4(n + 1), a multiple of 16.
+
+    Two functions of degree n that agree at more than 2n points of the
+    circle are equal, and a degree-n inner function winds n times round
+    it, so the count grows with the degree.
+    """
+    return 16 * -(-(n + 1) // 4)
+
+
 def _section_chain(col: UnitaryColligation, z: np.ndarray):
     """(S, r, l) at the points z off the sections of a lower form, O(n) per point.
 

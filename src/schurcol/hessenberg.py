@@ -52,7 +52,12 @@ threshold ``max(n+1, 8) * RANK_REL`` relative to the largest entry
 (:func:`band_residual`, defined next to the fold that shares it in
 :mod:`schurcol.colligation`).  Equivalence: with a nonzero band the form
 is unique (implicit Q), so two minimal colligations of one function
-reduce to the same H, and V1 V2* intertwines them.
+reduce to the same H, and V1 V2* intertwines them.  In floating point
+the two forms differ by their forward error, which grows with kappa,
+so an intertwining residual within EQUIV is only a sufficient test.
+"Same function" is decided as the state-space recursion decides it: the
+Moebius folds of the two peeled parameter sequences agree within
+BACKWARD at the recursion's check points on the unit circle.
 """
 
 from __future__ import annotations
@@ -73,13 +78,16 @@ from .errors import (
 )
 from .colligation import (
     UnitaryColligation,
+    _check_count,
+    _fold,
     _in_lower_form,
+    _peel,
     band_residual,
     intertwining_residual,
     is_minimal_form,
-    markov_parameters,
     unitarity_residual,
 )
+from .sampling import circle_samples
 
 __all__ = [
     "HessenbergCertificate",
@@ -299,32 +307,37 @@ def find_equivalence(
     """State gauge V with diag(1, V) U2 = U1 diag(1, V), None if the functions differ.
 
     Both colligations are reduced to the lower form; NotSimple unless
-    both bands are nonzero.  Equal forms make V = V1 V2* the gauge, and
-    it is returned when its intertwining residual is within EQUIV.
-    Otherwise the first 2n + 1 Markov parameters decide: the functions
-    differ (None), or they agree and the gauge is off, as when large
-    kappa = prod 1 / sqrt(1 - |s_j|^2) leaves its forward error in H
-    (InternalInconsistency).
+    both bands are nonzero.  Minimal realizations of different state
+    dimensions realize different functions (None).  V = V1 V2* is
+    returned at once when its intertwining residual is within EQUIV, a
+    sufficient test.  Otherwise the functions decide, by the state-space
+    recursion's own test: V is returned when the Moebius folds of the two
+    peeled parameter sequences agree within BACKWARD at the
+    ``_check_count(n)`` roots of unity, and None when they do not.  As
+    in the fold, every peeled s_p with p < n must be inside the disc, or
+    NotSimple.
+
+    Equal means equal S to BACKWARD on the circle, not equal parameters:
+    deep parameters barely move S, so at n = 256 a relative change of
+    1e-3 in s_200 still gives the same function.  The forward error of
+    the two forms, and with it the intertwining residual of V, grows with
+    kappa = prod 1 / sqrt(1 - |s_p|^2); that residual is the caller's
+    figure to report (:func:`intertwining_residual`).
     """
     cert1 = reduce_to_special_lower_hessenberg(col1.matrix)
     cert2 = reduce_to_special_lower_hessenberg(col2.matrix)
     if not (is_minimal_form(cert1.H) and is_minimal_form(cert2.H)):
         raise NotSimple("both colligations must be simple")
-    residual = math.inf
-    if col1.n == col2.n:
-        V = cert1.V @ cert2.V.conj().T
-        residual = intertwining_residual(col1, col2, V)
-        if residual <= tol.EQUIV:
-            return V
-    order = 2 * max(col1.n, col2.n) + 1
-    gap = np.abs(markov_parameters(col1, order) - markov_parameters(col2, order)).max()
-    if gap > tol.ROUND:
-        return None
     if col1.n != col2.n:
-        raise InternalInconsistency(
-            "equal Markov parameters but different minimal state dimensions"
+        return None
+    V = cert1.V @ cert2.V.conj().T
+    if intertwining_residual(col1, col2, V) <= tol.EQUIV:
+        return V
+    s1, s2 = _peel(cert1.H), _peel(cert2.H)
+    if not all(tol.inside_disc(s) for s in s1[:-1] + s2[:-1]):
+        raise NotSimple(
+            f"a peeled parameter is within {tol.DISC:g} of the unit circle"
         )
-    raise InternalInconsistency(
-        f"intertwining residual {residual:.3e} exceeds {tol.EQUIV:g} "
-        "although the Markov parameters agree"
-    )
+    t = circle_samples(_check_count(col1.n))
+    gap = np.abs(_fold(s1, t) - _fold(s2, t)).max()
+    return V if gap <= tol.BACKWARD else None

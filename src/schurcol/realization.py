@@ -19,21 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import (
-    UnitaryColligation,
-    characteristic_function,
-    intertwining_residual,
-)
+from . import tolerances as tol
+from .colligation import UnitaryColligation, intertwining_residual
 from .errors import InternalInconsistency
 from .hessenberg import find_equivalence
-from .rational import BlaschkeProduct, RationalInner, blaschke_to_rational, schur_parameters
+from .rational import BlaschkeProduct, blaschke_to_rational, schur_parameters
 from .schur_state import colligation_from_schur_parameters
 
 __all__ = [
-    "RealizationReport",
     "UniquenessReport",
     "model_colligation",
-    "verify_realization",
     "realization_uniqueness_check",
 ]
 
@@ -51,21 +46,6 @@ def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
 
 
 @dataclass(frozen=True)
-class RealizationReport:
-    max_characteristic_error: float
-    samples: int
-
-
-def verify_realization(
-    col: UnitaryColligation, s: RationalInner, samples
-) -> RealizationReport:
-    """Compare S_col against ``s`` on the samples, taken as one batch."""
-    samples = np.asarray(samples, dtype=complex)
-    gap = np.abs(characteristic_function(col, samples) - s.evaluate(samples))
-    return RealizationReport(float(gap.max(initial=0.0)), len(samples))
-
-
-@dataclass(frozen=True)
 class UniquenessReport:
     intertwining_residual: float
     state_dimension: int
@@ -74,10 +54,12 @@ class UniquenessReport:
 def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
     """Build the model and parameter realizations and intertwine them.
 
-    Both realize b, so a failure to intertwine them is the library's
-    (InternalInconsistency), not the input's.  :func:`find_equivalence`
+    Both realize b, so :func:`find_equivalence` finding that their
+    functions differ by more than BACKWARD on the unit circle (None) is
+    the library's failure (InternalInconsistency), not the input's.  It
     raises NotSimple unless both are minimal; it reduces each colligation
-    once, and the closed form is its own lower form.
+    once, and the closed form is its own lower form.  The report carries
+    the gauge's intertwining residual, which grows with kappa.
     """
     model = model_colligation(b)
     params = schur_parameters(blaschke_to_rational(b))
@@ -85,6 +67,7 @@ def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
     V = find_equivalence(model, closed)
     if V is None:
         raise InternalInconsistency(
-            "realizations of the same function failed to intertwine"
+            "realizations of the same function differ by more than "
+            f"{tol.BACKWARD:g} on the unit circle"
         )
     return UniquenessReport(intertwining_residual(model, closed, V), model.n)

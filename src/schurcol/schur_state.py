@@ -45,6 +45,7 @@ import numpy as np
 from . import tolerances as tol
 from .colligation import (
     UnitaryColligation,
+    _check_count,
     _fold,
     _peel,
     _peel_row,
@@ -197,16 +198,6 @@ class SchurStateTrace:
         if not self.complete:
             raise NotMinimal(f"trace is partial: {self.message}")
         return SchurParameterSequence(self.parameters)
-
-
-def _check_count(n: int) -> int:
-    """Points of the final check: at least 4(n + 1), a multiple of 16.
-
-    Two functions of degree n that agree at more than 2n points of the
-    circle are equal, and a degree-n inner function winds n times round
-    it, so the count grows with the degree.
-    """
-    return 16 * -(-(n + 1) // 4)
 
 
 def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:

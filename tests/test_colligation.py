@@ -526,13 +526,46 @@ class TestFindEquivalence:
         )
         assert sc.find_equivalence(col1, sc.UnitaryColligation(DELAY)) is None
 
-    def test_equal_functions_without_a_gauge_are_inconsistent(self, monkeypatch):
-        # the Markov parameters agree, so a gauge that fails to intertwine
-        # is the library's failure, not a difference of the functions
+    def test_equal_functions_get_their_gauge_from_the_fold(self, monkeypatch):
+        # with the residual test forced to fail, the folds of the peeled
+        # parameters decide, and equal functions get V1 V2*
         monkeypatch.setattr(sc.hessenberg, "intertwining_residual", lambda *a: 1.0)
         col = random_colligation(np.random.default_rng(11), 3)
-        with pytest.raises(sc.InternalInconsistency, match="intertwining residual"):
-            sc.find_equivalence(col, col)
+        v = sc.find_equivalence(col, col)
+        assert v is not None
+        assert sc.intertwining_residual(col, col, v) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_haar_gauged_closed_forms_get_a_gauge(self, n):
+        # the two forms differ by a forward error that grows with kappa
+        # (|H1 - H2| had median 1.8e-6 at n = 64 and 1.0 at n = 128), so
+        # V1 V2* misses EQUIV; the folds of the peeled parameters agree to
+        # about 1e-11 on the circle
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            col = sc.colligation_from_schur_parameters(random_params(rng, n, rmax=0.9))
+            gauged = sc.apply_state_gauge(col, random_unitary(rng, n))
+            for first, second in ((col, gauged), (gauged, col)):
+                assert sc.find_equivalence(first, second) is not None
+
+    def test_near_unimodular_peel_is_not_simple(self, monkeypatch):
+        # |s_2| = 1 - 1e-10 leaves the band minimal (d_2 = 1.4e-5) but is
+        # outside the disc the fold needs, like a zero band entry
+        monkeypatch.setattr(sc.hessenberg, "intertwining_residual", lambda *a: 1.0)
+        params = list(random_params(np.random.default_rng(13), 8).params)
+        params[2] = (1.0 - 1e-10) * 1j
+        near = sc.UnitaryColligation(
+            sc.closed_form_matrix(SimpleNamespace(params=tuple(params)))
+        )
+        assert sc.band_residual(near.matrix) <= 1.0
+        with pytest.raises(sc.NotSimple):
+            sc.find_equivalence(near, near)
+
+    def test_first_parameter_moved_gives_none(self):
+        params = random_params(np.random.default_rng(14), 8).params
+        col1 = sc.colligation_from_schur_parameters(params)
+        col2 = sc.colligation_from_schur_parameters((params[0] + 1e-3,) + params[1:])
+        assert sc.find_equivalence(col1, col2) is None
 
     def test_requires_simplicity(self):
         with pytest.raises(sc.NotSimple):
