@@ -378,7 +378,7 @@ def characteristic_function(col: UnitaryColligation, z):
         point = complex(z)
         if abs(point) <= 1.0 and col._sections is not None:
             return _fold(col._sections, point)
-        return complex(characteristic_function(col, np.array([point]))[0])
+        return complex(_solved_values(col, np.array([point]))[0])
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     values = np.empty(flat.shape, dtype=complex)
@@ -389,12 +389,16 @@ def characteristic_function(col: UnitaryColligation, z):
         solve = ~(np.hypot(flat.real, flat.imag) <= 1.0)
         values[~solve] = [_fold(col._sections, x) for x in flat[~solve].tolist()]
     if solve.any():
-        rest = flat[solve]
-        # B x as one dot product per point: a matrix-vector product over
-        # the batch would round differently from a batch of one
-        x = _resolvent_apply(col.D, rest, col.C)[:, None]
-        values[solve] = col.A + rest * (x @ col.B)[:, 0]
+        values[solve] = _solved_values(col, flat[solve])
     return values.reshape(z.shape)
+
+
+def _solved_values(col: UnitaryColligation, points: np.ndarray) -> np.ndarray:
+    """S at a 1-D array of points, by one resolvent solve per point."""
+    # B x as one dot product per point: a matrix-vector product over the
+    # batch would round differently from a batch of one
+    x = _resolvent_apply(col.D, points, col.C)[:, None]
+    return col.A + points * (x @ col.B)[:, 0]
 
 
 def _on_the_chain(col: UnitaryColligation, points: np.ndarray) -> bool:

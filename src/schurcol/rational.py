@@ -9,6 +9,14 @@ legal only after the constant term has cancelled, and the top
 denominator coefficient is dropped only after it has been verified to
 cancel.  Both cancellations are identities for inner input, so a
 failure of either one is reported as an error rather than patched.
+
+A Blaschke product is expanded by one ``np.convolve`` per linear factor,
+z_k - z in the numerator and 1 - conj(z_k) z in the denominator, so both
+come out at the common length.  One step kernel on coefficient arrays,
+``_schur_step``, carries the transform with its checks and the
+normalization of RationalInner (``_normalized``); ``schur_transform``
+wraps one step in RationalInner, and ``schur_parameters`` loops over it
+without building a RationalInner per step.
 """
 
 from __future__ import annotations
@@ -70,6 +78,35 @@ class BlaschkeProduct:
         return len(self.zeros)
 
 
+def _normalized(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """num and den at a common length, trimmed and checked.
+
+    The shorter one is zero-padded, and trailing coefficients at most TRIM
+    of the largest are dropped while both arrays have one.  ValueError for a
+    non-finite coefficient, the zero function and den(0) within the cut.
+    """
+    num = np.atleast_1d(np.asarray(num, dtype=complex))
+    den = np.atleast_1d(np.asarray(den, dtype=complex))
+    size = max(len(num), len(den))
+    if len(num) != len(den):
+        padded = np.zeros((2, size), dtype=complex)
+        padded[0, : len(num)] = num
+        padded[1, : len(den)] = den
+        num, den = padded
+    # one reduction over both arrays, so that a NaN in either reaches scale
+    scale = np.abs(np.concatenate((num, den))).max()
+    if not scale < np.inf:
+        raise ValueError("coefficients must be finite")
+    if scale == 0.0:
+        raise ValueError("zero rational function is not representable")
+    cut = tol.TRIM * scale
+    while size > 1 and abs(num[size - 1]) <= cut and abs(den[size - 1]) <= cut:
+        size -= 1
+    if abs(den[0]) <= cut:
+        raise ValueError("denominator must not vanish at the origin")
+    return num[:size], den[:size]
+
+
 @dataclass(frozen=True)
 class RationalInner:
     """Quotient of two polynomials stored at a common length.
@@ -83,23 +120,7 @@ class RationalInner:
     den: np.ndarray
 
     def __post_init__(self):
-        num = np.atleast_1d(np.asarray(self.num, dtype=complex))
-        den = np.atleast_1d(np.asarray(self.den, dtype=complex))
-        size = max(len(num), len(den))
-        num = np.pad(num, (0, size - len(num)))
-        den = np.pad(den, (0, size - len(den)))
-        # one reduction over both arrays, so that a NaN in either reaches scale
-        scale = np.abs(np.concatenate((num, den))).max()
-        if not scale < np.inf:
-            raise ValueError("coefficients must be finite")
-        if scale == 0.0:
-            raise ValueError("zero rational function is not representable")
-        cut = tol.TRIM * scale
-        while size > 1 and abs(num[size - 1]) <= cut and abs(den[size - 1]) <= cut:
-            size -= 1
-        num, den = num[:size], den[:size]
-        if abs(den[0]) <= cut:
-            raise ValueError("denominator must not vanish at the origin")
+        num, den = _normalized(self.num, self.den)
         object.__setattr__(self, "num", _freeze(num))
         object.__setattr__(self, "den", _freeze(den))
 
@@ -164,11 +185,8 @@ def blaschke_to_rational(b: BlaschkeProduct) -> RationalInner:
     num = np.array([b.c], dtype=complex)
     den = np.array([1.0], dtype=complex)
     for z in b.zeros:
-        num = npoly.polymul(num, [z, -1.0])
-        den = npoly.polymul(den, [1.0, -np.conj(z)])
-    size = b.degree + 1
-    num = np.pad(num, (0, size - len(num)))
-    den = np.pad(den, (0, size - len(den)))
+        num = np.convolve(num, [z, -1.0])
+        den = np.convolve(den, [1.0, -np.conj(z)])
     return RationalInner(num, den)
 
 
@@ -190,32 +208,44 @@ def schur_transform(s: RationalInner) -> tuple[complex, RationalInner]:
     ``omega(z) = (s(z) - s(0)) / (z (1 - conj(s(0)) s(z)))``,
     which has degree exactly one less than ``s``.
     """
-    n = s.degree
+    s0, num, den = _schur_step(s.num, s.den)
+    return s0, RationalInner(num, den)
+
+
+def _schur_step(
+    num: np.ndarray, den: np.ndarray
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """(s(0), num, den) of omega from the normalized coefficients of s.
+
+    The coefficient kernel of :func:`schur_transform`, without a
+    RationalInner on either side; its output is normalized as
+    RationalInner would store it.
+    """
+    n = len(num) - 1
     if n == 0:
         raise Terminal("constant function: the recursion has terminated")
-    s0 = complex(s.num[0] / s.den[0])
+    s0 = complex(num[0] / den[0])
     if not tol.inside_disc(s0):
         raise Terminal(
             f"|s(0)| = {abs(s0):.17g} is within {tol.DISC:g} of the unit circle"
         )
-    scale = max(np.abs(s.num).max(), np.abs(s.den).max())
-    shifted = s.num - s0 * s.den
+    scale = max(np.abs(num).max(), np.abs(den).max())
+    shifted = num - s0 * den
     if abs(shifted[0]) > tol.TRIM * scale:
         raise DegreeDropFailure(
             f"constant term {abs(shifted[0]):.3e} did not cancel (scale {scale:.3e})"
         )
-    num_w = shifted[1:]
-    den_full = s.den - np.conj(s0) * s.num
+    den_full = den - np.conj(s0) * num
     if abs(den_full[-1]) > tol.TRIM * scale:
         raise DegreeDropFailure(
             f"leading coefficient {abs(den_full[-1]):.3e} did not cancel"
         )
-    omega = RationalInner(num_w, den_full[:-1])
-    if omega.degree != n - 1:
+    num_w, den_w = _normalized(shifted[1:], den_full[:-1])
+    if len(num_w) != n:
         raise DegreeDropFailure(
-            f"expected degree {n - 1}, trimming produced {omega.degree}"
+            f"expected degree {n - 1}, trimming produced {len(num_w) - 1}"
         )
-    return s0, omega
+    return s0, num_w, den_w
 
 
 def _couple_section(s: complex, num: np.ndarray, den: np.ndarray):
@@ -263,12 +293,12 @@ def inverse_schur_transform(s0: complex, omega: RationalInner) -> RationalInner:
 def schur_parameters(s: RationalInner) -> SchurParameterSequence:
     """Iterate the Schur transform down to the terminal unimodular constant."""
     params = []
-    cur = s
-    while cur.degree > 0:
-        s0, cur = schur_transform(cur)
+    num, den = s.num, s.den
+    while len(num) > 1:
+        s0, num, den = _schur_step(num, den)
         params.append(s0)
     # SchurParameterSequence checks that the terminal value is unimodular
-    params.append(complex(cur.num[0] / cur.den[0]))
+    params.append(complex(num[0] / den[0]))
     return SchurParameterSequence(tuple(params))
 
 

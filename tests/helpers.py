@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 import schurcol as sc
 
@@ -75,6 +76,38 @@ def reference_reduction(M):
         H = g.conj().T @ H @ g
         V = V @ embedded(n, row, step)
     return H, V
+
+
+def reference_expansion(b):
+    """RationalInner of a Blaschke product by numpy.polynomial's polymul.
+
+    polymul trims exact trailing zeros, so the denominator of a product
+    with a zero at 0 comes out short and is padded with np.pad.  Kept as
+    an independent reference for the linear-factor expansion.
+    """
+    num = np.array([b.c], dtype=complex)
+    den = np.array([1.0], dtype=complex)
+    for z in b.zeros:
+        num = npoly.polymul(num, [z, -1.0])
+        den = npoly.polymul(den, [1.0, -np.conj(z)])
+    size = b.degree + 1
+    num = np.pad(num, (0, size - len(num)))
+    den = np.pad(den, (0, size - len(den)))
+    return sc.RationalInner(num, den)
+
+
+def transform_fold(s):
+    """Schur parameters of s by one ``schur_transform`` per step.
+
+    Kept as the reference for ``schur_parameters``, which runs the same
+    step on coefficient arrays without a RationalInner per step.
+    """
+    params = []
+    while s.degree > 0:
+        s0, s = sc.schur_transform(s)
+        params.append(s0)
+    params.append(complex(s.num[0] / s.den[0]))
+    return sc.SchurParameterSequence(tuple(params))
 
 
 def cluster(count, radius, turn=0.0):

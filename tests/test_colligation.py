@@ -151,6 +151,18 @@ class TestBatchedResolvent:
         assert values.tobytes() == singles.tobytes()
         assert solved == [len(points)] + [1] * len(points)
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_point_off_the_fold_is_a_stack_of_one(self, n, monkeypatch):
+        # a closed form folds inside the disc; a point outside it, alone,
+        # is one solve with the bits it gets in an array
+        col = random_colligation(np.random.default_rng(3200 + n), n)
+        points = np.concatenate([1.5 * circle_samples(8), [2.0, -1.5j, 1.0 + 1e-15]])
+        solved = count_resolvent_solves(monkeypatch)
+        values = sc.characteristic_function(col, points)
+        singles = np.array([sc.characteristic_function(col, z) for z in points])
+        assert values.tobytes() == singles.tobytes()
+        assert solved == [len(points)] + [1] * len(points)
+
     def test_singular_point_alone_is_named(self):
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 1.0))

@@ -11,10 +11,40 @@ from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import tolerances as tol
-from helpers import random_blaschke, random_params
+from helpers import (
+    cluster,
+    random_blaschke,
+    random_params,
+    reference_expansion,
+    transform_fold,
+)
 
 NAN = float("nan")
 INF = float("inf")
+
+
+def outcome(fn, arg):
+    """The bytes of fn(arg)'s coefficients or parameters, or its error's type and text."""
+    try:
+        out = fn(arg)
+    except (sc.errors.SchurColError, ValueError) as error:
+        return type(error), str(error)
+    if isinstance(out, sc.RationalInner):
+        return out.num.tobytes(), out.den.tobytes()
+    return np.array(out.params).tobytes()
+
+
+def expansion_sets():
+    """Zero sets for the expansion: random of degree 1-12, clustered, with 0."""
+    rng = np.random.default_rng(1212)
+    sets = [random_blaschke(rng, n) for n in range(1, 13) for _ in range(4)]
+    sets += [sc.BlaschkeProduct(1.0, cluster(n, 0.9)) for n in (3, 6, 9, 12, 32, 64)]
+    sets += [
+        sc.BlaschkeProduct(c, zeros)
+        for c in (1.0, -1.0j)
+        for zeros in ((0.0,), (0.0, 0.0, 0.5), (0.5, 0.0, 0.0))
+    ]
+    return sets
 
 
 class TestAdmissibility:
@@ -104,6 +134,17 @@ class TestBlaschkeToRational:
             atol=1e-12,
         )
 
+    def test_matches_the_polymul_reference_bytewise(self):
+        for b in expansion_sets():
+            assert outcome(sc.blaschke_to_rational, b) == outcome(reference_expansion, b)
+        # 64 zeros at 0.9: den(0) = 1 is within the trim cut of the largest
+        # coefficient, so both raise the same ValueError
+        b = sc.BlaschkeProduct(1.0, cluster(64, 0.9))
+        assert outcome(sc.blaschke_to_rational, b) == (
+            ValueError,
+            "denominator must not vanish at the origin",
+        )
+
     def test_root_outside_the_disc_rejected(self):
         # 2 - z has its root at 2
         with pytest.raises(sc.DiscViolation):
@@ -113,6 +154,50 @@ class TestBlaschkeToRational:
         # 2 (0.5 - z) has its root inside but the constant 2
         with pytest.raises(sc.UnitViolation):
             sc.rational_to_blaschke(sc.RationalInner([1.0, -2.0], [1.0, 0.0]))
+
+
+class TestNormalization:
+    @pytest.mark.parametrize(
+        "num, den, stored_num, stored_den",
+        [
+            ([0.5], [1.0, -0.5], [0.5, 0.0], [1.0, -0.5]),
+            ([0.0, 0.0, 1.0j], [1.0], [0.0, 0.0, 1.0j], [1.0, 0.0, 0.0]),
+            (0.5, 1.0, [0.5], [1.0]),
+            (1.0j, [1.0, 0.5], [1.0j, 0.0], [1.0, 0.5]),
+            ([0.5, 1.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.5, 1.0], [1.0, 0.5]),
+            ([0.5, 1.0, 1e-12], [1.0, 0.5, -1e-11], [0.5, 1.0], [1.0, 0.5]),
+            ([0.5, 1.0, 1e-12], [1.0, 0.5, 2e-11], [0.5, 1.0, 1e-12], [1.0, 0.5, 2e-11]),
+            ([0.0, 0.0], [2.0, 0.0], [0.0], [2.0]),
+        ],
+        ids=[
+            "short_num",
+            "short_den",
+            "scalars",
+            "scalar_num",
+            "exact_trim",
+            "trim_within_cut",
+            "one_side_above_cut",
+            "zero_numerator",
+        ],
+    )
+    def test_stored_coefficients(self, num, den, stored_num, stored_den):
+        s = sc.RationalInner(num, den)
+        assert s.num.tobytes() == np.array(stored_num, dtype=complex).tobytes()
+        assert s.den.tobytes() == np.array(stored_den, dtype=complex).tobytes()
+        assert not s.num.flags.writeable and not s.den.flags.writeable
+
+    @pytest.mark.parametrize(
+        "num, den, message",
+        [
+            ([0.5, INF], [1.0], "coefficients must be finite"),
+            ([0.0, 0.0], [0.0], "zero rational function is not representable"),
+            ([1.0, 0.5], [1e-12, 1.0], "denominator must not vanish at the origin"),
+        ],
+        ids=["non_finite", "zero_function", "den_at_origin"],
+    )
+    def test_rejected(self, num, den, message):
+        with pytest.raises(ValueError, match=message):
+            sc.RationalInner(num, den)
 
 
 class TestEvaluate:
@@ -217,6 +302,54 @@ class TestParameterExtraction:
     def test_known_sequences(self, num, den, expected):
         p = sc.schur_parameters(sc.RationalInner(num, den))
         assert_allclose(p.params, expected, atol=1e-14)
+
+    def test_matches_the_transform_fold_bitwise(self):
+        for b in expansion_sets():
+            try:
+                s = sc.blaschke_to_rational(b)
+            except ValueError:
+                continue
+            assert outcome(sc.schur_parameters, s) == outcome(transform_fold, s)
+
+    @pytest.mark.parametrize(
+        "s, error, message",
+        [
+            (
+                sc.RationalInner([0.5, 1.0], [1.0, 0.0]),
+                sc.DegreeDropFailure,
+                "leading coefficient 5.000e-01 did not cancel",
+            ),
+            (
+                sc.blaschke_to_rational(sc.BlaschkeProduct(1.0, cluster(6, 0.9))),
+                sc.DegreeDropFailure,
+                "leading coefficient",
+            ),
+            (
+                # the top coefficients pass the trim of s but not of omega
+                sc.RationalInner([0.5, 0.0, 1.2e-11], [1.0, 0.0, 1.2e-11]),
+                sc.DegreeDropFailure,
+                "expected degree 1, trimming produced 0",
+            ),
+            (
+                sc.RationalInner([1.0, 0.5], [1.0, 0.5]),
+                sc.Terminal,
+                "within 1e-09 of the unit circle",
+            ),
+            (
+                # the second parameter is unimodular
+                sc.inverse_schur_transform(
+                    0.5, sc.RationalInner([1.0, 0.5], [1.0, 0.25])
+                ),
+                sc.Terminal,
+                "within 1e-09 of the unit circle",
+            ),
+        ],
+        ids=["leading", "cluster", "trim", "terminal", "second_terminal"],
+    )
+    def test_failures_match_the_transform_fold(self, s, error, message):
+        got = outcome(sc.schur_parameters, s)
+        assert got == outcome(transform_fold, s)
+        assert got[0] is error and message in got[1]
 
     def test_degree_zero_returns_terminal_only(self):
         p = sc.schur_parameters(sc.RationalInner([1.0j], [1.0]))
