@@ -82,12 +82,18 @@ __all__ = [
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """max(|U*U - I|, |UU* - I|) in the entrywise max norm."""
+    """max|U*U - I| in the entrywise max norm, for a square U.
+
+    One Gram product bounds both sides: U*U - I and UU* - I have the same
+    singular values |sigma_k^2 - 1|, so for an m x m U both have 2-norm
+    at most the Frobenius norm of U*U - I, at most m times this residual
+    (m = n + 1 for a colligation of state dimension n).
+    """
     m = np.asarray(matrix, dtype=complex)
-    eye = np.eye(m.shape[0])
-    left = np.abs(m.conj().T @ m - eye).max()
-    right = np.abs(m @ m.conj().T - eye).max()
-    return float(max(left, right))
+    gram = m.conj().T @ m
+    # the diagonal: every (len + 1)-th entry of the flat view
+    gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def require_unitary(matrix: np.ndarray, what: str) -> float:

@@ -107,9 +107,10 @@ class HessenbergCertificate:
     """Reduced matrix, the gauge that produced it, the band and the residuals.
 
     reconstruction is max|G* M G - H| / max|M| for G = diag(1, V), taken
-    on M* for the upper form, and gauge_unitarity the unitarity residual
-    of V.  Both are the quantities CERTIFICATE bounds, and the reduction
-    has checked them against it.
+    on M* for the upper form, and gauge_unitarity is max|V*V - I|, the
+    unitarity residual of V (which bounds |VV* - I|_2 within n).  Both
+    are the quantities CERTIFICATE bounds, and the reduction has checked
+    them against it.
     """
 
     H: np.ndarray

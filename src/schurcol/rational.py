@@ -181,13 +181,33 @@ class SchurParameterSequence:
 
 
 def blaschke_to_rational(b: BlaschkeProduct) -> RationalInner:
-    """Expand c * prod (z_k - z) / prod (1 - z conj(z_k))."""
+    """Expand c * prod (z_k - z) / prod (1 - z conj(z_k)).
+
+    DegreeDropFailure when den(0) = 1 falls within RationalInner's trim
+    cut of the expanded coefficients, as for 64 zeros clustered at 0.9.
+    """
     num = np.array([b.c], dtype=complex)
     den = np.array([1.0], dtype=complex)
     for z in b.zeros:
         num = np.convolve(num, [z, -1.0])
         den = np.convolve(den, [1.0, -np.conj(z)])
+    _require_origin_clear(num, den)
     return RationalInner(num, den)
+
+
+def _require_origin_clear(num: np.ndarray, den: np.ndarray) -> None:
+    """DegreeDropFailure unless den(0) is above the trim cut of num and den.
+
+    The cut is TRIM times their largest coefficient, the one
+    RationalInner applies; below it double precision no longer holds
+    the function at degree len(num) - 1.
+    """
+    cut = tol.TRIM * np.abs(np.concatenate((num, den))).max()
+    if abs(den[0]) <= cut:
+        raise DegreeDropFailure(
+            f"den(0) = {abs(den[0]):.3e} is within the trim cut {cut:.3e} "
+            f"of the degree-{len(num) - 1} coefficients"
+        )
 
 
 def rational_to_blaschke(s: RationalInner) -> BlaschkeProduct:
@@ -276,12 +296,7 @@ def inverse_schur_transform(s0: complex, omega: RationalInner) -> RationalInner:
     if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
     num, den = _couple_section(s0, omega.num, omega.den)
-    cut = tol.TRIM * np.abs(np.concatenate((num, den))).max()
-    if abs(den[0]) <= cut:
-        raise DegreeDropFailure(
-            f"den(0) = {abs(den[0]):.3e} is within the trim cut {cut:.3e} "
-            f"of the degree-{omega.degree + 1} coefficients"
-        )
+    _require_origin_clear(num, den)
     s = RationalInner(num, den)
     if s.degree != omega.degree + 1:
         raise DegreeDropFailure(

@@ -13,6 +13,7 @@ first channel row has the special form [sqrt(1-|s0|^2), 0, ..., 0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,11 +154,11 @@ def elementary_schur_section(s0: complex) -> SchurSection:
     s0 = complex(s0)
     if not tol.inside_disc(s0):
         raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
-    delta = np.sqrt(1.0 - abs(s0) ** 2)
+    delta = math.sqrt(1.0 - abs(s0) ** 2)
     m = np.array(
         [
             [s0, 0.0, delta],
-            [delta, 0.0, -np.conj(s0)],
+            [delta, 0.0, -s0.conjugate()],
             [0.0, 1.0, 0.0],
         ],
         dtype=complex,
@@ -171,35 +172,49 @@ def redheffer_product(
     """Matrix of the feedback coupling through channel 2 of ``u1``.
 
     The result acts on [E1; H1; H2]; its state dimension is h1 + h2 and
-    it is unitary whenever both factors are.
+    it is unitary whenever both factors are.  With u1 on [E1; E2; H1] and
+    u2 = [[alpha, beta], [gamma, delta]], it is base + left right^T /
+    (1 - a22 alpha) for
+
+        base  = [[a11,  b1,  a12 beta],
+                 [c1,   d,   c2 beta ],
+                 [0,    0,   delta   ]],
+        left  = [a12 alpha; c2 alpha; gamma],
+        right = [a21, b2, a22 beta],
+
+    written straight from the two matrices into one array.
     """
     if u1.e1 != 1 or u1.e2 != 1:
         raise DimensionMismatch("coupling requires scalar exterior channels")
-    h1, h2 = u1.h, u2.n
-    alpha = u2.A
-    beta = u2.B
-    gamma = u2.C
-    delta = u2.D
-    a22 = complex(u1.a22[0, 0])
-    denom = 1.0 - a22 * alpha
+    m1, m2 = u1.matrix, u2.matrix
+    k = 1 + u1.h
+    size = k + u2.n
+    alpha = complex(m2[0, 0])
+    a12, a22 = m1[0, 1], m1[1, 1]
+    denom = 1.0 - complex(a22) * alpha
     if not tol.clear_of_pole(denom):
         raise FeedbackSingular(f"|1 - a22 alpha| = {abs(denom):.3e}")
+    beta = m2[0, 1:]
 
-    size = 1 + h1 + h2
-    base = np.zeros((size, size), dtype=complex)
-    base[0, 0] = u1.a11[0, 0]
-    base[0, 1 : 1 + h1] = u1.b1[0]
-    base[0, 1 + h1 :] = u1.a12[0, 0] * beta
-    base[1 : 1 + h1, 0] = u1.c1[:, 0]
-    base[1 : 1 + h1, 1 : 1 + h1] = u1.d
-    base[1 : 1 + h1, 1 + h1 :] = np.outer(u1.c2[:, 0], beta)
-    base[1 + h1 :, 1 + h1 :] = delta
+    left = np.empty(size, dtype=complex)
+    left[0] = a12 * alpha
+    left[1:k] = m1[2:, 1] * alpha
+    left[k:] = m2[1:, 0]
+    right = np.empty(size, dtype=complex)
+    right[0] = m1[1, 0]
+    right[1:k] = m1[1, 2:]
+    right[k:] = a22 * beta
 
-    left = np.concatenate(
-        [[u1.a12[0, 0] * alpha], u1.c2[:, 0] * alpha, gamma]
-    )
-    right = np.concatenate([[u1.a21[0, 0]], u1.b2[0], u1.a22[0, 0] * beta])
-    return UnitaryColligation(base + np.outer(left, right) / denom)
+    coupled = np.zeros((size, size), dtype=complex)
+    coupled[0, 0] = m1[0, 0]
+    coupled[0, 1:k] = m1[0, 2:]
+    coupled[0, k:] = a12 * beta
+    coupled[1:k, 0] = m1[2:, 0]
+    coupled[1:k, 1:k] = m1[2:, 2:]
+    coupled[1:k, k:] = np.outer(m1[2:, 1], beta)
+    coupled[k:, k:] = m2[1:, 1:]
+    coupled += np.outer(left, right) / denom
+    return UnitaryColligation(coupled)
 
 
 def inverse_schur_colligation(

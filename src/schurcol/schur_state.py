@@ -200,8 +200,8 @@ class SchurStateTrace:
         return SchurParameterSequence(self.parameters)
 
 
-def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:
-    """S at the count-th roots of unity t, count a multiple of 16.
+def _circle_values(col: UnitaryColligation, t: np.ndarray) -> np.ndarray:
+    """S at the points t = circle_samples(count), count a multiple of 16.
 
     As t^count = 1, (I - tD)^-1 = (I - D^count)^-1 sum_{k<count} t^k D^k,
     so S(t) = A + t sum_k w_k t^k with w_k = B D^k (I - D^count)^-1 C:
@@ -211,6 +211,7 @@ def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:
     """
     D = col.D
     n = len(D)
+    count = len(t)
     step = np.linalg.matrix_power(D, 16)
     power = np.linalg.matrix_power(step, count // 16)
     krylov = np.empty((n, count), dtype=complex)
@@ -219,16 +220,14 @@ def _circle_values(col: UnitaryColligation, count: int) -> np.ndarray:
         krylov[:, k] = D @ krylov[:, k - 1]
     for start in range(16, count, 16):
         krylov[:, start : start + 16] = step @ krylov[:, start - 16 : start]
-    t = circle_samples(count)
     # sum_k w_k t_j^k = count * ifft(w)[j] at t_j = exp(2 pi i j / count)
     return col.A + t * (count * np.fft.ifft(col.B @ krylov))
 
 
 def _backward_error(col: UnitaryColligation, params) -> float:
     """max |S_rec(t) - S(t)| over the _check_count(n) roots of unity t."""
-    count = _check_count(col.n)
-    exact = _circle_values(col, count)
-    return float(np.abs(_fold(params, circle_samples(count)) - exact).max())
+    t = circle_samples(_check_count(col.n))
+    return float(np.abs(_fold(params, t) - _circle_values(col, t)).max())
 
 
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:

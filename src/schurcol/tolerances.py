@@ -97,7 +97,9 @@ COUPLING = 1e-10
 READOUT = 1e-12
 
 
-# max-norm unitarity residual.  n = 256: CI's `schurcol realize` of the
+# max-norm unitarity residual max|U*U - I| of an (n+1) x (n+1) U.  UU* - I
+# has the same singular values, so one Gram product bounds both sides'
+# 2-norm by (n + 1) * UNITARY.  n = 256: CI's `schurcol realize` of the
 # degree-256 parameters
 UNITARY = 1e-10
 
@@ -115,8 +117,8 @@ EQUIV = 1e-9
 # breakdowns only up to n = 64 (TestBreakdownRule::test_near_unimodular_parameter)
 STRUCT = 1e-12
 
-# the two residuals of a Hessenberg certificate: the gauge's unitarity, and
-# max|G* M G - H| relative to max|M|.  A basis that lost orthogonality fails
+# the two residuals of a Hessenberg certificate: the gauge's unitarity
+# max|V*V - I|, and max|G* M G - H| relative to max|M|.  A basis that lost orthogonality fails
 # it; with two Gram-Schmidt passes both read at most 8.9e-16 on the gauged
 # draws of test_hessenberg.py::TestInPlaceReduction::test_certificate_holds_at_scale,
 # n = 256 the largest, as on CI's `schurcol hessenberg` in both orientations

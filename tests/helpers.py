@@ -96,6 +96,34 @@ def reference_expansion(b):
     return sc.RationalInner(num, den)
 
 
+def reference_redheffer_product(u1, u2):
+    """The feedback coupling through channel 2 of u1 by blocks, as a colligation.
+
+    A zero base matrix gets the blocks of both factors, and the feedback
+    term is np.outer(left, right) / (1 - a22 alpha) on top.  Kept as the
+    reference for the bits of ``redheffer_product``, which writes the same
+    sums from the factors' matrices into one array.
+    """
+    h1, h2 = u1.h, u2.n
+    alpha, beta, gamma, delta = u2.A, u2.B, u2.C, u2.D
+    a22 = complex(u1.a22[0, 0])
+    denom = 1.0 - a22 * alpha
+    if not sc.tolerances.clear_of_pole(denom):
+        raise sc.FeedbackSingular(f"|1 - a22 alpha| = {abs(denom):.3e}")
+    size = 1 + h1 + h2
+    base = np.zeros((size, size), dtype=complex)
+    base[0, 0] = u1.a11[0, 0]
+    base[0, 1 : 1 + h1] = u1.b1[0]
+    base[0, 1 + h1 :] = u1.a12[0, 0] * beta
+    base[1 : 1 + h1, 0] = u1.c1[:, 0]
+    base[1 : 1 + h1, 1 : 1 + h1] = u1.d
+    base[1 : 1 + h1, 1 + h1 :] = np.outer(u1.c2[:, 0], beta)
+    base[1 + h1 :, 1 + h1 :] = delta
+    left = np.concatenate([[u1.a12[0, 0] * alpha], u1.c2[:, 0] * alpha, gamma])
+    right = np.concatenate([[u1.a21[0, 0]], u1.b2[0], u1.a22[0, 0] * beta])
+    return sc.UnitaryColligation(base + np.outer(left, right) / denom)
+
+
 def transform_fold(s):
     """Schur parameters of s by one ``schur_transform`` per step.
 
@@ -138,7 +166,9 @@ def half_step_values(col, count):
     """
     turned = np.array(col.matrix)
     turned[:, 1:] *= np.exp(1j * np.pi / count)
-    return sc.schur_state._circle_values(sc.UnitaryColligation(turned), count)
+    return sc.schur_state._circle_values(
+        sc.UnitaryColligation(turned), sc.sampling.circle_samples(count)
+    )
 
 
 def mobius_fold(params, z):

@@ -334,7 +334,7 @@ def test_12_backward_error_at_scale():
             assert trace.complete
             exact = np.array([sc.characteristic_function(col, x) for x in t])
             worst = max(worst, np.abs(mobius_fold(trace.parameters, t) - exact).max())
-            fine = sc.schur_state._circle_values(col, 2 * count)[1::2]
+            fine = sc.schur_state._circle_values(col, circle_samples(2 * count))[1::2]
             midway = mobius_fold(trace.parameters, circle_samples(2 * count)[1::2])
             between = max(between, np.abs(midway - fine).max())
             error = np.abs(np.asarray(trace.parameters) - p.params).max()

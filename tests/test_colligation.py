@@ -74,6 +74,43 @@ class TestConstruction:
             sc.UnitaryColligation(noisy)
         assert failure.value.residual == co.unitarity_residual(noisy)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32, 64])
+    def test_one_gram_product_bounds_both_sides(self, n):
+        # U*U - I and UU* - I share their singular values, so the max-norm
+        # residual of the first bounds the 2-norm of both within n + 1
+        rng = np.random.default_rng(60 + n)
+        eye = np.eye(n + 1)
+        for scale in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            for _ in range(4):
+                noise = rng.standard_normal((n + 1, n + 1, 2)) @ [1.0, 1.0j]
+                u = random_unitary(rng, n + 1) + scale * noise
+                bound = (n + 1) * co.unitarity_residual(u)
+                assert np.linalg.norm(u.conj().T @ u - eye, 2) <= bound
+                assert np.linalg.norm(u @ u.conj().T - eye, 2) <= bound
+
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_gates_cut_at_unitary(self, factor, accepted):
+        # Q diag(sigma) with one sigma^2 = 1 + factor * UNITARY: the residual
+        # is that excess to rounding, at every gate
+        rng = np.random.default_rng(61)
+        sigma = np.ones(9)
+        sigma[4] = np.sqrt(1.0 + factor * sc.tolerances.UNITARY)
+        u = random_unitary(rng, 9) * sigma
+        residual = co.unitarity_residual(u)
+        assert residual == pytest.approx(factor * sc.tolerances.UNITARY, rel=1e-4)
+        gates = (
+            lambda m: co.require_unitary(m, "matrix"),
+            sc.UnitaryColligation,
+            lambda m: sc.PartitionedColligation(m, 1, 1, 7),
+        )
+        for gate in gates:
+            if accepted:
+                gate(u)
+            else:
+                with pytest.raises(sc.NotUnitary) as failure:
+                    gate(u)
+                assert failure.value.residual == residual
+
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
         assert col.n == 1
@@ -420,7 +457,7 @@ class TestFoldBits:
         for col in (closed, gauged, cascade):
             params = sc.schur_algorithm_state_space(col).parameters
             count = sc.schur_state._check_count(col.n)
-            exact = sc.schur_state._circle_values(col, count)
+            exact = sc.schur_state._circle_values(col, circle_samples(count))
             folded = reference_fold(params, circle_samples(count))
             expected = float(np.abs(folded - exact).max())
             assert sc.schur_state._backward_error(col, params) == expected

@@ -10,7 +10,9 @@ from helpers import (
     count_resolvent_solves,
     count_unitarity_residuals,
     random_colligation,
+    random_params,
     random_unitary,
+    reference_redheffer_product,
     reference_resolvent,
 )
 
@@ -199,6 +201,43 @@ class TestRedhefferProduct:
         coupled = sc.redheffer_product(pc, col)
         _, circle_dev = sc.inner_sampling_report(coupled, circle_count=32)
         assert circle_dev <= 1e-9
+
+    @pytest.mark.parametrize("h2", [0, 1, 2, 5])
+    @pytest.mark.parametrize("h1", [0, 1, 2, 5])
+    def test_bytes_equal_the_block_reference(self, h1, h2):
+        rng = np.random.default_rng(50 + 10 * h1 + h2)
+        for _ in range(20):
+            pc = sc.PartitionedColligation(random_unitary(rng, 2 + h1), 1, 1, h1)
+            col = sc.UnitaryColligation(random_unitary(rng, 1 + h2))
+            coupled = sc.redheffer_product(pc, col)
+            expected = reference_redheffer_product(pc, col)
+            assert coupled.matrix.tobytes() == expected.matrix.tobytes()
+            assert coupled.unitarity == expected.unitarity
+
+    def test_section_cascades_equal_the_block_reference(self):
+        # random, zero and real parameters: exact zeros and signed zeros in
+        # the sections reach every block of the coupled matrix
+        rng = np.random.default_rng(51)
+        for degree in range(1, 13):
+            body = np.asarray(random_params(rng, degree).params[:-1])
+            for params in (body, np.zeros(degree, dtype=complex), body.real + 0j):
+                terminal = complex(np.exp(2j * np.pi * rng.uniform()))
+                rebuilt = sc.UnitaryColligation(np.array([[terminal]]))
+                for s in params[::-1]:
+                    section = sc.elementary_schur_section(s).partitioned
+                    expected = reference_redheffer_product(section, rebuilt)
+                    rebuilt = sc.redheffer_product(section, rebuilt)
+                    assert rebuilt.matrix.tobytes() == expected.matrix.tobytes()
+
+    @pytest.mark.parametrize("h2", [0, 2])
+    def test_singular_feedback_rejected(self, h2):
+        # a22 = 1 and alpha = 1: the loop through channel 2 has gain one
+        pc = sc.PartitionedColligation(np.eye(3)[[2, 1, 0]], 1, 1, 1)
+        col = sc.UnitaryColligation(np.eye(1 + h2))
+        with pytest.raises(sc.FeedbackSingular, match="a22 alpha"):
+            sc.redheffer_product(pc, col)
+        with pytest.raises(sc.FeedbackSingular, match="a22 alpha"):
+            reference_redheffer_product(pc, col)
 
     def test_degree_additivity_for_sections(self):
         rng = np.random.default_rng(36)

@@ -308,7 +308,7 @@ class TestReadout:
         points = sc.sampling.circle_samples(count)
         exact = [sc.characteristic_function(col, t) for t in points]
         assert_allclose(
-            sc.schur_state._circle_values(col, count), exact, rtol=0, atol=1e-12
+            sc.schur_state._circle_values(col, points), exact, rtol=0, atol=1e-12
         )
 
     def test_no_colligation_per_iterate(self, monkeypatch):
