@@ -32,6 +32,7 @@ from . import serialize as js
 from . import tolerances as tol
 from .errors import (
     DegreeDropFailure,
+    DiscViolation,
     FeedbackSingular,
     InternalInconsistency,
     NearPole,
@@ -110,17 +111,16 @@ def _band_diagnostic(cmd: _Command, col: co.UnitaryColligation) -> None:
         cmd.diag("band_minimum", hs.band_residual(H), 1.0)
 
 
-def _cascade_trace(blaschke) -> tuple[co.UnitaryColligation, ss.SchurStateTrace]:
-    """The cascade realization of a zero set and its complete recursion trace.
+def _cascade_trace(blaschke) -> ss.SchurStateTrace:
+    """The complete recursion trace of a zero set's cascade realization.
 
     The cascade is minimal by construction, so a partial trace is the
     recursion's failure (exit 3).
     """
-    model = rl.model_colligation(blaschke)
-    trace = ss.schur_algorithm_state_space(model)
+    trace = ss.schur_algorithm_state_space(rl.model_colligation(blaschke))
     if not trace.complete:
         raise InternalInconsistency(f"recursion on the cascade {trace.message}")
-    return model, trace
+    return trace
 
 
 def _cmd_realize(cmd: _Command) -> dict:
@@ -129,7 +129,12 @@ def _cmd_realize(cmd: _Command) -> dict:
     if "params" in doc:
         params = js.params_from_json(doc)
         if route == "model":
-            blaschke = ra.rational_to_blaschke(ra.from_schur_parameters(params))
+            # valid parameters can fold to roots within DISC of the circle:
+            # the route's failure (exit 3), not the input's
+            try:
+                blaschke = ra.rational_to_blaschke(ra.from_schur_parameters(params))
+            except DiscViolation as exc:
+                raise InternalInconsistency(str(exc)) from exc
             col = rl.model_colligation(blaschke)
         else:
             col = ss.colligation_from_schur_parameters(params)
@@ -138,14 +143,12 @@ def _cmd_realize(cmd: _Command) -> dict:
         if route == "model":
             col = rl.model_colligation(blaschke)
         else:
-            model, trace = _cascade_trace(blaschke)
+            # the fold of the peeled parameters matches S on the circle, so
+            # their closed form realizes the zero set's function
+            trace = _cascade_trace(blaschke)
             col = ss.colligation_from_schur_parameters(trace.parameter_sequence())
             if col.n >= 1:
-                cmd.diag(
-                    "cross_route_equivalence",
-                    co.intertwining_residual(model, col, trace.gauge),
-                    tol.EQUIV,
-                )
+                cmd.diag("backward_error", trace.backward_error, tol.BACKWARD)
     else:
         raise ValueError("input must carry either 'params' or 'zeros'")
     cmd.diag("unitarity", col.unitarity, tol.UNITARY)
@@ -164,15 +167,6 @@ def _cmd_schur(cmd: _Command) -> dict:
         cmd.validation_failed = True
     if trace.complete:
         cmd.diag("backward_error", trace.backward_error, tol.BACKWARD)
-    if trace.complete and col.n >= 1:
-        # the reduction's own gauge intertwines the input with H, which
-        # the parameters' closed form rebuilds
-        roundtrip = ss.colligation_from_schur_parameters(trace.parameter_sequence())
-        cmd.diag(
-            "parameter_roundtrip",
-            co.intertwining_residual(col, roundtrip, trace.gauge),
-            tol.ROUND,
-        )
     return js.trace_to_json(trace)
 
 
@@ -280,7 +274,7 @@ def _cmd_params(cmd: _Command) -> dict:
     if "num" in doc:
         return js.params_to_json(ra.schur_parameters(js.rational_from_json(doc)))
     if "zeros" in doc:
-        _, trace = _cascade_trace(js.blaschke_from_json(doc))
+        trace = _cascade_trace(js.blaschke_from_json(doc))
         return js.params_to_json(trace.parameter_sequence())
     raise ValueError("input must carry 'params', 'num'/'den' or 'zeros'")
 

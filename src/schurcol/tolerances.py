@@ -46,7 +46,7 @@ POLE = 1e-12
 
 def clear_of_pole(x):
     """A bool for one value; for an array, its elementwise verdicts."""
-    if np.ndim(x) == 0:
+    if not isinstance(x, np.ndarray):
         return bool(POLE < abs(x) < math.inf)
     magnitude = np.abs(x)
     return (POLE < magnitude) & (magnitude < math.inf)
@@ -56,17 +56,15 @@ def clear_of_pole(x):
 # `schurcol verify` on the realized and the gauged degree-256 forms
 INNER = 1e-9
 
-# the round trip of `schurcol schur`, its `parameter_roundtrip` line and
-# the constant's only reader.  n = 128: `parameter_roundtrip` in
-# test_cli.py::TestSchur::test_gauged_n128_is_never_a_validation_failure
-ROUND = 1e-8
-
 # backward error of the state-space recursion: max |S_rec - S| over at
 # least 4(n + 1) roots of unity, S_rec built from the recovered parameters.
-# `find_equivalence` decides "same function" by the same test, on the folds
-# of two peeled parameter sequences.  n = 256: CI's `find_equivalence` of
-# the degree-256 closed form and its gauged copy; the recursion's check up
-# to n = 128, in test_acceptance.py::test_12_backward_error_at_scale
+# The `backward_error` lines of `schurcol schur` and of `schurcol realize`
+# on zeros write it.  `find_equivalence` decides "same function" by the
+# same test, on the folds of two peeled parameter sequences.  n = 256: CI's
+# `find_equivalence` of the degree-256 closed form and its gauged copy; the
+# recursion's check up to n = 128, in
+# test_acceptance.py::test_12_backward_error_at_scale and
+# test_cli.py::TestSchur::test_gauged_n128_is_never_a_validation_failure
 BACKWARD = 1e-8
 
 # the four kernel identities of `schurcol verify`, at sample pairs with
@@ -103,12 +101,10 @@ READOUT = 1e-12
 # degree-256 parameters
 UNITARY = 1e-10
 
-# intertwining residual of a state-space equivalence: the gate of
-# `cross_route_equivalence`, and `find_equivalence`'s first test, sufficient
-# but not necessary (the fold at BACKWARD decides when it fails).  n = 256:
-# CI's `find_equivalence` step, whose gauge misses it and is accepted by
-# the fold; n = 64 for `cross_route_equivalence` of CI's `schurcol realize`
-# on 64 clustered zeros
+# intertwining residual of a state-space equivalence: `find_equivalence`'s
+# first test, sufficient but not necessary (the fold at BACKWARD decides
+# when it fails).  n = 256: CI's `find_equivalence` step, whose gauge misses
+# it and is accepted by the fold
 EQUIV = 1e-9
 
 # Hessenberg structural zeros, relative to max |entry|: the Arnoldi

@@ -23,6 +23,7 @@ from helpers import (
 )
 from schurcol import cli
 from schurcol import serialize as js
+from schurcol.sampling import disc_samples
 
 
 def run_cli(args, stdin=""):
@@ -57,6 +58,16 @@ def diagnostics(stderr):
     return {c["check"]: c for c in map(json.loads, stderr.splitlines())}
 
 
+def assert_realizes_zeros(out, zeros):
+    """`realize` on zeros exited 0 with its three checks, S the zero product's."""
+    assert out.returncode == 0, out.stderr
+    assert set(diagnostics(out.stderr)) == {"backward_error", "unitarity", "band_minimum"}
+    col = sc.UnitaryColligation(matrix_from_doc(json.loads(out.stdout)))
+    z = disc_samples(50, 0.95)
+    error = np.abs(sc.characteristic_function(col, z) - blaschke_values(zeros, z)).max()
+    assert error <= 1e-10
+
+
 class TestRealize:
     def test_params_to_delay_matrix(self):
         out = run_cli(["realize"], PARAMS_DELAY)
@@ -76,14 +87,12 @@ class TestRealize:
         )
 
     def test_cross_route_diagnostic(self):
+        zeros = (0.3, -0.4j)
         out = run_cli(
             ["realize", "--route", "closed-form"],
             '{"c":[1,0],"zeros":[[0.3,0],[0,-0.4]]}',
         )
-        assert out.returncode == 0, out.stderr
-        checks = [json.loads(line) for line in out.stderr.splitlines()]
-        by_name = {c["check"]: c for c in checks}
-        assert by_name["cross_route_equivalence"]["residual"] <= 1e-9
+        assert_realizes_zeros(out, zeros)
 
     def test_clustered_zeros_model_route_runs_no_recursion(self):
         # the coefficient route ran first and raised DegreeDropFailure on
@@ -101,14 +110,35 @@ class TestRealize:
         assert np.abs(matrix_from_doc(json.loads(out.stdout)) - expected).max() == 0.0
 
     def test_clustered_zeros_closed_form_route_passes_the_check(self):
-        # kappa 1e17: the parameters peeled off the cascade's lower form
-        # rebuild it, so the closed form intertwines with the cascade
+        # kappa 1e17: the fold of the parameters peeled off the cascade's
+        # lower form matches the zero product, and so does their closed form
         zeros = cluster(12, 0.97)
         doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, zeros))
         out = run_cli(["realize"], js.dumps_canonical(doc))
+        assert_realizes_zeros(out, zeros)
+
+    def test_backward_error_is_read_off_the_cascade_trace(self):
+        b = sc.BlaschkeProduct(1.0, cluster(12, 0.97))
+        out = run_cli(["realize"], js.dumps_canonical(js.blaschke_to_json(b)))
         assert out.returncode == 0, out.stderr
-        checks = diagnostics(out.stderr)
-        assert checks["cross_route_equivalence"]["residual"] <= sc.tolerances.EQUIV
+        line = diagnostics(out.stderr)["backward_error"]
+        trace = sc.schur_algorithm_state_space(sc.model_colligation(b))
+        assert line["residual"] == trace.backward_error
+        assert line["tolerance"] == sc.tolerances.BACKWARD
+
+    @pytest.mark.parametrize("degree, code", [(32, 3), (8, 0)])
+    def test_model_route_on_near_circle_roots_is_numerical(self, degree, code):
+        # the parameters are valid (|s| <= 0.9); at degree 32 np.roots puts
+        # four zeros of their function within DISC of the circle
+        rng = np.random.default_rng(degree)
+        s = 0.9 * np.sqrt(rng.uniform(size=degree)) * np.exp(
+            2j * np.pi * rng.uniform(size=degree)
+        )
+        doc = {"params": [[x.real, x.imag] for x in s] + [[1.0, 0.0]]}
+        out = run_cli(["realize", "--route", "model"], json.dumps(doc))
+        assert out.returncode == code, out.stderr
+        if code:
+            assert "is not strictly inside the disc" in out.stderr
 
     def test_invalid_input_exits_2(self):
         out = run_cli(["realize"], '{"params":[[2,0],[1,0]]}')
@@ -179,14 +209,13 @@ class TestSchur:
         assert np.abs(written - den).max() <= 1e-14 * np.abs(den).sum()
 
     def test_gauged_n128_is_never_a_validation_failure(self):
-        # unitary to 1e-15, kappa 1e12: the closed form of the peeled
-        # parameters rebuilds H, so the round trip meets ROUND
+        # unitary to 1e-15, kappa 1e12: the fold of the peeled parameters
+        # matches the input's S on the circle, the run's one function check
         col = gauged_n128()
         assert sc.unitarity_residual(col.matrix) <= 1e-14
         out = run_cli(["schur"], js.dumps_canonical(js.colligation_to_json(col)))
         assert out.returncode == 0, out.stderr
-        roundtrip = diagnostics(out.stderr)["parameter_roundtrip"]
-        assert roundtrip["residual"] <= sc.tolerances.ROUND
+        assert set(diagnostics(out.stderr)) == {"trace_complete", "backward_error"}
 
     def test_gauged_n128_trace_is_small_and_holds_the_iterates(self):
         col = gauged_n128()

@@ -54,6 +54,18 @@ class TestAdmissibility:
         assert not tol.on_circle(x)
         assert not tol.clear_of_pole(x)
 
+    @pytest.mark.parametrize("kind", [complex, np.complex128, np.array])
+    def test_pole_rule_on_scalars_and_arrays(self, kind):
+        # a bool for one value, elementwise verdicts for an array
+        values = [0.0, tol.POLE, 2.0 * tol.POLE, 1.0, INF, NAN]
+        expected = [False, False, True, True, False, False]
+        if kind is np.array:
+            verdicts = tol.clear_of_pole(np.array(values, dtype=complex))
+            assert verdicts.dtype == bool and verdicts.tolist() == expected
+        else:
+            verdicts = [tol.clear_of_pole(kind(x)) for x in values]
+            assert all(type(v) is bool for v in verdicts) and verdicts == expected
+
     def test_finite_margins(self):
         assert tol.inside_disc(1.0 - 2e-9) and not tol.inside_disc(1.0 - 0.5e-9)
         assert tol.on_circle(1j * (1.0 + 0.5e-9)) and not tol.on_circle(1.0 + 2e-9)
