@@ -29,7 +29,6 @@ from .errors import (
     FeedbackSingular,
     InternalInconsistency,
     NearPole,
-    NormMismatch,
     NotMinimal,
     NotNormalized,
     NotSimple,
@@ -37,27 +36,22 @@ from .errors import (
     SchurColError,
     Terminal,
     UnitViolation,
-    ZeroVector,
 )
 from .hessenberg import (
     HessenbergCertificate,
     band_residual,
     find_equivalence,
     is_minimal,
-    match_rows,
-    normalize_first_row,
     reduce_to_special_lower_hessenberg,
     reduce_to_special_upper_hessenberg,
 )
 from .rational import (
     BlaschkeProduct,
-    InnerSamplingReport,
     RationalInner,
     SchurParameterSequence,
     blaschke_to_rational,
     from_schur_parameters,
     inverse_schur_transform,
-    is_inner_sampled,
     rational_to_blaschke,
     schur_parameters,
     schur_transform,
@@ -68,7 +62,6 @@ from .realization import (
     realization_uniqueness_check,
 )
 from .redheffer import (
-    GaugeFamilyReport,
     PartitionedColligation,
     SchurSection,
     characteristic_matrix,
@@ -76,13 +69,11 @@ from .redheffer import (
     inverse_schur_colligation,
     redheffer_product,
     redheffer_transform,
-    verify_gauge_family,
 )
 from .schur_state import (
     SchurStateTrace,
     closed_form_matrix,
     colligation_from_schur_parameters,
-    normalize_B_row,
     product_form_matrix,
     readout_residual,
     schur_algorithm_state_space,

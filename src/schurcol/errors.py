@@ -53,14 +53,6 @@ class InternalInconsistency(SchurColError):
     """Two routes that must agree analytically disagree numerically."""
 
 
-class NormMismatch(SchurColError):
-    """Row vectors that must share a norm do not."""
-
-
-class ZeroVector(SchurColError):
-    """A nonzero vector was required."""
-
-
 class FeedbackSingular(SchurColError):
     """The feedback loop of a coupling is singular."""
 

@@ -1,4 +1,4 @@
-"""Row matching by complex reflectors and reduction to special Hessenberg form.
+"""Reduction to special Hessenberg form, minimality and state equivalence.
 
 "Special lower Hessenberg" means zero above the first superdiagonal and
 nonnegative real entries on the superdiagonal itself.  A square matrix
@@ -72,9 +72,7 @@ from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
-    NormMismatch,
     NotSimple,
-    ZeroVector,
 )
 from .colligation import (
     UnitaryColligation,
@@ -91,8 +89,6 @@ from .sampling import circle_samples
 
 __all__ = [
     "HessenbergCertificate",
-    "match_rows",
-    "normalize_first_row",
     "reduce_to_special_lower_hessenberg",
     "reduce_to_special_upper_hessenberg",
     "band_residual",
@@ -119,71 +115,6 @@ class HessenbergCertificate:
     band: np.ndarray
     reconstruction: float
     gauge_unitarity: float
-
-
-def _reflector(b: np.ndarray, norm: float) -> tuple[complex, np.ndarray | None]:
-    """Phase lam and unit v with ``b @ lam (I - 2 conj(v) v^T) == [norm, 0, ...]``.
-
-    norm is |b|.  lam makes ``lam * b[0]`` nonnegative (lam = 1 when
-    b[0] = 0), and v = w / |w| for w = lam b - [norm, 0, ..., 0].  The
-    head of w is formed as -|b[1:]|^2 / (|b[0]| + norm), which equals
-    |b[0]| - norm without its cancellation: the difference would err by
-    eps |b| and tilt the reflector of a row within delta of a multiple
-    of e_0 by eps / delta.  v is None when |w| <= 1e-14 norm: the step
-    is then the phase alone.
-    """
-    head = abs(b[0])
-    lam = np.conj(b[0]) / head if head > 0.0 else 1.0 + 0.0j
-    rest = np.vdot(b[1:], b[1:]).real
-    w0 = -rest / (head + norm)
-    wn = np.sqrt(w0 * w0 + rest)
-    if wn <= 1e-14 * norm:
-        return lam, None
-    w = lam * b
-    w[0] = w0
-    return lam, w / wn
-
-
-def match_rows(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Unitary V with ``b1 @ V == b2`` for equal-norm row vectors.
-
-    Rows proportional to within 1e-14 of their norm are matched by the
-    scalar phase that makes ``lambda * (b1 @ b2*)`` nonnegative.
-    Otherwise V = V1 V2*, where Vi maps bi onto [|bi|, 0, ..., 0] as in
-    :func:`normalize_first_row`.
-    """
-    b1 = np.asarray(b1, dtype=complex).ravel()
-    b2 = np.asarray(b2, dtype=complex).ravel()
-    if b1.shape != b2.shape:
-        raise NormMismatch(f"row lengths differ: {len(b1)} vs {len(b2)}")
-    n1 = np.linalg.norm(b1)
-    n2 = np.linalg.norm(b2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroVector("row matching requires nonzero rows")
-    if abs(n1 - n2) > tol.NORM * max(n1, n2):
-        raise NormMismatch(f"norms {n1!r} and {n2!r} differ beyond {tol.NORM:g}")
-    inner = b1 @ b2.conj()
-    lam = np.conj(inner) / abs(inner) if abs(inner) > 0.0 else 1.0 + 0.0j
-    if np.linalg.norm(lam * b1 - b2) <= 1e-14 * n1:
-        return lam * np.eye(len(b1), dtype=complex)
-    return normalize_first_row(b1) @ normalize_first_row(b2).conj().T
-
-
-def normalize_first_row(b: np.ndarray) -> np.ndarray:
-    """Unitary V with ``b @ V == [|b|, 0, ..., 0]``: a phase times a reflector.
-
-    The phase makes the head of ``b @ V`` nonnegative before the
-    reflection; a row already proportional to e_0 gets the phase alone.
-    """
-    b = np.asarray(b, dtype=complex).ravel()
-    norm = np.linalg.norm(b)
-    if norm == 0.0:
-        raise ZeroVector("cannot normalize a zero row")
-    lam, v = _reflector(b, norm)
-    eye = np.eye(len(b), dtype=complex)
-    if v is None:
-        return lam * eye
-    return lam * (eye - 2.0 * np.outer(v.conj(), v))
 
 
 def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:

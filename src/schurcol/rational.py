@@ -34,20 +34,17 @@ from .errors import (
     Terminal,
     UnitViolation,
 )
-from .sampling import circle_samples, disc_samples
 
 __all__ = [
     "BlaschkeProduct",
     "RationalInner",
     "SchurParameterSequence",
-    "InnerSamplingReport",
     "blaschke_to_rational",
     "rational_to_blaschke",
     "schur_transform",
     "inverse_schur_transform",
     "schur_parameters",
     "from_schur_parameters",
-    "is_inner_sampled",
 ]
 
 
@@ -112,8 +109,7 @@ class RationalInner:
     """Quotient of two polynomials stored at a common length.
 
     The constructor pads and trims; it checks den(0) != 0 but does not
-    check inner-ness, which is a sampled property (see
-    :func:`is_inner_sampled`).
+    check inner-ness.
     """
 
     num: np.ndarray
@@ -323,43 +319,3 @@ def from_schur_parameters(p: SchurParameterSequence) -> RationalInner:
     for s0 in reversed(p.params[:-1]):
         cur = inverse_schur_transform(s0, cur)
     return cur
-
-
-@dataclass(frozen=True)
-class InnerSamplingReport:
-    max_disc_excess: float
-    max_circle_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        """Both figures within INNER."""
-        return (
-            self.max_disc_excess <= tol.INNER
-            and self.max_circle_deviation <= tol.INNER
-        )
-
-
-def is_inner_sampled(
-    s: RationalInner,
-    disc_count: int = 64,
-    circle_count: int = 64,
-) -> InnerSamplingReport:
-    """Sampled check of contractivity on the disc and unimodularity on the circle.
-
-    Each sample set is evaluated as one array, and a NearPole in a set
-    makes its figure inf.  Moduli are taken by np.hypot, which is
-    correctly rounded here, so the circle deviation of an exact inner
-    function such as z reads 0.
-    """
-    try:
-        disc = s.evaluate(disc_samples(disc_count))
-        disc_excess = np.max(np.hypot(disc.real, disc.imag) - 1.0, initial=0.0)
-    except NearPole:
-        disc_excess = np.inf
-    try:
-        circle = s.evaluate(circle_samples(circle_count))
-        moduli = np.hypot(circle.real, circle.imag)
-        circle_dev = np.max(np.abs(moduli - 1.0), initial=0.0)
-    except NearPole:
-        circle_dev = np.inf
-    return InnerSamplingReport(float(disc_excess), float(circle_dev))

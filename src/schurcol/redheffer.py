@@ -22,28 +22,22 @@ from . import tolerances as tol
 from .colligation import (
     UnitaryColligation,
     _resolvent_apply,
-    apply_state_gauge,
-    characteristic_function,
     require_unitary,
 )
 from .errors import (
     DimensionMismatch,
     DiscViolation,
     FeedbackSingular,
-    UnitViolation,
 )
-from .sampling import disc_samples
 
 __all__ = [
     "PartitionedColligation",
     "SchurSection",
-    "GaugeFamilyReport",
     "redheffer_transform",
     "elementary_schur_section",
     "characteristic_matrix",
     "redheffer_product",
     "inverse_schur_colligation",
-    "verify_gauge_family",
 ]
 
 
@@ -240,67 +234,3 @@ def inverse_schur_colligation(
     rot[1, 0] = delta0
     rot[1, 1] = -np.conj(s0)
     return UnitaryColligation(embed @ rot)
-
-
-@dataclass(frozen=True)
-class GaugeFamilyReport:
-    max_matrix_residual: float
-    max_characteristic_residual: float
-    channel_row_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_matrix_residual <= 1e-12 and self.channel_row_residual <= 1e-12
-
-
-def verify_gauge_family(
-    s0: complex,
-    u_omega: UnitaryColligation,
-    epsilon: complex,
-    v: np.ndarray,
-) -> GaugeFamilyReport:
-    """Check the residual gauge freedom of the inverse-Schur realization.
-
-    The family member for (epsilon, v) built blockwise from the factors
-    must coincide with diag(1, V*) U diag(1, V) for V = diag(epsilon, v),
-    and its channel row must be [epsilon sqrt(1-|s0|^2), 0, ..., 0].
-    """
-    epsilon = complex(epsilon)
-    if not tol.on_circle(epsilon):
-        raise UnitViolation(f"epsilon = {epsilon!r} is not unimodular")
-    v = np.asarray(v, dtype=complex)
-    m = u_omega.n
-    if v.shape != (m, m):
-        raise DimensionMismatch(f"inner gauge must be {m}x{m}, got {v.shape}")
-    require_unitary(v, "inner gauge")
-
-    base = inverse_schur_colligation(s0, u_omega)
-    n = base.n
-    V = np.zeros((n, n), dtype=complex)
-    V[0, 0] = epsilon
-    V[1:, 1:] = v
-    gauged = apply_state_gauge(base, V)
-
-    # blockwise member of the family, written out from the factor gauges
-    alpha, beta, gamma, delta = u_omega.A, u_omega.B, u_omega.C, u_omega.D
-    delta0 = np.sqrt(1.0 - abs(complex(s0)) ** 2)
-    member = np.zeros((n + 1, n + 1), dtype=complex)
-    member[0, 0] = s0
-    member[0, 1] = epsilon * delta0
-    member[1, 0] = alpha * np.conj(epsilon) * delta0
-    member[1, 1] = -alpha * np.conj(s0)
-    member[1, 2:] = np.conj(epsilon) * (beta @ v)
-    member[2:, 0] = (v.conj().T @ gamma) * delta0
-    member[2:, 1] = -(v.conj().T @ gamma) * epsilon * np.conj(s0)
-    member[2:, 2:] = v.conj().T @ delta @ v
-
-    matrix_residual = float(np.abs(member - gauged.matrix).max())
-    row = gauged.matrix[0, 1:]
-    expected_row = np.zeros(n, dtype=complex)
-    expected_row[0] = epsilon * delta0
-    row_residual = float(np.abs(row - expected_row).max())
-    points = disc_samples(20, radius=0.9)
-    char_residual = np.abs(
-        characteristic_function(gauged, points) - characteristic_function(base, points)
-    ).max()
-    return GaugeFamilyReport(matrix_residual, float(char_residual), row_residual)

@@ -50,7 +50,6 @@ from .colligation import (
     _peel,
     _peel_row,
     _peel_steps,
-    apply_state_gauge,
 )
 from .errors import (
     InternalInconsistency,
@@ -60,7 +59,6 @@ from .errors import (
 )
 from .hessenberg import (
     is_minimal_form,
-    normalize_first_row,
     reduce_to_special_lower_hessenberg,
 )
 from .rational import SchurParameterSequence, _couple_section
@@ -68,7 +66,6 @@ from .sampling import circle_samples
 
 __all__ = [
     "SchurStateTrace",
-    "normalize_B_row",
     "schur_step",
     "schur_algorithm_state_space",
     "closed_form_matrix",
@@ -76,16 +73,6 @@ __all__ = [
     "colligation_from_schur_parameters",
     "readout_residual",
 ]
-
-
-def normalize_B_row(col: UnitaryColligation) -> UnitaryColligation:
-    """Gauge-equivalent colligation whose channel row is [sqrt(1-|A|^2), 0, ...]."""
-    if not tol.inside_disc(col.A):
-        raise Terminal(
-            f"|A| = {abs(col.A):.17g} is within {tol.DISC:g} of the unit circle; "
-            "the channel row is degenerate"
-        )
-    return apply_state_gauge(col, normalize_first_row(col.B))
 
 
 def _check_special_row(col: UnitaryColligation) -> None:

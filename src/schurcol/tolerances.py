@@ -121,10 +121,6 @@ STRUCT = 1e-12
 # on the gauged degree-256 form
 CERTIFICATE = 1e-11
 
-# equal-norm condition for row matching.  Row length 6:
-# test_hessenberg.py::TestMatchRows::test_nearly_proportional_rows_are_reflected
-NORM = 1e-9
-
 # minimality threshold: every band entry of the lower Hessenberg form
 # above max(n+1, 8) * RANK_REL * max |entry|.  n = 256: `band_minimum` of
 # CI's `schurcol realize` of the degree-256 parameters

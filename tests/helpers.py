@@ -48,12 +48,37 @@ def taylor_coefficients(fn, count, radius=0.5, samples=256):
     return hat[:count] / radius ** np.arange(count)
 
 
+def reference_reflector(b):
+    """Unitary V with ``b @ V == [|b|, 0, ..., 0]``: a phase times a reflector.
+
+    The phase lam makes ``lam * b[0]`` nonnegative (lam = 1 when b[0] = 0),
+    and the reflector is I - 2 conj(v) v^T for v = w / |w|,
+    w = lam b - [|b|, 0, ..., 0].  The head of w is formed as
+    -|b[1:]|^2 / (|b[0]| + |b|), which equals |b[0]| - |b| without its
+    cancellation.  A row with |w| <= 1e-14 |b| gets the phase alone.
+    """
+    b = np.asarray(b, dtype=complex).ravel()
+    norm = np.linalg.norm(b)
+    head = abs(b[0])
+    lam = np.conj(b[0]) / head if head > 0.0 else 1.0 + 0.0j
+    rest = np.vdot(b[1:], b[1:]).real
+    w0 = -rest / (head + norm)
+    wn = np.sqrt(w0 * w0 + rest)
+    eye = np.eye(len(b), dtype=complex)
+    if wn <= 1e-14 * norm:
+        return lam * eye
+    w = lam * b
+    w[0] = w0
+    v = w / wn
+    return lam * (eye - 2.0 * np.outer(v.conj(), v))
+
+
 def reference_reduction(M):
     """(H, V) of the lower Hessenberg reduction by dense embedded gauges, O(n^4).
 
-    Row by row, the reflector of ``sc.normalize_first_row`` on the row's
-    tail is embedded in an identity and multiplied in as full matrices.
-    Kept as an independent reference for the in-place reduction.
+    Row by row, :func:`reference_reflector` of the row's tail is embedded
+    in an identity and multiplied in as full matrices.  Kept as an
+    independent reference for the in-place reduction.
     """
     M = np.asarray(M, dtype=complex)
     size = M.shape[0]
@@ -71,7 +96,7 @@ def reference_reduction(M):
         tail = H[row, row + 1 :]
         if np.linalg.norm(tail) <= sc.tolerances.STRUCT * scale:
             continue
-        step = sc.normalize_first_row(tail)
+        step = reference_reflector(tail)
         g = embedded(size, row + 1, step)
         H = g.conj().T @ H @ g
         V = V @ embedded(n, row, step)
@@ -122,6 +147,30 @@ def reference_redheffer_product(u1, u2):
     left = np.concatenate([[u1.a12[0, 0] * alpha], u1.c2[:, 0] * alpha, gamma])
     right = np.concatenate([[u1.a21[0, 0]], u1.b2[0], u1.a22[0, 0] * beta])
     return sc.UnitaryColligation(base + np.outer(left, right) / denom)
+
+
+def gauge_family_member(s0, u_omega, epsilon, v):
+    """The inverse-Schur realization's gauge-family member for (epsilon, v).
+
+    Written out blockwise from s0, the blocks alpha, beta, gamma, delta of
+    u_omega and the factor gauges: the paper's claim is that it equals
+    diag(1, V*) U diag(1, V) for U = inverse_schur_colligation(s0, u_omega)
+    and V = diag(epsilon, v), with channel row
+    [epsilon sqrt(1 - |s0|^2), 0, ..., 0].
+    """
+    alpha, beta, gamma, delta = u_omega.A, u_omega.B, u_omega.C, u_omega.D
+    n = u_omega.n + 1
+    delta0 = np.sqrt(1.0 - abs(complex(s0)) ** 2)
+    member = np.zeros((n + 1, n + 1), dtype=complex)
+    member[0, 0] = s0
+    member[0, 1] = epsilon * delta0
+    member[1, 0] = alpha * np.conj(epsilon) * delta0
+    member[1, 1] = -alpha * np.conj(s0)
+    member[1, 2:] = np.conj(epsilon) * (beta @ v)
+    member[2:, 0] = (v.conj().T @ gamma) * delta0
+    member[2:, 1] = -(v.conj().T @ gamma) * epsilon * np.conj(s0)
+    member[2:, 2:] = v.conj().T @ delta @ v
+    return member
 
 
 def transform_fold(s):

@@ -51,9 +51,8 @@ class TestConstruction:
         [
             lambda m: sc.PartitionedColligation(m, 1, 1, 1),
             lambda m: sc.apply_state_gauge(sc.UnitaryColligation(np.eye(4)), m),
-            lambda m: sc.verify_gauge_family(0.5, sc.UnitaryColligation(np.eye(4)), 1.0, m),
         ],
-        ids=["partitioned", "state_gauge", "gauge_family"],
+        ids=["partitioned", "state_gauge"],
     )
     def test_other_unitarity_gates_reject_nan(self, gate):
         with pytest.raises(sc.NotUnitary):

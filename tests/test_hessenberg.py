@@ -1,4 +1,4 @@
-"""Row matching, Hessenberg reduction and the minimality criterion."""
+"""Hessenberg reduction, its dense reference and the minimality criterion."""
 
 from types import SimpleNamespace
 
@@ -16,6 +16,7 @@ from helpers import (
     random_params,
     random_unitary,
     reference_reduction,
+    reference_reflector,
 )
 
 
@@ -30,63 +31,17 @@ def gauged_parameter_matrix(rng, n, rmax=0.95):
     return gauge(closed, random_unitary(rng, n))
 
 
-class TestMatchRows:
-    def test_real_reflector_by_hand(self):
-        v = sc.match_rows([3.0, 4.0], [5.0, 0.0])
-        assert_allclose(v, np.array([[3.0, 4.0], [4.0, -3.0]]) / 5.0, atol=1e-15)
-        assert_allclose(np.array([3.0, 4.0]) @ v, [5.0, 0.0], atol=1e-14)
-
-    def test_equal_rows_give_identity(self):
-        b = np.array([1.0 + 2.0j, -0.5])
-        v = sc.match_rows(b, b)
-        assert_allclose(v, np.eye(2))
-
-    def test_swap(self):
-        v = sc.match_rows([0.0, 1.0], [1.0, 0.0])
-        assert_allclose(np.array([0.0, 1.0]) @ v, [1.0, 0.0], atol=1e-15)
-        assert_allclose(v, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-
-    def test_norm_mismatch_rejected(self):
-        with pytest.raises(sc.NormMismatch):
-            sc.match_rows([1.0, 0.0], [2.0, 0.0])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(sc.ZeroVector):
-            sc.match_rows([0.0, 0.0], [0.0, 0.0])
-
-    def test_random_complex_rows(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            b1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            b2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            b2 *= np.linalg.norm(b1) / np.linalg.norm(b2)
-            v = sc.match_rows(b1, b2)
-            assert sc.unitarity_residual(v) <= 1e-14
-            assert np.abs(b1 @ v - b2).max() <= 1e-13
-
-    def test_nearly_proportional_rows_are_reflected(self):
-        # rows 1e-8 apart after the phase still need the reflector; only
-        # a difference within 1e-14 of the norm is matched by the phase
-        rng = np.random.default_rng(29)
-        b1 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        b2 = np.exp(0.9j) * b1 + 1e-8 * rng.standard_normal(6)
-        b2 *= np.linalg.norm(b1) / np.linalg.norm(b2)
-        v = sc.match_rows(b1, b2)
-        assert sc.unitarity_residual(v) <= 1e-14
-        assert np.abs(b1 @ v - b2).max() <= 1e-14
-
-
-class TestNormalizeFirstRow:
+class TestReferenceReflector:
     def test_swap_coordinates(self):
-        v = sc.normalize_first_row([0.0, 1.0])
+        v = reference_reflector([0.0, 1.0])
         assert_allclose(np.array([0.0, 1.0]) @ v, [1.0, 0.0], atol=1e-15)
 
     def test_already_normalized(self):
-        v = sc.normalize_first_row([2.5, 0.0, 0.0])
+        v = reference_reflector([2.5, 0.0, 0.0])
         assert_allclose(v, np.eye(3))
 
     def test_pure_phase(self):
-        v = sc.normalize_first_row([1.0j, 0.0])
+        v = reference_reflector([1.0j, 0.0])
         assert_allclose(np.array([1.0j, 0.0]) @ v, [1.0, 0.0], atol=1e-15)
         assert_allclose(v[0, 0], -1.0j)
 

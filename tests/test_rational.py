@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import tolerances as tol
+from schurcol.sampling import circle_samples, disc_samples
 from helpers import (
     cluster,
     random_blaschke,
@@ -412,33 +413,6 @@ class TestParameterExtraction:
         assert sc.unitarity_residual(col.matrix) <= 1e-15
 
 
-class TestInnerSampling:
-    def test_delay_passes(self):
-        report = sc.is_inner_sampled(sc.RationalInner([0.0, 1.0], [1.0]))
-        assert report.passed
-        assert report.max_disc_excess == 0.0
-        assert report.max_circle_deviation == 0.0
-
-    def test_contractive_constant_fails_circle(self):
-        report = sc.is_inner_sampled(sc.RationalInner([0.5], [1.0]))
-        assert not report.passed
-        assert_allclose(report.max_circle_deviation, 0.5)
-
-    def test_pole_in_a_sample_set_gives_inf(self):
-        # 1 / (1 - z) has its pole at the circle sample z = 1
-        report = sc.is_inner_sampled(sc.RationalInner([1.0], [1.0, -1.0]))
-        assert report.max_circle_deviation == np.inf
-        assert np.isfinite(report.max_disc_excess)
-        assert not report.passed
-
-    def test_random_blaschke_passes_tightly(self):
-        rng = np.random.default_rng(11)
-        b = random_blaschke(rng, 4)
-        report = sc.is_inner_sampled(sc.blaschke_to_rational(b))
-        assert report.max_disc_excess <= 1e-12
-        assert report.max_circle_deviation <= 1e-12
-
-
 class TestProperties:
     def test_parameter_roundtrip(self):
         rng = np.random.default_rng(2024)
@@ -462,6 +436,7 @@ class TestProperties:
             omega = sc.blaschke_to_rational(random_blaschke(rng, 3))
             s0 = complex(0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
             s = sc.inverse_schur_transform(s0, omega)
-            report = sc.is_inner_sampled(s)
-            assert report.max_disc_excess <= 1e-10
-            assert report.max_circle_deviation <= 1e-10
+            disc = np.abs(s.evaluate(disc_samples(64)))
+            circle = np.abs(s.evaluate(circle_samples(64)))
+            assert np.max(disc - 1.0) <= 1e-10
+            assert np.max(np.abs(circle - 1.0)) <= 1e-10

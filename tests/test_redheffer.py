@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol.sampling import disc_samples
 from helpers import (
     band_length,
     count_resolvent_solves,
     count_unitarity_residuals,
+    gauge_family_member,
     random_colligation,
     random_params,
     random_unitary,
@@ -131,8 +133,6 @@ class TestElementarySection:
             sc.elementary_schur_section(float("nan"))
         with pytest.raises(sc.DiscViolation):
             sc.inverse_schur_colligation(float("nan"), constant)
-        with pytest.raises(sc.UnitViolation):
-            sc.verify_gauge_family(0.5, constant, float("nan"), np.eye(0))
 
 
 class TestRedhefferProduct:
@@ -303,32 +303,52 @@ class TestInverseSchurColligation:
 
 
 class TestGaugeFamily:
+    """The residual gauge freedom of the inverse-Schur realization."""
+
+    @staticmethod
+    def residuals(s0, col, epsilon, v):
+        """Member, channel-row and function residuals of the gauge (epsilon, v)."""
+        base = sc.inverse_schur_colligation(s0, col)
+        gauge = np.zeros((base.n, base.n), dtype=complex)
+        gauge[0, 0] = epsilon
+        gauge[1:, 1:] = v
+        gauged = sc.apply_state_gauge(base, gauge)
+        member = gauge_family_member(s0, col, epsilon, v)
+        row = np.zeros(base.n, dtype=complex)
+        row[0] = epsilon * np.sqrt(1.0 - abs(s0) ** 2)
+        points = disc_samples(20, radius=0.9)
+        return (
+            np.abs(member - gauged.matrix).max(),
+            np.abs(gauged.B - row).max(),
+            np.abs(
+                sc.characteristic_function(gauged, points)
+                - sc.characteristic_function(base, points)
+            ).max(),
+        )
+
     def test_trivial_member_is_base(self):
         rng = np.random.default_rng(40)
         col = random_colligation(rng, 2)
-        report = sc.verify_gauge_family(0.4, col, 1.0, np.eye(2))
-        assert report.passed
-        assert report.max_matrix_residual <= 1e-14
+        matrix, row, function = self.residuals(0.4, col, 1.0, np.eye(2))
+        assert matrix <= 1e-14
+        assert row <= 1e-12
+        assert function <= 1e-11
 
     def test_phase_moves_channel_entry(self):
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.2, 1.0))
         )
-        report = sc.verify_gauge_family(0.5, col, 1.0j, np.eye(1))
-        assert report.max_matrix_residual <= 1e-12
-        assert report.channel_row_residual <= 1e-12
+        matrix, row, function = self.residuals(0.5, col, 1.0j, np.eye(1))
+        assert matrix <= 1e-12
+        assert row <= 1e-12
+        assert function <= 1e-11
 
     def test_random_gauges_leave_function_alone(self):
         rng = np.random.default_rng(41)
         col = random_colligation(rng, 3)
         eps = complex(np.exp(2j * np.pi * rng.uniform()))
         v = random_unitary(rng, 3)
-        report = sc.verify_gauge_family(0.3 + 0.1j, col, eps, v)
-        assert report.max_matrix_residual <= 1e-12
-        assert report.max_characteristic_residual <= 1e-11
-
-    def test_dimension_guard(self):
-        rng = np.random.default_rng(42)
-        col = random_colligation(rng, 2)
-        with pytest.raises(sc.DimensionMismatch):
-            sc.verify_gauge_family(0.1, col, 1.0, np.eye(3))
+        matrix, row, function = self.residuals(0.3 + 0.1j, col, eps, v)
+        assert matrix <= 1e-12
+        assert row <= 1e-12
+        assert function <= 1e-11

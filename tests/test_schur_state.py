@@ -24,38 +24,6 @@ DELAY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 ROOT75 = np.sqrt(0.75)
 
 
-class TestNormalizeBRow:
-    def test_special_form_is_fixed(self):
-        col = sc.colligation_from_schur_parameters(
-            sc.SchurParameterSequence((0.5, 0.3j, 1.0))
-        )
-        out = sc.normalize_B_row(col)
-        assert np.abs(out.matrix - col.matrix).max() <= 1e-14
-
-    def test_reversed_channel_row(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[0] = [0.5, 0.0, ROOT75]
-        m[1] = [ROOT75, 0.0, -0.5]
-        m[2] = [0.0, 1.0, 0.0]
-        out = sc.normalize_B_row(sc.UnitaryColligation(m))
-        assert_allclose(out.B, [ROOT75, 0.0], atol=1e-14)
-
-    def test_function_preserved(self):
-        rng = np.random.default_rng(50)
-        col = sc.UnitaryColligation(random_unitary(rng, 4))
-        out = sc.normalize_B_row(col)
-        for z in 0.9 * np.exp(2j * np.pi * np.arange(12) / 12):
-            assert_allclose(
-                sc.characteristic_function(out, z),
-                sc.characteristic_function(col, z),
-                atol=1e-12,
-            )
-
-    def test_unimodular_corner_is_terminal(self):
-        with pytest.raises(sc.Terminal):
-            sc.normalize_B_row(sc.UnitaryColligation(np.eye(2)))
-
-
 class TestSchurStep:
     def test_delay(self):
         s0, nxt = sc.schur_step(sc.UnitaryColligation(DELAY))
