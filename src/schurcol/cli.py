@@ -4,7 +4,8 @@ Subcommands convert between the three representations of a rational
 inner function (zero set, Schur parameters, unitary colligation matrix)
 and run the verification suites.  All input and output is UTF-8 JSON on
 stdin/stdout unless --input/--output name files.  Diagnostics are
-emitted on stderr as JSON lines {check, residual, tolerance}.  A
+emitted on stderr as JSON lines {check, residual, tolerance}, also the
+backward check that stops a recursion with exit 3.  A
 non-finite residual (an infinite or undefined value) is written as JSON
 null, both there and in the summary of `verify`, and its check counts
 as failed.
@@ -357,6 +358,9 @@ def main(argv=None) -> int:
     try:
         _write_output(args, _HANDLERS[args.command](cmd))
     except _NUMERICAL_ERRORS as exc:
+        # the recursion's failed backward check, as the line a passing one writes
+        if isinstance(exc, InternalInconsistency) and exc.residual is not None:
+            cmd.diag("backward_error", exc.residual, exc.tolerance)
         _emit_diagnostics(cmd)
         print(f"schurcol {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -112,7 +112,16 @@ class UnitaryColligation:
     unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        self._own(np.array(self.matrix, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray) -> UnitaryColligation:
+        """The colligation of m, a complex array built for it: gated, not copied."""
+        col = object.__new__(cls)
+        col._own(m)
+        return col
+
+    def _own(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "unitarity", require_unitary(m, "colligation matrix"))
@@ -422,7 +431,7 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     require_unitary(V, "gauge matrix")
     G = np.eye(col.n + 1, dtype=complex)
     G[1:, 1:] = V
-    return UnitaryColligation(G.conj().T @ col.matrix @ G)
+    return UnitaryColligation._adopt(G.conj().T @ col.matrix @ G)
 
 
 # steps per block of the Krylov kernel and of the time-domain recursion;

@@ -50,7 +50,18 @@ class DimensionMismatch(SchurColError):
 
 
 class InternalInconsistency(SchurColError):
-    """Two routes that must agree analytically disagree numerically."""
+    """Two routes that must agree analytically disagree numerically.
+
+    A failed backward check of the recursion carries its ``residual``
+    and ``tolerance``; both are None otherwise.
+    """
+
+    def __init__(
+        self, message: str, residual: float | None = None, tolerance: float | None = None
+    ):
+        super().__init__(message)
+        self.residual = residual
+        self.tolerance = tolerance
 
 
 class FeedbackSingular(SchurColError):

@@ -42,7 +42,7 @@ def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
         matrix[0] = z * top + d * row
         matrix[k] = np.conj(z) * row - d * top
     matrix[:, 0] *= b.c
-    return UnitaryColligation(matrix)
+    return UnitaryColligation._adopt(matrix)
 
 
 @dataclass(frozen=True)

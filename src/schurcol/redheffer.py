@@ -52,7 +52,17 @@ class PartitionedColligation:
     unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        self._own(np.array(self.matrix, dtype=complex))
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray, e1: int, e2: int, h: int) -> PartitionedColligation:
+        """The colligation of m, a complex array built for it: gated, not copied."""
+        pc = object.__new__(cls)
+        pc.__dict__.update(e1=e1, e2=e2, h=h)
+        pc._own(m)
+        return pc
+
+    def _own(self, m: np.ndarray) -> None:
         size = self.e1 + self.e2 + self.h
         if m.shape != (size, size):
             raise DimensionMismatch(
@@ -157,7 +167,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
         ],
         dtype=complex,
     )
-    return SchurSection(s0, PartitionedColligation(m, 1, 1, 1))
+    return SchurSection(s0, PartitionedColligation._adopt(m, 1, 1, 1))
 
 
 def redheffer_product(
@@ -208,7 +218,7 @@ def redheffer_product(
     coupled[1:k, k:] = np.outer(m1[2:, 1], beta)
     coupled[k:, k:] = m2[1:, 1:]
     coupled += np.outer(left, right) / denom
-    return UnitaryColligation(coupled)
+    return UnitaryColligation._adopt(coupled)
 
 
 def inverse_schur_colligation(
@@ -233,4 +243,4 @@ def inverse_schur_colligation(
     rot[0, 1] = delta0
     rot[1, 0] = delta0
     rot[1, 1] = -np.conj(s0)
-    return UnitaryColligation(embed @ rot)
+    return UnitaryColligation._adopt(embed @ rot)

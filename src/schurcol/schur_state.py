@@ -108,7 +108,7 @@ def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
             f"|s_p| = {abs(s_p):.17g} is within {tol.DISC:g} of the unit circle"
         )
     next_matrix = np.column_stack([first_col, col.D[:, 1:]])
-    return s_p, UnitaryColligation(next_matrix)
+    return s_p, UnitaryColligation._adopt(next_matrix)
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,8 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     is returned with the diagnostic message instead of an exception, so
     callers can report how far the recursion went.  A complete run raises
     InternalInconsistency when the recovered parameters miss the input's
-    function by more than BACKWARD on the unit circle.
+    function by more than BACKWARD on the unit circle; the exception
+    carries the residual and the tolerance.
     """
     n = col.n
     cert = reduce_to_special_lower_hessenberg(col.matrix)
@@ -248,7 +249,9 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     if not backward <= tol.BACKWARD:
         raise InternalInconsistency(
             f"recovered parameters miss the input's function by {backward:.3e} "
-            f"on the unit circle (tolerance {tol.BACKWARD:g}, kappa {kappa:.3e})"
+            f"on the unit circle (tolerance {tol.BACKWARD:g}, kappa {kappa:.3e})",
+            backward,
+            tol.BACKWARD,
         )
     return SchurStateTrace(s, H, cert.V, True, None, backward, kappa)
 
@@ -326,4 +329,4 @@ def colligation_from_schur_parameters(
     """
     if not isinstance(p, SchurParameterSequence):
         p = SchurParameterSequence(tuple(p))
-    return UnitaryColligation(closed_form_matrix(p))
+    return UnitaryColligation._adopt(closed_form_matrix(p))

@@ -1,17 +1,22 @@
 """JSON documents for every type, with byte-deterministic output.
 
-Complex numbers are two-element arrays [re, im].  The canonical writer
-keeps insertion order of the fields and formats every float with 17
-significant digits, so identical inputs produce identical bytes.  A
-list of [float, float] pairs, the form of every vector and matrix row,
-is formatted by one %-operation instead of one call per number, and
-one reader takes vectors and matrices back, numeric pairs in one pass.
+Complex numbers are two-element arrays [re, im].  A document carries
+its vectors and matrices as read-only complex ndarrays, and
+``dumps_canonical`` is its serializer (``json.dumps`` takes no
+ndarray).  The canonical writer keeps insertion order of the fields
+and formats every float with 17 significant digits, so identical
+inputs produce identical bytes.  A complex ndarray of any rank is
+written as nested [re, im] pairs by one %-operation over its floats,
+with a format string built from its shape.  One reader takes vectors
+and matrices back: a document of numeric pairs in one pass through C,
+any other item by item.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -56,31 +61,54 @@ def complex_from_json(v) -> complex:
     raise ValueError(f"expected [re, im], got {v!r}")
 
 
-def _complex_array_to_json(a) -> list:
-    """a as nested lists with [re, im] pairs for its entries."""
-    pairs = np.ascontiguousarray(a, dtype=complex).view(float)
-    return pairs.reshape(np.shape(a) + (2,)).tolist()
+def _complex_array_to_json(a) -> np.ndarray:
+    """a as a read-only contiguous complex array, a view of a itself when it is one."""
+    view = np.ascontiguousarray(a, dtype=complex).view()
+    view.setflags(write=False)
+    return view
+
+
+def _flat_pairs(doc, rank: int) -> np.ndarray | None:
+    """The numbers of doc in one float array, if doc is a matrix or vector of pairs.
+
+    doc is a non-empty list of pairs (rank 1), or of equally long rows
+    of them (rank 2), and the pairs hold numbers; the structure is
+    tested and flattened in C.  None for any other document.
+    """
+    try:
+        if rank == 2:
+            if len(set(map(len, doc))) != 1:
+                return None
+            doc = list(chain.from_iterable(doc))
+        if set(map(len, doc)) != {2}:
+            return None
+        numbers = np.array(list(chain.from_iterable(doc)))
+    except (TypeError, ValueError):  # an entry without a length, or ragged
+        return None
+    if numbers.ndim != 1 or numbers.dtype.kind not in "biuf":
+        return None
+    return numbers.astype(float, copy=False)
 
 
 def _complex_array_from_json(doc, rank: int) -> np.ndarray:
     """A complex array of the given rank from nested lists of [re, im] pairs.
 
-    A list whose entries at depth rank are all pairs of numbers is read
-    in one pass as a float array and viewed as complex.  Any other
-    document (scalar entries, strings, ragged lists, pairs of another
-    length) is read item by item down to ``complex_from_json``, which
-    accepts or rejects each entry.
+    A complex ndarray of that rank, as a ``*_to_json`` document holds,
+    is taken as it is.  A vector or matrix of numeric pairs, the form
+    ``json.loads`` gives every written document, is flattened in C and
+    read as one float array.  Any other document (scalar entries,
+    strings, ragged lists, pairs of another length) is read item by
+    item down to ``complex_from_json``, which accepts or rejects each
+    entry.
     """
     if rank == 0:
         return complex_from_json(doc)
+    if isinstance(doc, np.ndarray) and doc.dtype == complex and doc.ndim == rank:
+        return doc
     if type(doc) is list:
-        try:
-            pairs = np.array(doc)
-        except ValueError:  # ragged, e.g. scalar entries next to pairs
-            pairs = np.empty(0)
-        numeric = pairs.dtype.kind in "biuf"
-        if numeric and pairs.ndim == rank + 1 and pairs.shape[-1] == 2:
-            return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+        numbers = _flat_pairs(doc, rank)
+        if numbers is not None:
+            return numbers.view(complex).reshape((len(doc), -1) if rank == 2 else -1)
     return np.array([_complex_array_from_json(v, rank - 1) for v in doc], dtype=complex)
 
 
@@ -186,24 +214,25 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _is_float_pairs(doc) -> bool:
-    return bool(doc) and all(
-        type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
-        for v in doc
-    )
+def _dumps_complex_array(a: np.ndarray) -> str:
+    """a as nested [re, im] pairs, one %-operation over all its floats.
 
-
-def _dumps_float_pairs(doc: list) -> str:
-    # '%.17g' % x == format(x, '.17g') for every finite float; nan and
-    # inf are the only outputs that contain an "n"
-    text = ("[%.17g,%.17g]," * len(doc)) % tuple(x for v in doc for x in v)
-    if "n" in text:
+    '%.17g' % x == format(x, '.17g') for every finite float, so the
+    bytes are those of the recursion over a.tolist() in pairs.
+    """
+    if not np.isfinite(a).all():
         raise ValueError("non-finite value cannot be serialized")
-    return "[" + text[:-1] + "]"
+    template = "[%.17g,%.17g]"
+    for size in reversed(a.shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template % tuple(a.ravel().view(float).tolist())
 
 
 def dumps_canonical(doc) -> str:
-    """Compact JSON with fixed field order and 17-significant-digit floats."""
+    """Compact JSON with fixed field order and 17-significant-digit floats.
+
+    Complex ndarrays are written as nested [re, im] pairs.
+    """
     if doc is None:
         return "null"
     if isinstance(doc, bool):
@@ -219,9 +248,9 @@ def dumps_canonical(doc) -> str:
             f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in doc.items()
         )
         return "{" + items + "}"
+    if isinstance(doc, np.ndarray) and doc.dtype == complex:
+        return _dumps_complex_array(doc)
     if isinstance(doc, (list, tuple)):
-        if _is_float_pairs(doc):
-            return _dumps_float_pairs(doc)
         return "[" + ",".join(dumps_canonical(v) for v in doc) + "]"
     raise TypeError(f"cannot serialize {type(doc).__name__}")
 

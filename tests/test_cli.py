@@ -1,9 +1,11 @@
 """End-to-end command-line checks via subprocess."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,38 @@ class TestRealize:
 
 
 class TestSchur:
+    @pytest.mark.parametrize("command", ["schur", "realize"])
+    def test_failing_backward_check_is_written(self, command, monkeypatch, capsys):
+        # a degree-3 closed form (schur) and zero set (realize): the
+        # recursion's residual of about 1e-15 misses a bound of 1e-20, the
+        # run exits 3 and stderr carries the failed check's line
+        monkeypatch.setattr(sc.tolerances, "BACKWARD", 1e-20)
+        if command == "schur":
+            col = sc.colligation_from_schur_parameters(
+                sc.SchurParameterSequence((0.36 + 0.48j, -0.8j, -0.6, 0.6 + 0.8j))
+            )
+            doc = js.colligation_to_json(col)
+        else:
+            zeros = (0.5, 0.25j, -0.25 - 0.5j)
+            doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, zeros))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(js.dumps_canonical(doc)))
+        assert cli.main([command]) == 3
+        err = capsys.readouterr().err
+        (line,) = [json.loads(line) for line in err.splitlines()[:-1]]
+        assert line["check"] == "backward_error" and line["tolerance"] == 1e-20
+        assert line["residual"] > 1e-20
+        assert "miss the input's function" in err.splitlines()[-1]
+
+    def test_backward_failure_carries_its_residual(self, monkeypatch):
+        monkeypatch.setattr(sc.tolerances, "BACKWARD", 1e-20)
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 0.3j, 1.0))
+        )
+        with pytest.raises(sc.errors.InternalInconsistency) as info:
+            sc.schur_algorithm_state_space(col)
+        assert info.value.tolerance == 1e-20
+        assert 1e-20 < info.value.residual < 1e-12
+
     def test_delay(self):
         out = run_cli(["schur"], '{"n":1,"matrix":[[[0,0],[1,0]],[[1,0],[0,0]]]}')
         assert out.returncode == 0, out.stderr
@@ -767,6 +801,20 @@ class TestParams:
         assert_allclose(doc["den"], [[1.0, 0.0], [-0.5, 0.0]], atol=1e-14)
 
 
+# each command on fixed degree-3 documents: its exit code, stdout and
+# stderr as the CLI wrote them when documents held nested [re, im] lists
+GOLDEN = json.loads((Path(__file__).parent / "golden_degree3.json").read_text())
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+    def test_same_bytes(self, case, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+        code = cli.main(case["argv"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+
 class TestDeterminism:
     def test_realize_reruns_byte_identical(self):
         stdin = '{"params":[[0.31,-0.2],[0,0.4],[0,1]]}'
@@ -811,22 +859,107 @@ class TestSerialization:
         "value", [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16]
     )
     def test_float_pairs_match_the_recursion(self, value):
+        # a hand-built pair list takes the recursion; the complex array of
+        # its values, vector and matrix, the one %-operation
         pairs = [[value, -value], [1.0, value]]
         recursion = "[" + ",".join(
             "[" + ",".join(js.dumps_canonical(x) for x in v) + "]" for v in pairs
         ) + "]"
-        assert js._is_float_pairs(pairs)
         assert js.dumps_canonical(pairs) == recursion
+        vector = np.array([complex(*v) for v in pairs])
+        assert js.dumps_canonical(vector) == recursion
+        assert js.dumps_canonical(vector.reshape(1, 2)) == "[" + recursion + "]"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_pair_rejected(self, bad):
         with pytest.raises(ValueError):
             js.dumps_canonical([[0.5, 0.25], [0.0, bad]])
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 3)])
+    @pytest.mark.parametrize(
+        "bad", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))]
+    )
+    def test_non_finite_array_entry_rejected(self, shape, bad):
+        a = np.full(shape, 0.5 + 0.25j)
+        a.reshape(-1)[-1] = bad
+        with pytest.raises(ValueError):
+            js.dumps_canonical({"x": a})
+
     def test_integer_pairs_take_the_recursion(self):
         doc = js.loads("[[0, 1]]")
-        assert not js._is_float_pairs(doc)
         assert js.dumps_canonical(doc) == "[[0,1]]"
+        assert js.dumps_canonical(js.matrix_from_json([doc])[0]) == "[[0,1]]"
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (1, 1), (3, 3), (2, 5), (3, 0)])
+    def test_array_writer_matches_the_recursion(self, shape):
+        rng = np.random.default_rng(sum(shape) + len(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a.reshape(-1)[::3] = -0.0  # -0.0 in both parts, written as -0
+        pairs = np.stack([a.real, a.imag], axis=-1).tolist()
+        expected = js.dumps_canonical(pairs)
+        assert js.dumps_canonical(a) == expected
+        assert js.dumps_canonical(js._complex_array_to_json(a)) == expected
+        # a strided view is written as the array it shows
+        for view in (a.T, a[::2]):
+            assert js.dumps_canonical(view) == js.dumps_canonical(view.copy())
+        assert js.dumps_canonical(a[::2]) == js.dumps_canonical(pairs[::2])
+
+    def test_documents_carry_read_only_arrays(self):
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 0.3j, 1.0))
+        )
+        trace = sc.schur_algorithm_state_space(col)
+        assert trace.H.flags.writeable
+        doc = js.trace_to_json(trace)
+        arrays = [doc["parameters"], doc["H"], *doc["denominators"]]
+        arrays.append(js.colligation_to_json(col)["matrix"])
+        arrays.append(js.params_to_json(trace.parameter_sequence())["params"])
+        for a in arrays:
+            assert a.dtype == complex and not a.flags.writeable
+        # no copy of an object's own array, and no change to its flags
+        assert np.shares_memory(doc["H"], trace.H) and trace.H.flags.writeable
+        assert np.shares_memory(js.colligation_to_json(col)["matrix"], col.matrix)
+
+    def test_empty_zero_set_is_written_as_an_empty_list(self):
+        doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, ()))
+        assert js.dumps_canonical(doc) == '{"c":[1,0],"zeros":[]}'
+
+
+class TestInProcessRoundTrip:
+    """X_from_json(X_to_json(x)) with the arrays a document carries, no text between."""
+
+    def test_blaschke(self):
+        b = sc.BlaschkeProduct(1j, (0.5, -0.25j, 0.1 + 0.2j))
+        back = js.blaschke_from_json(js.blaschke_to_json(b))
+        assert back == b
+
+    def test_rational(self):
+        s = sc.from_schur_parameters(sc.SchurParameterSequence((0.5, -0.3j, 1.0)))
+        back = js.rational_from_json(js.rational_to_json(s))
+        assert same_bits(back.num, s.num)
+        assert same_bits(back.den, s.den)
+
+    def test_params(self):
+        p = sc.SchurParameterSequence((0.5, 0.3j, -0.2 + 0.1j, 1j))
+        assert js.params_from_json(js.params_to_json(p)) == p
+
+    def test_colligation(self):
+        col = sc.colligation_from_schur_parameters(
+            sc.SchurParameterSequence((0.5, 0.3j, 1.0))
+        )
+        doc = js.colligation_to_json(col)
+        assert same_bits(js.colligation_from_json(doc).matrix, col.matrix)
+        assert same_bits(js.matrix_from_json(doc["matrix"]), col.matrix)
+
+    def test_partitioned(self):
+        pc = sc.elementary_schur_section(0.3 + 0.1j).partitioned
+        back = js.partitioned_from_json(js.partitioned_to_json(pc))
+        assert (back.e1, back.e2, back.h) == (pc.e1, pc.e2, pc.h)
+        assert same_bits(back.matrix, pc.matrix)
+
+    def test_complex(self):
+        z = complex(-0.0, 5e-324)
+        assert same_bits([js.complex_from_json(js.complex_to_json(z))], [z])
 
 
 def entrywise_matrix(doc):

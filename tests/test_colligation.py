@@ -110,6 +110,38 @@ class TestConstruction:
                     gate(u)
                 assert failure.value.residual == residual
 
+    @pytest.mark.parametrize(
+        "build",
+        [sc.UnitaryColligation, lambda m: sc.PartitionedColligation(m, 1, 1, 0)],
+        ids=["colligation", "partitioned"],
+    )
+    def test_public_constructors_copy(self, build):
+        m = DELAY.copy()
+        built = build(m)
+        assert m.flags.writeable and not np.shares_memory(m, built.matrix)
+        assert not built.matrix.flags.writeable
+        m[0, 0] = 1.0
+        assert built.matrix[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "adopt",
+        [
+            co.UnitaryColligation._adopt,
+            lambda m: sc.PartitionedColligation._adopt(m, 1, 1, 0),
+        ],
+        ids=["colligation", "partitioned"],
+    )
+    def test_builders_adopt_their_arrays(self, adopt):
+        # the private path takes the array it is given and gates it the same
+        m = DELAY.copy()
+        built = adopt(m)
+        assert built.matrix is m and not m.flags.writeable
+        assert built.unitarity == co.unitarity_residual(DELAY)
+        with pytest.raises(sc.NotUnitary):
+            adopt(2.0 * DELAY)
+        with pytest.raises(sc.DimensionMismatch):
+            adopt(np.eye(3, dtype=complex)[:2])
+
     def test_block_views(self):
         col = sc.UnitaryColligation(DELAY)
         assert col.n == 1
