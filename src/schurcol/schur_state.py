@@ -19,8 +19,9 @@ of H says whether the input was not minimal.  A complete run is checked
 once, by its backward error max |S_rec(t) - S(t)| over at least
 4(n + 1) roots of unity t: S_rec is the Moebius fold of the recovered
 parameters, O(n) per point, and S the input's own function, from one
-solve and one Krylov sequence of its state matrix.  The parameters
-themselves are ill-conditioned: their error grows with
+solve, one Krylov block of 16 columns of its state matrix and one row
+per further block of 16 points.  The parameters themselves are
+ill-conditioned: their error grows with
 kappa = prod 1 / sqrt(1 - |s_p|^2) over p < n, which the trace reports
 next to the backward error.  The iterates and their denominators are
 rebuilt from H only when a caller asks for them.  Iterate p is the
@@ -191,24 +192,31 @@ def _circle_values(col: UnitaryColligation, t: np.ndarray) -> np.ndarray:
     """S at the points t = circle_samples(count), count a multiple of 16.
 
     As t^count = 1, (I - tD)^-1 = (I - D^count)^-1 sum_{k<count} t^k D^k,
-    so S(t) = A + t sum_k w_k t^k with w_k = B D^k (I - D^count)^-1 C:
-    one solve, one Krylov sequence and one FFT.  The sequence is built in
-    blocks of 16 columns, each D^16 times the one before, so the cost is
-    O(n^3 log count + count n^2) in matrix products.
+    so S(t) = A + t sum_k w_k t^k with w_k = B D^k y, y = (I - D^count)^-1 C:
+    one solve, one Krylov block and one row per block, then one FFT.  The
+    block X = [y, Dy, ..., D^15 y] gives w[:16] = B X, and block j's
+    row r_j = B (D^16)^j gives w[16j + i] = r_j X[:, i], so the count
+    values take one (count/16 - 1) x n by n x 16 product and the cost is
+    O(n^3 log count + count n^2 / 16) in matrix products.
     """
     D = col.D
     n = len(D)
     count = len(t)
     step = np.linalg.matrix_power(D, 16)
     power = np.linalg.matrix_power(step, count // 16)
-    krylov = np.empty((n, count), dtype=complex)
-    krylov[:, 0] = np.linalg.solve(np.eye(n) - power, col.C)
+    block = np.empty((n, 16), dtype=complex)
+    block[:, 0] = np.linalg.solve(np.eye(n) - power, col.C)
     for k in range(1, 16):
-        krylov[:, k] = D @ krylov[:, k - 1]
-    for start in range(16, count, 16):
-        krylov[:, start : start + 16] = step @ krylov[:, start - 16 : start]
+        block[:, k] = D @ block[:, k - 1]
+    rows = np.empty((count // 16, n), dtype=complex)
+    rows[0] = col.B
+    for j in range(1, count // 16):
+        rows[j] = rows[j - 1] @ step
+    w = np.empty(count, dtype=complex)
+    w[:16] = col.B @ block
+    w[16:] = (rows[1:] @ block).ravel()
     # sum_k w_k t_j^k = count * ifft(w)[j] at t_j = exp(2 pi i j / count)
-    return col.A + t * (count * np.fft.ifft(col.B @ krylov))
+    return col.A + t * (count * np.fft.ifft(w))
 
 
 def _backward_error(col: UnitaryColligation, params) -> float:

@@ -4,12 +4,13 @@ Complex numbers are two-element arrays [re, im].  A document carries
 its vectors and matrices as read-only complex ndarrays, and
 ``dumps_canonical`` is its serializer (``json.dumps`` takes no
 ndarray).  The canonical writer keeps insertion order of the fields
-and formats every float with 17 significant digits, so identical
-inputs produce identical bytes.  A complex ndarray of any rank is
-written as nested [re, im] pairs by one %-operation over its floats,
-with a format string built from its shape.  One reader takes vectors
-and matrices back: a document of numeric pairs in one pass through C,
-any other item by item.
+and formats every float with 17 significant digits (-0.0 as "-0.0",
+which reads back with its sign), so identical inputs produce identical
+bytes.  A complex ndarray of any rank is written as nested [re, im]
+pairs by one %-operation over its floats, with a format string built
+from its shape.  One reader takes vectors and matrices back: a
+document of numeric pairs in one pass through C, any other item by
+item.
 """
 
 from __future__ import annotations
@@ -209,23 +210,33 @@ def trace_to_json(trace: SchurStateTrace) -> dict:
 
 
 def _format_float(x: float) -> str:
+    """x to 17 significant digits; -0.0 as "-0.0", since JSON's -0 reads back as 0."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _dumps_complex_array(a: np.ndarray) -> str:
     """a as nested [re, im] pairs, one %-operation over all its floats.
 
-    '%.17g' % x == format(x, '.17g') for every finite float, so the
-    bytes are those of the recursion over a.tolist() in pairs.
+    '%.17g' % x == format(x, '.17g') for every finite float, and "-0"
+    is the only token that ends in "-0" (exponents have two digits), so
+    with it written "-0.0" the bytes are those of the recursion over
+    a.tolist() in pairs.  Whether a negative zero is there is asked of
+    the floats, not of the text: on a 33 x 33 matrix two substring
+    searches cost about fifteen times as much.
     """
     if not np.isfinite(a).all():
         raise ValueError("non-finite value cannot be serialized")
     template = "[%.17g,%.17g]"
     for size in reversed(a.shape):
         template = "[" + ",".join([template] * size) + "]"
-    return template % tuple(a.ravel().view(float).tolist())
+    floats = a.ravel().view(float)
+    text = template % tuple(floats.tolist())
+    if (np.signbit(floats) & (floats == 0.0)).any():
+        text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+    return text
 
 
 def dumps_canonical(doc) -> str:

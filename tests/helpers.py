@@ -211,13 +211,37 @@ def half_step_values(col, count):
 
     S(w t) is the function of the colligation with B and D multiplied by
     w, so with w = exp(i pi / count) it is read off the roots of unity by
-    ``schur_state._circle_values``: one solve and one Krylov sequence.
+    ``schur_state._circle_values``: one solve, one Krylov block and one
+    row per block of 16 points.
     """
     turned = np.array(col.matrix)
     turned[:, 1:] *= np.exp(1j * np.pi / count)
     return sc.schur_state._circle_values(
         sc.UnitaryColligation(turned), sc.sampling.circle_samples(count)
     )
+
+
+def reference_circle_values(col, t):
+    """S at t = circle_samples(count) from the whole Krylov sequence, count a multiple of 16.
+
+    The full-sequence form of ``schur_state._circle_values``: the n x count
+    matrix [y, Dy, ..., D^(count-1) y], y = (I - D^count)^-1 C, built in
+    blocks of 16 columns, each D^16 times the one before, O(count n^2),
+    and S(t) = A + t sum_k t^k B D^k y by one FFT.  The kernel takes the
+    same values from the first block and one row B (D^16)^j per block.
+    """
+    D = col.D
+    n = len(D)
+    count = len(t)
+    step = np.linalg.matrix_power(D, 16)
+    power = np.linalg.matrix_power(step, count // 16)
+    krylov = np.empty((n, count), dtype=complex)
+    krylov[:, 0] = np.linalg.solve(np.eye(n) - power, col.C)
+    for k in range(1, 16):
+        krylov[:, k] = D @ krylov[:, k - 1]
+    for start in range(16, count, 16):
+        krylov[:, start : start + 16] = step @ krylov[:, start - 16 : start]
+    return col.A + t * (count * np.fft.ifft(col.B @ krylov))
 
 
 def mobius_fold(params, z):

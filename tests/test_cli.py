@@ -847,6 +847,19 @@ class TestSerialization:
         text = js.dumps_canonical({"x": value})
         assert js.loads(text)["x"] == value
 
+    def test_negative_zero_reads_back_with_its_sign(self):
+        # JSON's -0 reads back as the integer 0, so the writer says -0.0
+        z = complex(-0.0, -0.0)
+        text = js.dumps_canonical({"x": -0.0, "z": js.complex_to_json(z)})
+        assert text == '{"x":-0.0,"z":[-0.0,-0.0]}'
+        doc = js.loads(text)
+        assert np.signbit(doc["x"]) and np.signbit(doc["z"]).all()
+        a = np.array([[z, 0.5], [-0.25, complex(1.0, -0.0)]])
+        text = js.dumps_canonical({"m": a})
+        assert text.count("-0.0") == 3
+        back = js.matrix_from_json(js.loads(text)["m"])
+        assert back.tobytes() == a.tobytes()
+
     def test_declared_dimension_checked(self):
         with pytest.raises(ValueError):
             js.colligation_from_json({"n": 3, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]})
@@ -894,7 +907,7 @@ class TestSerialization:
     def test_array_writer_matches_the_recursion(self, shape):
         rng = np.random.default_rng(sum(shape) + len(shape))
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a.reshape(-1)[::3] = -0.0  # -0.0 in both parts, written as -0
+        a.reshape(-1)[::3] = -0.0  # -0.0 in both parts, written as -0.0
         pairs = np.stack([a.real, a.imag], axis=-1).tolist()
         expected = js.dumps_canonical(pairs)
         assert js.dumps_canonical(a) == expected

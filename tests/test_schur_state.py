@@ -17,6 +17,7 @@ from helpers import (
     random_colligation,
     random_params,
     random_unitary,
+    reference_circle_values,
     reference_det_polynomial,
 )
 
@@ -265,7 +266,7 @@ class TestReadout:
             for m, s in zip(trace.matrices, trace.parameters):
                 assert m[0, 0] == s
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 4, 17, 40])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 17, 40, 64])
     def test_check_values_equal_per_point_solves(self, n):
         rng = np.random.default_rng(64 + n)
         col = random_colligation(rng, n, rmax=0.9)
@@ -278,6 +279,42 @@ class TestReadout:
         assert_allclose(
             sc.schur_state._circle_values(col, points), exact, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [4, 17, 64, 128, 256])
+    def test_check_values_equal_the_full_sequence(self, n):
+        rng = np.random.default_rng(128 + n)
+        col = sc.apply_state_gauge(
+            random_colligation(rng, n, rmax=0.9), random_unitary(rng, n)
+        )
+        points = sc.sampling.circle_samples(sc.schur_state._check_count(n))
+        assert_allclose(
+            sc.schur_state._circle_values(col, points),
+            reference_circle_values(col, points),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    def test_check_values_equal_the_full_sequence_on_the_cluster(self):
+        col = sc.model_colligation(sc.BlaschkeProduct(1.0, cluster(12, 0.97)))
+        points = sc.sampling.circle_samples(sc.schur_state._check_count(12))
+        assert_allclose(
+            sc.schur_state._circle_values(col, points),
+            reference_circle_values(col, points),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_one_block_check_values_are_the_full_sequence(self, n):
+        # at n <= 3 the check has 16 points, one block and no row product
+        rng = np.random.default_rng(132 + n)
+        col = random_colligation(rng, n, rmax=0.9)
+        if n:
+            col = sc.apply_state_gauge(col, random_unitary(rng, n))
+        points = sc.sampling.circle_samples(sc.schur_state._check_count(n))
+        assert len(points) == 16
+        values = sc.schur_state._circle_values(col, points)
+        assert values.tobytes() == reference_circle_values(col, points).tobytes()
 
     def test_no_colligation_per_iterate(self, monkeypatch):
         calls = []
