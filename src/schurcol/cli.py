@@ -172,8 +172,7 @@ def _cmd_schur(cmd: _Command) -> dict:
 
 
 def _cmd_hessenberg(cmd: _Command) -> dict:
-    doc = _read_input(cmd.args)
-    matrix = js.matrix_from_json(doc["matrix"])
+    matrix = js.colligation_matrix_from_json(_read_input(cmd.args))
     if cmd.args.orientation == "upper":
         cert = hs.reduce_to_special_upper_hessenberg(matrix)
     else:
@@ -297,11 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="read the JSON input from this file")
     common.add_argument("--output", help="write the JSON output to this file")
-    common.add_argument(
+    # only couple and verify sample, and only verify draws random points
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument(
         "--samples", type=int, default=50, help="sample count for verification checks"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized verification"
     )
 
     parser = argparse.ArgumentParser(
@@ -332,7 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--orientation", choices=["lower", "upper"], default="lower"
     )
-    sub.add_parser("couple", parents=[common], help="feedback-couple two colligations")
+    sub.add_parser(
+        "couple", parents=[common, sampled], help="feedback-couple two colligations"
+    )
     p = sub.add_parser(
         "eval", parents=[common], help="evaluate a colligation or rational function"
     )
@@ -345,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="Z",
         help="the point: RE IM, or RE,IM as one value such as --z=-1e-3,0",
     )
-    sub.add_parser("verify", parents=[common], help="run the verification suites")
+    p = sub.add_parser(
+        "verify", parents=[common, sampled], help="run the verification suites"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized verification")
     sub.add_parser(
         "params", parents=[common], help="function-level conversions to/from parameters"
     )

@@ -152,7 +152,7 @@ class UnitaryColligation:
     @cached_property
     def _d_power(self) -> np.ndarray:
         """D^BLOCK, formed on first use and kept with the colligation."""
-        return _block_power(self.D)
+        return np.linalg.matrix_power(self.D, BLOCK)
 
     @cached_property
     def _sections(self) -> tuple[complex, ...] | None:
@@ -435,16 +435,8 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
 
 
 # steps per block of the Krylov kernel and of the time-domain recursion;
-# a power of two, so D^BLOCK is taken by repeated squaring
+# a power of two, so matrix_power forms D^BLOCK by repeated squaring alone
 BLOCK = 32
-
-
-def _block_power(D: np.ndarray) -> np.ndarray:
-    """D^BLOCK by repeated squaring."""
-    power = D
-    for _ in range(BLOCK.bit_length() - 1):
-        power = power @ power
-    return power
 
 
 def _krylov_blocks(col: UnitaryColligation, count: int) -> np.ndarray:

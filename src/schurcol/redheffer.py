@@ -52,17 +52,7 @@ class PartitionedColligation:
     unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        self._own(np.array(self.matrix, dtype=complex))
-
-    @classmethod
-    def _adopt(cls, m: np.ndarray, e1: int, e2: int, h: int) -> PartitionedColligation:
-        """The colligation of m, a complex array built for it: gated, not copied."""
-        pc = object.__new__(cls)
-        pc.__dict__.update(e1=e1, e2=e2, h=h)
-        pc._own(m)
-        return pc
-
-    def _own(self, m: np.ndarray) -> None:
+        m = np.array(self.matrix, dtype=complex)
         size = self.e1 + self.e2 + self.h
         if m.shape != (size, size):
             raise DimensionMismatch(
@@ -71,43 +61,6 @@ class PartitionedColligation:
         object.__setattr__(self, "unitarity", require_unitary(m, "partitioned matrix"))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    # block views, computed rather than stored
-    @property
-    def a11(self):
-        return self.matrix[: self.e1, : self.e1]
-
-    @property
-    def a12(self):
-        return self.matrix[: self.e1, self.e1 : self.e1 + self.e2]
-
-    @property
-    def b1(self):
-        return self.matrix[: self.e1, self.e1 + self.e2 :]
-
-    @property
-    def a21(self):
-        return self.matrix[self.e1 : self.e1 + self.e2, : self.e1]
-
-    @property
-    def a22(self):
-        return self.matrix[self.e1 : self.e1 + self.e2, self.e1 : self.e1 + self.e2]
-
-    @property
-    def b2(self):
-        return self.matrix[self.e1 : self.e1 + self.e2, self.e1 + self.e2 :]
-
-    @property
-    def c1(self):
-        return self.matrix[self.e1 + self.e2 :, : self.e1]
-
-    @property
-    def c2(self):
-        return self.matrix[self.e1 + self.e2 :, self.e1 : self.e1 + self.e2]
-
-    @property
-    def d(self):
-        return self.matrix[self.e1 + self.e2 :, self.e1 + self.e2 :]
 
 
 def characteristic_matrix(pc: PartitionedColligation, z) -> np.ndarray:
@@ -120,8 +73,9 @@ def characteristic_matrix(pc: PartitionedColligation, z) -> np.ndarray:
     A = pc.matrix[:e, :e]
     B = pc.matrix[:e, e:]
     C = pc.matrix[e:, :e]
+    D = pc.matrix[e:, e:]
     w = np.asarray(z, dtype=complex)[..., None, None]
-    return A + w * (B @ _resolvent_apply(pc.d, z, C))
+    return A + w * (B @ _resolvent_apply(D, z, C))
 
 
 def redheffer_transform(
@@ -140,10 +94,6 @@ class SchurSection:
 
     s0: complex
     partitioned: PartitionedColligation
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.partitioned.matrix
 
 
 def elementary_schur_section(s0: complex) -> SchurSection:
@@ -167,7 +117,7 @@ def elementary_schur_section(s0: complex) -> SchurSection:
         ],
         dtype=complex,
     )
-    return SchurSection(s0, PartitionedColligation._adopt(m, 1, 1, 1))
+    return SchurSection(s0, PartitionedColligation(m, 1, 1, 1))
 
 
 def redheffer_product(
@@ -226,21 +176,9 @@ def inverse_schur_colligation(
 ) -> UnitaryColligation:
     """Realization of the inverse Schur transform of u_omega's function.
 
-    Pure product form: embed u_omega below a fixed first coordinate and
-    multiply by the elementary rotation in coordinates (0, 1).  No
-    feedback inverse is involved, so this never raises on singularity.
-    The channel row of the result is [sqrt(1 - |s0|^2), 0, ..., 0].
+    The Redheffer coupling of the elementary section of s0 with u_omega.
+    The section's a22 entry is exactly 0, so the feedback denominator is
+    exactly 1 and this never raises FeedbackSingular.  The channel row of
+    the result is [sqrt(1 - |s0|^2), 0, ..., 0].
     """
-    s0 = complex(s0)
-    if not tol.inside_disc(s0):
-        raise DiscViolation(f"|s0| = {abs(s0)!r} is not strictly contractive")
-    size = u_omega.n + 2
-    delta0 = np.sqrt(1.0 - abs(s0) ** 2)
-    embed = np.eye(size, dtype=complex)
-    embed[1:, 1:] = u_omega.matrix
-    rot = np.eye(size, dtype=complex)
-    rot[0, 0] = s0
-    rot[0, 1] = delta0
-    rot[1, 0] = delta0
-    rot[1, 1] = -np.conj(s0)
-    return UnitaryColligation._adopt(embed @ rot)
+    return redheffer_product(elementary_schur_section(s0).partitioned, u_omega)

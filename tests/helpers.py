@@ -131,21 +131,24 @@ def reference_redheffer_product(u1, u2):
     """
     h1, h2 = u1.h, u2.n
     alpha, beta, gamma, delta = u2.A, u2.B, u2.C, u2.D
-    a22 = complex(u1.a22[0, 0])
-    denom = 1.0 - a22 * alpha
+    m1 = u1.matrix
+    a11, a12, b1 = m1[0, 0], m1[0, 1], m1[0, 2:]
+    a21, a22, b2 = m1[1, 0], m1[1, 1], m1[1, 2:]
+    c1, c2, d = m1[2:, 0], m1[2:, 1], m1[2:, 2:]
+    denom = 1.0 - complex(a22) * alpha
     if not sc.tolerances.clear_of_pole(denom):
         raise sc.FeedbackSingular(f"|1 - a22 alpha| = {abs(denom):.3e}")
     size = 1 + h1 + h2
     base = np.zeros((size, size), dtype=complex)
-    base[0, 0] = u1.a11[0, 0]
-    base[0, 1 : 1 + h1] = u1.b1[0]
-    base[0, 1 + h1 :] = u1.a12[0, 0] * beta
-    base[1 : 1 + h1, 0] = u1.c1[:, 0]
-    base[1 : 1 + h1, 1 : 1 + h1] = u1.d
-    base[1 : 1 + h1, 1 + h1 :] = np.outer(u1.c2[:, 0], beta)
+    base[0, 0] = a11
+    base[0, 1 : 1 + h1] = b1
+    base[0, 1 + h1 :] = a12 * beta
+    base[1 : 1 + h1, 0] = c1
+    base[1 : 1 + h1, 1 : 1 + h1] = d
+    base[1 : 1 + h1, 1 + h1 :] = np.outer(c2, beta)
     base[1 + h1 :, 1 + h1 :] = delta
-    left = np.concatenate([[u1.a12[0, 0] * alpha], u1.c2[:, 0] * alpha, gamma])
-    right = np.concatenate([[u1.a21[0, 0]], u1.b2[0], u1.a22[0, 0] * beta])
+    left = np.concatenate([[a12 * alpha], c2 * alpha, gamma])
+    right = np.concatenate([[a21], b2, a22 * beta])
     return sc.UnitaryColligation(base + np.outer(left, right) / denom)
 
 

@@ -325,6 +325,16 @@ class TestHessenberg:
         doc = json.loads(out.stdout)
         assert_allclose(matrix_from_doc({"matrix": doc["H"]}), col.matrix, atol=1e-14)
 
+    def test_declared_n_must_match_the_matrix(self, tmp_path, capsys):
+        # read like every other colligation document: verify rejects it too
+        source = tmp_path / "mismatch.json"
+        source.write_text('{"n":5,"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
+        for command in ("hessenberg", "verify"):
+            assert cli.main([command, "--input", str(source)]) == 2
+            assert capsys.readouterr().err.endswith(
+                "declared state dimension 5 does not match matrix size 2\n"
+            )
+
     def test_params_pipeline_runs_no_full_reduction(self, tmp_path, monkeypatch):
         # realize builds the closed form, which is its own lower form, and
         # its JSON round trip keeps the exact zeros and the real band
@@ -720,6 +730,24 @@ class TestNoTraceback:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert json.loads(out.stderr.splitlines()[0])["check"] == "unitarity"
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (command, option)
+            for command in cli._HANDLERS
+            for option in ("--samples", "--seed")
+            if not (command == "verify" or (command, option) == ("couple", "--samples"))
+        ],
+    )
+    def test_an_option_the_command_does_not_read_exits_2(self, command, option, capsys):
+        required = ["--z", "0", "0"] if command == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, option, "1", *required])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 class TestParams:

@@ -55,7 +55,7 @@ class TestElementarySection:
     def test_zero_parameter_is_permutation(self):
         section = sc.elementary_schur_section(0.0)
         assert_allclose(
-            section.matrix,
+            section.partitioned.matrix,
             [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         )
         m = sc.characteristic_matrix(section.partitioned, 0.3)
@@ -68,7 +68,7 @@ class TestElementarySection:
 
     def test_unitary_to_machine_precision(self):
         section = sc.elementary_schur_section(0.6j)
-        assert sc.unitarity_residual(section.matrix) <= 1e-14
+        assert sc.unitarity_residual(section.partitioned.matrix) <= 1e-14
 
     def test_characteristic_matrix_at_samples(self):
         rng = np.random.default_rng(31)
@@ -87,8 +87,9 @@ class TestElementarySection:
         rng = np.random.default_rng(42 + h)
         pc = sc.PartitionedColligation(random_unitary(rng, 2 + h), 1, 1, h)
         A, B, C = pc.matrix[:2, :2], pc.matrix[:2, 2:], pc.matrix[2:, :2]
+        D = pc.matrix[2:, 2:]
         for z in (0.0, 0.3 - 0.4j, 0.9j, -0.2 + 1.1j):
-            columns = [reference_resolvent(pc.d, [z], C[:, j])[0] for j in range(2)]
+            columns = [reference_resolvent(D, [z], C[:, j])[0] for j in range(2)]
             expected = A + z * (B @ np.column_stack(columns))
             value = sc.characteristic_matrix(pc, z)
             assert value.shape == (2, 2)
@@ -112,14 +113,13 @@ class TestElementarySection:
         section = sc.elementary_schur_section(0.4 - 0.3j)
         taken = count_unitarity_residuals(monkeypatch)
         pc = section.partitioned
-        assert pc is section.partitioned and pc.matrix is section.matrix
         assert taken == []
-        assert pc.unitarity == sc.unitarity_residual(section.matrix) <= 1e-14
+        assert pc.unitarity == sc.unitarity_residual(pc.matrix) <= 1e-14
 
     def test_characteristic_matrix_at_state_pole(self):
         rng = np.random.default_rng(41)
         pc = sc.PartitionedColligation(random_unitary(rng, 4), 1, 1, 2)
-        for lam in np.linalg.eigvals(pc.d):
+        for lam in np.linalg.eigvals(pc.matrix[2:, 2:]):
             with pytest.raises(sc.NearPole):
                 sc.characteristic_matrix(pc, 1.0 / lam)
 
@@ -261,15 +261,22 @@ class TestInverseSchurColligation:
         assert_allclose(out.matrix, [[0.5, ROOT75], [-ROOT75, 0.5]], atol=1e-15)
         assert_allclose(sc.characteristic_function(out, 0.2), (0.5 - 0.2) / 0.9)
 
-    def test_matches_redheffer_product_route(self):
+    def test_matches_the_block_reference(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             s0 = complex(0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
             col = random_colligation(rng, int(rng.integers(1, 4)))
             direct = sc.inverse_schur_colligation(s0, col)
             section = sc.elementary_schur_section(s0)
-            coupled = sc.redheffer_product(section.partitioned, col)
-            assert np.abs(direct.matrix - coupled.matrix).max() <= 1e-14
+            blocks = reference_redheffer_product(section.partitioned, col)
+            assert np.abs(direct.matrix - blocks.matrix).max() <= 1e-14
+            # the same matrix as a product: u_omega below a fixed first
+            # coordinate, times the elementary rotation in coordinates (0, 1)
+            embed = np.eye(col.n + 2, dtype=complex)
+            embed[1:, 1:] = col.matrix
+            rotation = np.eye(col.n + 2, dtype=complex)
+            rotation[:2, :2] = section.partitioned.matrix[:2, [0, 2]]
+            assert np.abs(direct.matrix - embed @ rotation).max() <= 1e-14
 
     def test_iterated_matches_closed_form(self):
         terminal = sc.UnitaryColligation(np.array([[1.0]]))
