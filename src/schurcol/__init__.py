@@ -30,7 +30,6 @@ from .errors import (
     InternalInconsistency,
     NearPole,
     NotMinimal,
-    NotNormalized,
     NotSimple,
     NotUnitary,
     SchurColError,
@@ -56,11 +55,7 @@ from .rational import (
     schur_parameters,
     schur_transform,
 )
-from .realization import (
-    UniquenessReport,
-    model_colligation,
-    realization_uniqueness_check,
-)
+from .realization import model_colligation
 from .redheffer import (
     PartitionedColligation,
     SchurSection,
@@ -77,7 +72,6 @@ from .schur_state import (
     product_form_matrix,
     readout_residual,
     schur_algorithm_state_space,
-    schur_step,
 )
 
 __version__ = "0.1.0"

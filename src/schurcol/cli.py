@@ -290,6 +290,17 @@ _HANDLERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --samples: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return value
+
+
 # built on the first call and reused: parse_args leaves the parser unchanged
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,7 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # only couple and verify sample, and only verify draws random points
     sampled = argparse.ArgumentParser(add_help=False)
     sampled.add_argument(
-        "--samples", type=int, default=50, help="sample count for verification checks"
+        "--samples",
+        type=_positive_int,
+        default=50,
+        help="sample count for verification checks",
     )
 
     parser = argparse.ArgumentParser(

@@ -199,44 +199,32 @@ def is_minimal_form(H: np.ndarray) -> bool:
     return band_residual(H) <= 1.0
 
 
-def _peel_row(column: np.ndarray, b: float, following: np.ndarray):
-    """Peel the elementary section of one row off a unitary matrix, O(len(column)).
-
-    column is column p of the matrix, rows p and below, with sections
-    0 .. p-1 peeled off, so row p holds (a, b) = (column[0], b) in
-    columns p and p+1 and nothing else; b >= 0 is the band entry and
-    following is column p+1, rows p+1 and below.  With
-    scale = 1 / |(a, b)|, the section's parameters are s = a scale and
-    d = b scale.  Its inverse [[conj(s), d], [d, -s]] on columns p and
-    p+1 leaves column p zero below row p, so only the new column p+1,
-    d column[1:] - s following, is carried.  Returns (s, scale, that
-    column).
-    """
-    a = complex(column[0])
-    scale = 1.0 / math.hypot(a.real, a.imag, b)
-    s = a * scale
-    return s, scale, (b * scale) * column[1:] - s * following
-
-
 def _peel_steps(H: np.ndarray):
     """The peel of a unitary H in special lower Hessenberg form, one section at a time.
 
     H is the product of its elementary sections, applied to columns p and
     p+1 from p = n-1 down to 0 after the terminal phase
     (:func:`schurcol.schur_state.product_form_matrix`).  They are peeled
-    off from the left (Gragg 1982; Ammar, Gragg & Reichel 1986) by
-    :func:`_peel_row`, row p's pair being the carried column's head and
-    the untouched band entry H[p, p+1].  Yields (s_p, scale_p, column_p)
-    for p = 0 .. n, column_p being column p of the peeled matrix from
-    row p down and s_p = column_p[0] * scale_p.  The last row has no
-    band entry, so the terminal s_n is its head over its modulus.  Each
-    s_p is read from entries of size about |s_p|, O(n) per section.
+    off from the left (Gragg 1982; Ammar, Gragg & Reichel 1986).  With
+    sections 0 .. p-1 gone, row p holds only (a, b): a the head of the
+    carried column p and b >= 0 the untouched band entry H[p, p+1].
+    With scale = 1 / |(a, b)|, section p's parameters are s_p = a scale
+    and d_p = b scale.  Its inverse [[conj(s_p), d_p], [d_p, -s_p]] on
+    columns p and p+1 leaves column p zero below row p, so only the new
+    column p+1, d_p column[1:] - s_p H[p+1:, p+1], is carried.  Yields
+    (s_p, scale_p, column_p) for p = 0 .. n, column_p being column p of
+    the peeled matrix from row p down.  The last row has no band entry,
+    so the terminal s_n is its head over its modulus.  Each s_p is read
+    from entries of size about |s_p|, O(n) per section.
     """
     n = len(H) - 1
     band = np.diagonal(H, 1).real.tolist()
     column = H[:, 0]
     for p in range(n):
-        s, scale, following = _peel_row(column, band[p], H[p + 1 :, p + 1])
+        a, b = complex(column[0]), band[p]
+        scale = 1.0 / math.hypot(a.real, a.imag, b)
+        s = a * scale
+        following = (b * scale) * column[1:] - s * H[p + 1 :, p + 1]
         yield s, scale, column
         column = following
     a = complex(column[0])

@@ -41,10 +41,6 @@ class NotMinimal(SchurColError):
     """Colligation fails the controllability/observability requirement."""
 
 
-class NotNormalized(SchurColError):
-    """The first channel row is not in the expected special form."""
-
-
 class DimensionMismatch(SchurColError):
     """Operands have incompatible shapes."""
 

@@ -15,22 +15,12 @@ construction, needs no separation of the zeros, and costs O(n^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import tolerances as tol
-from .colligation import UnitaryColligation, intertwining_residual
-from .errors import InternalInconsistency
-from .hessenberg import find_equivalence
-from .rational import BlaschkeProduct, blaschke_to_rational, schur_parameters
-from .schur_state import colligation_from_schur_parameters
+from .colligation import UnitaryColligation
+from .rational import BlaschkeProduct
 
-__all__ = [
-    "UniquenessReport",
-    "model_colligation",
-    "realization_uniqueness_check",
-]
+__all__ = ["model_colligation"]
 
 
 def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
@@ -43,31 +33,3 @@ def model_colligation(b: BlaschkeProduct) -> UnitaryColligation:
         matrix[k] = np.conj(z) * row - d * top
     matrix[:, 0] *= b.c
     return UnitaryColligation._adopt(matrix)
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    intertwining_residual: float
-    state_dimension: int
-
-
-def realization_uniqueness_check(b: BlaschkeProduct) -> UniquenessReport:
-    """Build the model and parameter realizations and intertwine them.
-
-    Both realize b, so :func:`find_equivalence` finding that their
-    functions differ by more than BACKWARD on the unit circle (None) is
-    the library's failure (InternalInconsistency), not the input's.  It
-    raises NotSimple unless both are minimal; it reduces each colligation
-    once, and the closed form is its own lower form.  The report carries
-    the gauge's intertwining residual, which grows with kappa.
-    """
-    model = model_colligation(b)
-    params = schur_parameters(blaschke_to_rational(b))
-    closed = colligation_from_schur_parameters(params)
-    V = find_equivalence(model, closed)
-    if V is None:
-        raise InternalInconsistency(
-            "realizations of the same function differ by more than "
-            f"{tol.BACKWARD:g} on the unit circle"
-        )
-    return UniquenessReport(intertwining_residual(model, closed, V), model.n)

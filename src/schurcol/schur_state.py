@@ -49,15 +49,9 @@ from .colligation import (
     _check_count,
     _fold,
     _peel,
-    _peel_row,
     _peel_steps,
 )
-from .errors import (
-    InternalInconsistency,
-    NotMinimal,
-    NotNormalized,
-    Terminal,
-)
+from .errors import InternalInconsistency, NotMinimal
 from .hessenberg import (
     is_minimal_form,
     reduce_to_special_lower_hessenberg,
@@ -67,49 +61,12 @@ from .sampling import circle_samples
 
 __all__ = [
     "SchurStateTrace",
-    "schur_step",
     "schur_algorithm_state_space",
     "closed_form_matrix",
     "product_form_matrix",
     "colligation_from_schur_parameters",
     "readout_residual",
 ]
-
-
-def _check_special_row(col: UnitaryColligation) -> None:
-    scale = max(float(np.abs(col.matrix).max()), 1e-300)
-    b = col.B
-    head_dev = max(abs(b[0].imag), max(-b[0].real, 0.0))
-    tail_dev = float(np.abs(b[1:]).max()) if col.n > 1 else 0.0
-    if max(head_dev, tail_dev) > tol.STRUCT * scale:
-        raise NotNormalized(
-            f"channel row deviates from special form by {max(head_dev, tail_dev):.3e}"
-        )
-
-
-def schur_step(col: UnitaryColligation) -> tuple[complex, UnitaryColligation]:
-    """Extract s_p and the smaller colligation of the transformed function.
-
-    Requires the channel row in special form, [A, b, 0, ...].  The step
-    peels the elementary section of that row (``colligation._peel_row``,
-    the recursion's own kernel): s_p = A / |(A, b)|, d_p = b / |(A, b)|,
-    and the next matrix is [d_p C - s_p D[:, 0] | D[:, 1:]]; for a 1x1
-    principal block the remaining scalar is the terminal parameter.  The
-    section is read once, and, as in the recursion, the next
-    colligation's unitarity gate is the step's one check.
-    """
-    if col.n < 1:
-        raise Terminal("colligation is already the terminal constant")
-    _check_special_row(col)
-    s_p, _, first_col = _peel_row(
-        col.matrix[:, 0], float(col.B[0].real), col.D[:, 0]
-    )
-    if not tol.inside_disc(s_p):
-        raise Terminal(
-            f"|s_p| = {abs(s_p):.17g} is within {tol.DISC:g} of the unit circle"
-        )
-    next_matrix = np.column_stack([first_col, col.D[:, 1:]])
-    return s_p, UnitaryColligation._adopt(next_matrix)
 
 
 @dataclass(frozen=True)

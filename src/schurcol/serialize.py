@@ -151,13 +151,20 @@ def colligation_to_json(col: UnitaryColligation) -> dict:
     return {"n": col.n, "matrix": _complex_array_to_json(col.matrix)}
 
 
+def _declared_int(value, what: str) -> int:
+    """A dimension a document declares: a JSON integer, which true is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def colligation_matrix_from_json(doc: dict) -> np.ndarray:
     """The matrix of a colligation document, checked against a declared n."""
     matrix = matrix_from_json(doc["matrix"])
-    if "n" in doc and int(doc["n"]) != matrix.shape[0] - 1:
+    n = doc.get("n", matrix.shape[0] - 1)
+    if _declared_int(n, "declared state dimension") != matrix.shape[0] - 1:
         raise ValueError(
-            f"declared state dimension {doc['n']} does not match matrix size "
-            f"{matrix.shape[0]}"
+            f"declared state dimension {n} does not match matrix size {matrix.shape[0]}"
         )
     return matrix
 
@@ -177,9 +184,7 @@ def partitioned_from_json(doc: dict) -> PartitionedColligation:
     dims = doc["dims"]
     return PartitionedColligation(
         matrix_from_json(doc["matrix"]),
-        int(dims["e1"]),
-        int(dims["e2"]),
-        int(dims["h"]),
+        *(_declared_int(dims[key], f"dims.{key}") for key in ("e1", "e2", "h")),
     )
 
 

@@ -108,7 +108,7 @@ UNITARY = 1e-10
 EQUIV = 1e-9
 
 # Hessenberg structural zeros, relative to max |entry|: the Arnoldi
-# breakdown cut and the special-row test of a Schur step.  n = 256:
+# breakdown cut.  n = 256:
 # test_hessenberg.py::TestInPlaceReduction::test_certificate_holds_at_scale;
 # breakdowns only up to n = 64 (TestBreakdownRule::test_near_unimodular_parameter)
 STRUCT = 1e-12

@@ -1,5 +1,6 @@
 """Shared generators and oracles for the test suite."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,50 @@ def transform_fold(s):
         params.append(s0)
     params.append(complex(s.num[0] / s.den[0]))
     return sc.SchurParameterSequence(tuple(params))
+
+
+class NotNormalized(Exception):
+    """The channel row of a colligation is not in the special form [a, b, 0, ...]."""
+
+
+def reference_schur_step(col):
+    """(s_0, next colligation) of one Schur step on a colligation with n >= 1.
+
+    The channel row must be in special form, [a, b, 0, ...] with b >= 0,
+    to STRUCT times max |entry|; NotNormalized otherwise.  The elementary
+    section of that row is peeled with the expressions of
+    ``colligation._peel_steps``: s_0 = a / |(a, b)|, d_0 = b / |(a, b)|,
+    and the next matrix is [d_0 C - s_0 D[:, 0] | D[:, 1:]], passed
+    through the public constructor's unitarity gate.  Kept as the
+    reference for criterion 6, the step that inverts
+    ``inverse_schur_colligation``; the recursion peels without a gate.
+    """
+    m, b = col.matrix, col.B
+    deviation = max(abs(b[0].imag), -b[0].real, float(np.abs(b[1:]).max(initial=0.0)))
+    if deviation > sc.tolerances.STRUCT * max(float(np.abs(m).max()), 1e-300):
+        raise NotNormalized(f"channel row is off special form by {deviation:.3e}")
+    a, band = complex(m[0, 0]), float(b[0].real)
+    scale = 1.0 / math.hypot(a.real, a.imag, band)
+    s0 = a * scale
+    first = (band * scale) * m[1:, 0] - s0 * col.D[:, 0]
+    return s0, sc.UnitaryColligation(np.column_stack([first, col.D[:, 1:]]))
+
+
+def reference_uniqueness_residual(b):
+    """Intertwining residual of the gauge between two minimal realizations of b.
+
+    The cascade ``model_colligation(b)`` and the closed form of b's Schur
+    parameters realize the same function, so ``find_equivalence`` must
+    find the state gauge between them; the residual grows with kappa.
+    Kept as the reference for the uniqueness of the minimal realization
+    (criterion 8).
+    """
+    model = sc.model_colligation(b)
+    params = sc.schur_parameters(sc.blaschke_to_rational(b))
+    closed = sc.colligation_from_schur_parameters(params)
+    V = sc.find_equivalence(model, closed)
+    assert V is not None, "two realizations of one function are not equivalent"
+    return sc.intertwining_residual(model, closed, V)
 
 
 def cluster(count, radius, turn=0.0):

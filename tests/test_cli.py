@@ -326,14 +326,25 @@ class TestHessenberg:
         assert_allclose(matrix_from_doc({"matrix": doc["H"]}), col.matrix, atol=1e-14)
 
     def test_declared_n_must_match_the_matrix(self, tmp_path, capsys):
-        # read like every other colligation document: verify rejects it too
+        # read like every other colligation document: verify rejects it too,
+        # and a declared dimension is a JSON integer, not one int() accepts
         source = tmp_path / "mismatch.json"
-        source.write_text('{"n":5,"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
-        for command in ("hessenberg", "verify"):
-            assert cli.main([command, "--input", str(source)]) == 2
-            assert capsys.readouterr().err.endswith(
-                "declared state dimension 5 does not match matrix size 2\n"
-            )
+        for n, message in [
+            ("5", "declared state dimension 5 does not match matrix size 2"),
+            ("1.9", "declared state dimension must be an integer, not 1.9"),
+            ("true", "declared state dimension must be an integer, not true"),
+            ('"1"', 'declared state dimension must be an integer, not "1"'),
+        ]:
+            source.write_text(f'{{"n":{n},"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}}')
+            for command in ("hessenberg", "verify"):
+                assert cli.main([command, "--input", str(source)]) == 2
+                assert capsys.readouterr().err.endswith(message + "\n")
+        first = js.partitioned_to_json(sc.elementary_schur_section(0.3).partitioned)
+        first["dims"]["e1"] = 1.5
+        second = js.colligation_to_json(sc.UnitaryColligation(np.eye(2)[::-1]))
+        source.write_text(js.dumps_canonical({"first": first, "second": second}))
+        assert cli.main(["couple", "--input", str(source)]) == 2
+        assert capsys.readouterr().err.endswith("dims.e1 must be an integer, not 1.5\n")
 
     def test_params_pipeline_runs_no_full_reduction(self, tmp_path, monkeypatch):
         # realize builds the closed form, which is its own lower form, and
@@ -748,6 +759,18 @@ class TestOptions:
             cli.main([command, option, "1", *required])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["couple", "verify"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_must_be_positive(self, command, samples, capsys):
+        # zero samples passed every sampled check of verify without a sample
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--samples", samples])
+        assert exc.value.code == 2
+        assert (
+            f"argument --samples: expected a positive integer, not '{samples}'"
+            in capsys.readouterr().err
+        )
 
 
 class TestParams:
