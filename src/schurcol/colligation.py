@@ -46,9 +46,11 @@ r and l at all their points.
 Minimality and state equivalence are read off the special lower
 Hessenberg form, in :mod:`schurcol.hessenberg`; the exact-form test and
 the band rule it shares with the fold live here.  The time-domain
-recursion runs ``BLOCK`` steps per matrix product, carrying the state by
-D^BLOCK, on the same Krylov blocks that give the Markov parameters;
-D^BLOCK is formed once per colligation and kept.
+recursion keeps its states as the rows of one array and runs ``BLOCK``
+steps per row-major matrix product, carrying the state by D^BLOCK, on
+the same Krylov blocks that give the Markov parameters; D^BLOCK and the
+first Krylov block [C, DC, ..., D^(BLOCK-1) C] are formed once per
+colligation and kept.
 """
 
 from __future__ import annotations
@@ -87,13 +89,14 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     One Gram product bounds both sides: U*U - I and UU* - I have the same
     singular values |sigma_k^2 - 1|, so for an m x m U both have 2-norm
     at most the Frobenius norm of U*U - I, at most m times this residual
-    (m = n + 1 for a colligation of state dimension n).
+    (m = n + 1 for a colligation of state dimension n).  An empty matrix
+    (the gauge of a degree-0 colligation) has residual 0.
     """
     m = np.asarray(matrix, dtype=complex)
     gram = m.conj().T @ m
     # the diagonal: every (len + 1)-th entry of the flat view
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0
-    return float(np.abs(gram).max())
+    return float(np.abs(gram).max(initial=0.0))
 
 
 def require_unitary(matrix: np.ndarray, what: str) -> float:
@@ -151,8 +154,23 @@ class UnitaryColligation:
 
     @cached_property
     def _d_power(self) -> np.ndarray:
-        """D^BLOCK, formed on first use and kept with the colligation."""
-        return np.linalg.matrix_power(self.D, BLOCK)
+        """D^BLOCK, formed on first use and kept with the colligation (read-only)."""
+        power = np.linalg.matrix_power(self.D, BLOCK)
+        power.setflags(write=False)
+        return power
+
+    @cached_property
+    def _krylov_head(self) -> np.ndarray:
+        """The first Krylov block, rows C, DC, ..., D^(BLOCK-1) C, kept like D^BLOCK.
+
+        Built by D one row at a time on first use, read-only.
+        """
+        head = np.empty((BLOCK, self.n), dtype=complex)
+        head[0] = self.C
+        for t in range(1, BLOCK):
+            np.matmul(self.D, head[t - 1], out=head[t])
+        head.setflags(write=False)
+        return head
 
     @cached_property
     def _sections(self) -> tuple[complex, ...] | None:
@@ -428,41 +446,40 @@ BLOCK = 32
 
 
 def _krylov_blocks(col: UnitaryColligation, count: int) -> np.ndarray:
-    """Columns C, DC, D^2 C, ... in whole blocks of BLOCK, at least ``count``.
+    """Rows C, DC, D^2 C, ... in whole blocks of BLOCK, at least ``count``.
 
-    The first block is built by D one column at a time, each later block
-    is the colligation's D^BLOCK times the block before it.  Every
-    product has the same shape whatever ``count`` is, so no column
-    depends on how many were asked for.  Columns are contiguous.
+    The first block is the colligation's kept one; each later block is
+    the block before it times (D^BLOCK)^T, one row-major product, as in
+    ``simulate_time_domain``.  Every product has the same shape whatever
+    ``count`` is, so no row depends on how many were asked for.
     """
     blocks = -(-count // BLOCK)
-    out = np.empty((blocks * BLOCK, col.n), dtype=complex).T
+    out = np.empty((blocks * BLOCK, col.n), dtype=complex)
     if blocks == 0:
         return out
-    out[:, 0] = col.C
-    for t in range(1, BLOCK):
-        np.matmul(col.D, out[:, t - 1], out=out[:, t])
+    out[:BLOCK] = col._krylov_head
     if blocks > 1:
-        power = col._d_power
+        power_t = col._d_power.T
         for j in range(BLOCK, blocks * BLOCK, BLOCK):
-            out[:, j : j + BLOCK] = power @ out[:, j - BLOCK : j]
+            np.matmul(out[j - BLOCK : j], power_t, out=out[j : j + BLOCK])
     return out
 
 
 def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
     """First ``m`` Taylor coefficients of S at 0: A, BC, BDC, ...
 
-    B D^k C is taken one Krylov block at a time, in the products
-    ``simulate_time_domain`` forms for its outputs, so an impulse
-    response equals these coefficients bit for bit.
+    B D^k C is one product of the Krylov rows with B, over as many whole
+    blocks as ``simulate_time_domain`` runs for m samples.  An impulse's
+    window sums are the kept first block exactly (one entry times 1, the
+    rest exact zeros) and its later states are the same row products, so
+    its outputs are the same product as these coefficients, bit for bit.
     """
     if m < 0:
         raise DimensionMismatch(f"coefficient count must be non-negative, got {m}")
-    krylov = _krylov_blocks(col, max(m - 1, 0))
-    out = np.empty(1 + krylov.shape[1], dtype=complex)
+    krylov = _krylov_blocks(col, m)
+    out = np.empty(1 + len(krylov), dtype=complex)
     out[0] = col.A
-    for j in range(0, krylov.shape[1], BLOCK):
-        out[1 + j : 1 + j + BLOCK] = col.B @ krylov[:, j : j + BLOCK]
+    np.matmul(krylov, col.B, out=out[1:])
     return out[:m]
 
 
@@ -481,14 +498,19 @@ def simulate_time_domain(
     """Run the state recursion [psi_k; h_{k+1}] = U [phi_k; h_k] from h_0 = 0.
 
     Returns the output sequence and the state trajectory ``h_0 .. h_m``
-    (one more row than there are inputs).  With a unitary matrix the
-    balance ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
+    (one more row than there are inputs), as the C-contiguous rows of an
+    (m + 1) x n array.  With a unitary matrix the balance
+    ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
 
     The recursion runs BLOCK steps at a time:
     h_k = D^BLOCK h_{k-BLOCK} + sum_{t < BLOCK} D^t C phi_{k-1-t}.  The
-    window sums are one product of the Krylov block [C, DC, ...] with a
-    sliding window of the input, written into the state array; each block
-    of states then adds D^BLOCK times the block before it.
+    window sums are one product of a sliding window of the input with
+    the colligation's kept Krylov block [C, DC, ...], written into the
+    state rows; each block of rows then adds the block before it times
+    (D^BLOCK)^T, a row-major product into contiguous memory.  The outputs
+    B h_k are one product of all state rows with B.  These are the
+    products ``markov_parameters`` forms, so an impulse response equals
+    its coefficients bit for bit.
     """
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 1:
@@ -497,25 +519,23 @@ def simulate_time_domain(
         )
     m = len(inputs)
     size = -(-m // BLOCK) * BLOCK
-    # column k holds h_k; the blocks start at column 1, where the impulse
+    # row k holds h_k; the blocks start at row 1, where the impulse
     # response holds C, so they line up with the Krylov blocks
-    states = np.empty((1 + size, col.n), dtype=complex).T
-    states[:, 0] = 0.0
+    states = np.empty((1 + size, col.n), dtype=complex)
+    states[0] = 0.0
     feed = np.zeros(1 + size, dtype=complex)  # B h_k
     if size:
-        krylov = _krylov_blocks(col, BLOCK)
         padded = np.zeros(size + BLOCK - 1, dtype=complex)
         padded[BLOCK - 1 : BLOCK - 1 + m] = inputs
         # window k holds phi_{k+1-BLOCK} .. phi_k, against D^{BLOCK-1} C .. C
-        windows = sliding_window_view(padded, BLOCK).T
-        np.matmul(krylov[:, ::-1], windows, out=states[:, 1:])
-        power = col._d_power if size > BLOCK else None
-        for j in range(1, 1 + size, BLOCK):
-            block = states[:, j : j + BLOCK]
-            if j > 1:
-                block += power @ states[:, j - BLOCK : j]
-            feed[j : j + BLOCK] = col.B @ block
-    return col.A * inputs + feed[:m], states.T[: m + 1]
+        windows = sliding_window_view(padded, BLOCK)
+        np.matmul(windows, col._krylov_head[::-1], out=states[1:])
+        if size > BLOCK:
+            power_t = col._d_power.T
+            for j in range(1 + BLOCK, 1 + size, BLOCK):
+                states[j : j + BLOCK] += states[j - BLOCK : j] @ power_t
+        np.matmul(states[1:], col.B, out=feed[1:])
+    return col.A * inputs + feed[:m], states[: m + 1]
 
 
 @dataclass(frozen=True)

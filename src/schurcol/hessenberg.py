@@ -213,7 +213,7 @@ def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]
     H[np.arange(n), np.arange(1, size)] = band
     V = basis.T.copy()
     recon = float(np.abs(product - H).max()) / scale
-    return H, V, recon, unitarity_residual(V) if n else 0.0
+    return H, V, recon, unitarity_residual(V)
 
 
 def _check_certificate(cert: HessenbergCertificate) -> None:

@@ -1,5 +1,7 @@
 """Deterministic sample sets on the unit disc and circle."""
 
+from __future__ import annotations
+
 import numpy as np
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -558,6 +558,13 @@ class TestStateGauge:
         with pytest.raises(sc.NotUnitary):
             sc.apply_state_gauge(sc.UnitaryColligation(DELAY), np.array([[2.0]]))
 
+    def test_degree_zero_takes_the_empty_gauge(self):
+        col = sc.UnitaryColligation(np.array([[np.exp(0.3j)]]))
+        assert sc.unitarity_residual(np.zeros((0, 0))) == 0.0
+        out = sc.apply_state_gauge(col, np.zeros((0, 0)))
+        assert out.n == 0
+        assert np.array_equal(out.matrix, col.matrix)
+
 
 class TestFindEquivalence:
     def test_recovers_gauged_copy(self):
@@ -691,8 +698,6 @@ class TestSimulation:
 
 def gauged_colligation(rng, n):
     """A minimal colligation of degree n under a random state gauge (dense D)."""
-    if n == 0:
-        return sc.UnitaryColligation(np.array([[np.exp(2j * np.pi * rng.uniform())]]))
     return sc.apply_state_gauge(random_colligation(rng, n), random_unitary(rng, n))
 
 
@@ -709,6 +714,7 @@ class TestBlockedSimulation:
             ref_outputs, ref_states = reference_simulation(col, inputs)
             assert outputs.shape == ref_outputs.shape
             assert states.shape == ref_states.shape == (m + 1, n)
+            assert states.flags.c_contiguous
             assert np.abs(outputs - ref_outputs).max(initial=0.0) <= 1e-12
             assert np.abs(states - ref_states).max(initial=0.0) <= 1e-12
             balance = (
@@ -718,7 +724,7 @@ class TestBlockedSimulation:
             )
             assert abs(balance) <= 1e-10
 
-    @pytest.mark.parametrize("n", [1, 16, 128])
+    @pytest.mark.parametrize("n", [1, 2, 16, 31, 128])
     def test_impulse_response_is_the_markov_parameters_bitwise(self, n):
         rng = np.random.default_rng(2000 + n)
         col = gauged_colligation(rng, n)
@@ -727,7 +733,6 @@ class TestBlockedSimulation:
             impulse[0] = 1.0
             outputs, _ = sc.simulate_time_domain(col, impulse)
             assert np.array_equal(outputs, sc.markov_parameters(col, m))
-
 
     def test_block_power_is_formed_once_per_colligation(self, monkeypatch):
         calls = []
@@ -745,6 +750,29 @@ class TestBlockedSimulation:
         sc.markov_parameters(col, 3 * L)
         assert calls == [co.BLOCK]
         assert np.array_equal(first, second)
+
+    def test_first_krylov_block_is_formed_once_per_colligation(self, monkeypatch):
+        built = []
+        kept = co.UnitaryColligation._krylov_head
+        build = kept.func
+
+        def counted(col):
+            built.append(col)
+            return build(col)
+
+        monkeypatch.setattr(kept, "func", counted)
+        col = gauged_colligation(np.random.default_rng(2200), 8)
+        inputs = np.ones(3 * L + 5)
+        first, _ = sc.simulate_time_domain(col, inputs)
+        second, _ = sc.simulate_time_domain(col, inputs)
+        sc.markov_parameters(col, 3 * L)
+        assert built == [col]
+        assert np.array_equal(first, second)
+        # rows C, DC, ..., kept read-only and copied into the Krylov rows
+        head = col._krylov_head
+        assert head.shape == (L, 8) and not head.flags.writeable
+        assert not col._d_power.flags.writeable
+        assert np.array_equal(co._krylov_blocks(col, 3 * L)[:L], head)
 
 
 class TestMarkovParameters:

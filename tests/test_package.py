@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,23 @@ def test_no_unused_imports(stem):
     module = importlib.import_module(f"schurcol.{stem}")
     kept = used_names(tree) | set(getattr(module, "__all__", ()))
     assert sorted(imported_names(tree) - kept) == []
+
+
+def loads_numpy_random(module):
+    """Whether a fresh interpreter has numpy.random loaded after importing module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_numpy_random():
+    # only verify draws random points, from a generator the caller seeds
+    if loads_numpy_random("numpy"):
+        pytest.skip("a bare import numpy loads numpy.random (numpy 1.x)")
+    assert not loads_numpy_random("schurcol.cli")
