@@ -46,11 +46,12 @@ r and l at all their points.
 Minimality and state equivalence are read off the special lower
 Hessenberg form, in :mod:`schurcol.hessenberg`; the exact-form test and
 the band rule it shares with the fold live here.  The time-domain
-recursion keeps its states as the rows of one array and runs ``BLOCK``
-steps per row-major matrix product, carrying the state by D^BLOCK, on
-the same Krylov blocks that give the Markov parameters; D^BLOCK and the
-first Krylov block [C, DC, ..., D^(BLOCK-1) C] are formed once per
-colligation and kept.
+recursion keeps its states as the rows of one array.  It carries only
+the state at every ``BLOCK``-th step, by D^BLOCK and one window sum per
+block from the first Krylov block [C, DC, ..., D^(BLOCK-1) C], and then
+steps the rows between these edges for all blocks at once by [C D];
+D^BLOCK and the Krylov block are formed once per colligation and kept.
+The Markov parameters are this recursion's impulse response.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NearPole, NotUnitary
@@ -163,7 +163,8 @@ class UnitaryColligation:
     def _krylov_head(self) -> np.ndarray:
         """The first Krylov block, rows C, DC, ..., D^(BLOCK-1) C, kept like D^BLOCK.
 
-        Built by D one row at a time on first use, read-only.
+        Built by D one row at a time on first use, read-only.  Reversed, it
+        takes each block's window sum in ``simulate_time_domain``.
         """
         head = np.empty((BLOCK, self.n), dtype=complex)
         head[0] = self.C
@@ -440,47 +441,25 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     return UnitaryColligation._adopt(G.conj().T @ col.matrix @ G)
 
 
-# steps per block of the Krylov kernel and of the time-domain recursion;
-# a power of two, so matrix_power forms D^BLOCK by repeated squaring alone
+# steps per block of the time-domain recursion; a power of two, so
+# matrix_power forms D^BLOCK by repeated squaring alone
 BLOCK = 32
-
-
-def _krylov_blocks(col: UnitaryColligation, count: int) -> np.ndarray:
-    """Rows C, DC, D^2 C, ... in whole blocks of BLOCK, at least ``count``.
-
-    The first block is the colligation's kept one; each later block is
-    the block before it times (D^BLOCK)^T, one row-major product, as in
-    ``simulate_time_domain``.  Every product has the same shape whatever
-    ``count`` is, so no row depends on how many were asked for.
-    """
-    blocks = -(-count // BLOCK)
-    out = np.empty((blocks * BLOCK, col.n), dtype=complex)
-    if blocks == 0:
-        return out
-    out[:BLOCK] = col._krylov_head
-    if blocks > 1:
-        power_t = col._d_power.T
-        for j in range(BLOCK, blocks * BLOCK, BLOCK):
-            np.matmul(out[j - BLOCK : j], power_t, out=out[j : j + BLOCK])
-    return out
 
 
 def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
     """First ``m`` Taylor coefficients of S at 0: A, BC, BDC, ...
 
-    B D^k C is one product of the Krylov rows with B, over as many whole
-    blocks as ``simulate_time_domain`` runs for m samples.  An impulse's
-    window sums are the kept first block exactly (one entry times 1, the
-    rest exact zeros) and its later states are the same row products, so
-    its outputs are the same product as these coefficients, bit for bit.
+    The outputs of ``simulate_time_domain`` on an impulse of length m, so
+    an impulse response equals them bit for bit.  A count that is a bool
+    or not an integer raises DimensionMismatch.
     """
-    if m < 0:
-        raise DimensionMismatch(f"coefficient count must be non-negative, got {m}")
-    krylov = _krylov_blocks(col, m)
-    out = np.empty(1 + len(krylov), dtype=complex)
-    out[0] = col.A
-    np.matmul(krylov, col.B, out=out[1:])
-    return out[:m]
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+        raise DimensionMismatch(
+            f"coefficient count must be a non-negative integer, got {m!r}"
+        )
+    impulse = np.zeros(m, dtype=complex)
+    impulse[:1] = 1.0
+    return simulate_time_domain(col, impulse)[0]
 
 
 def intertwining_residual(
@@ -502,38 +481,48 @@ def simulate_time_domain(
     (m + 1) x n array.  With a unitary matrix the balance
     ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
 
-    The recursion runs BLOCK steps at a time:
-    h_k = D^BLOCK h_{k-BLOCK} + sum_{t < BLOCK} D^t C phi_{k-1-t}.  The
-    window sums are one product of a sliding window of the input with
-    the colligation's kept Krylov block [C, DC, ...], written into the
-    state rows; each block of rows then adds the block before it times
-    (D^BLOCK)^T, a row-major product into contiguous memory.  The outputs
-    B h_k are one product of all state rows with B.  These are the
-    products ``markov_parameters`` forms, so an impulse response equals
-    its coefficients bit for bit.
+    The inputs are cut into blocks of BLOCK samples.  Only the block
+    edges h_{BLOCK b} are carried from block to block:
+    h_{BLOCK (b+1)} = D^BLOCK h_{BLOCK b} + sum_t D^(BLOCK-1-t) C phi_{BLOCK b + t},
+    where all the window sums are one product of the blocked inputs with
+    the colligation's kept Krylov block [C, DC, ...], reversed.  The rows
+    between the edges are then stepped for all blocks at once, one
+    product [phi_k | h_k] @ [C D]^T per step.  The outputs B h_k are one
+    product of all state rows with B.  That is n (n + 1) + (n^2 + BLOCK n)
+    / BLOCK complex multiply-adds per sample for the states.
     """
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 1:
         raise DimensionMismatch(
             f"expected a 1-D input sequence, got shape {inputs.shape}"
         )
-    m = len(inputs)
-    size = -(-m // BLOCK) * BLOCK
-    # row k holds h_k; the blocks start at row 1, where the impulse
-    # response holds C, so they line up with the Krylov blocks
-    states = np.empty((1 + size, col.n), dtype=complex)
+    m, n = len(inputs), col.n
+    blocks = -(-m // BLOCK)
+    size = blocks * BLOCK
+    # row k holds h_k, so block b spans rows BLOCK b .. BLOCK b + BLOCK - 1
+    states = np.empty((1 + size, n), dtype=complex)
     states[0] = 0.0
     feed = np.zeros(1 + size, dtype=complex)  # B h_k
-    if size:
-        padded = np.zeros(size + BLOCK - 1, dtype=complex)
-        padded[BLOCK - 1 : BLOCK - 1 + m] = inputs
-        # window k holds phi_{k+1-BLOCK} .. phi_k, against D^{BLOCK-1} C .. C
-        windows = sliding_window_view(padded, BLOCK)
-        np.matmul(windows, col._krylov_head[::-1], out=states[1:])
-        if size > BLOCK:
+    if blocks:
+        phi = np.zeros((blocks, BLOCK), dtype=complex)
+        phi.reshape(-1)[:m] = inputs
+        # edges[b] = h_{BLOCK (b+1)}, first its block's window sum; h_0 = 0
+        edges = states[BLOCK::BLOCK]
+        np.matmul(phi, col._krylov_head[::-1], out=edges)
+        if blocks > 1:
             power_t = col._d_power.T
-            for j in range(1 + BLOCK, 1 + size, BLOCK):
-                states[j : j + BLOCK] += states[j - BLOCK : j] @ power_t
+            for edge, prev in zip(edges[1:], edges):
+                edge += prev @ power_t
+        rows = states[:size].reshape(blocks, BLOCK, n)
+        kernel_t = col.matrix[1:].T  # [C D]^T
+        here, there = np.empty((2, blocks, 1 + n), dtype=complex)
+        here[:, 0] = phi[:, 0]
+        here[:, 1:] = rows[:, 0]
+        for t in range(1, BLOCK):
+            np.matmul(here, kernel_t, out=there[:, 1:])
+            rows[:, t] = there[:, 1:]
+            there[:, 0] = phi[:, t]
+            here, there = there, here
         np.matmul(states[1:], col.B, out=feed[1:])
     return col.A * inputs + feed[:m], states[: m + 1]
 

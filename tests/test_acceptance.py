@@ -17,6 +17,7 @@ from helpers import (
     random_params,
     random_unitary,
     reference_schur_step,
+    reference_simulation,
     reference_uniqueness_residual,
     taylor_coefficients,
 )
@@ -304,6 +305,36 @@ def test_11_energy_conservation():
         worst = max(worst, balance)
     ok = worst <= 1e-10
     report(11, "energy balance over 1000 steps", worst, 1e-10, ok)
+    assert ok
+
+
+def test_11_energy_conservation_at_scale():
+    # a Haar-gauged closed form of degree 256: dense D, 2048 steps, so the
+    # block edges are carried 63 times by D^32
+    rng = np.random.default_rng(211)
+    n = 256
+    col = sc.apply_state_gauge(
+        sc.colligation_from_schur_parameters(random_params(rng, n, rmax=0.9)),
+        random_unitary(rng, n),
+    )
+    inputs = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    outputs, states = sc.simulate_time_domain(col, inputs)
+    balance = abs(
+        np.sum(np.abs(outputs) ** 2)
+        + np.sum(np.abs(states[-1]) ** 2)
+        - np.sum(np.abs(inputs) ** 2)
+    )
+    _, ref_states = reference_simulation(col, inputs)
+    drift = np.abs(states - ref_states).max()
+    ok = balance <= 1e-10 and drift <= 1e-12
+    report(
+        11,
+        "energy balance over 2048 steps, gauged n = 256",
+        balance,
+        1e-10,
+        ok,
+        extra=f", states within {drift:.1e} of the step-by-step loop (1e-12)",
+    )
     assert ok
 
 

@@ -701,14 +701,28 @@ def gauged_colligation(rng, n):
     return sc.apply_state_gauge(random_colligation(rng, n), random_unitary(rng, n))
 
 
+def count_matrix_powers(monkeypatch):
+    """The exponents of every np.linalg.matrix_power call from here on."""
+    calls = []
+    power = np.linalg.matrix_power
+
+    def counted(D, k):
+        calls.append(k)
+        return power(D, k)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    return calls
+
+
 class TestBlockedSimulation:
     """The blocked recursion against the step-by-step loop of the helpers."""
 
-    @pytest.mark.parametrize("n", [0, 1, 16, 128])
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 31, 33, 64, 128])
     def test_matches_the_step_by_step_loop(self, n):
         rng = np.random.default_rng(1000 + n)
         col = gauged_colligation(rng, n)
-        for m in (0, 1, L - 1, L, L + 1, 3 * L + 5, 2048):
+        edges = (L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1)
+        for m in (0, 1, *edges, 3 * L + 5, 5 * L, 2048):
             inputs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             outputs, states = sc.simulate_time_domain(col, inputs)
             ref_outputs, ref_states = reference_simulation(col, inputs)
@@ -735,14 +749,7 @@ class TestBlockedSimulation:
             assert np.array_equal(outputs, sc.markov_parameters(col, m))
 
     def test_block_power_is_formed_once_per_colligation(self, monkeypatch):
-        calls = []
-        power = np.linalg.matrix_power
-
-        def counted(D, k):
-            calls.append(k)
-            return power(D, k)
-
-        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        calls = count_matrix_powers(monkeypatch)
         col = gauged_colligation(np.random.default_rng(2100), 8)
         inputs = np.ones(3 * L + 5)
         first, _ = sc.simulate_time_domain(col, inputs)
@@ -750,6 +757,16 @@ class TestBlockedSimulation:
         sc.markov_parameters(col, 3 * L)
         assert calls == [co.BLOCK]
         assert np.array_equal(first, second)
+
+    def test_block_power_is_not_formed_for_one_block(self, monkeypatch):
+        calls = count_matrix_powers(monkeypatch)
+        col = gauged_colligation(np.random.default_rng(2150), 8)
+        for m in (0, 1, L - 1, L):
+            sc.simulate_time_domain(col, np.ones(m))
+            sc.markov_parameters(col, m)
+        assert calls == []
+        sc.simulate_time_domain(col, np.ones(L + 1))
+        assert calls == [co.BLOCK]
 
     def test_first_krylov_block_is_formed_once_per_colligation(self, monkeypatch):
         built = []
@@ -768,11 +785,10 @@ class TestBlockedSimulation:
         sc.markov_parameters(col, 3 * L)
         assert built == [col]
         assert np.array_equal(first, second)
-        # rows C, DC, ..., kept read-only and copied into the Krylov rows
+        # rows C, DC, ..., kept read-only
         head = col._krylov_head
         assert head.shape == (L, 8) and not head.flags.writeable
         assert not col._d_power.flags.writeable
-        assert np.array_equal(co._krylov_blocks(col, 3 * L)[:L], head)
 
 
 class TestMarkovParameters:
@@ -788,6 +804,15 @@ class TestMarkovParameters:
     def test_negative_count_raises(self):
         with pytest.raises(sc.DimensionMismatch):
             sc.markov_parameters(sc.UnitaryColligation(DELAY), -1)
+
+    @pytest.mark.parametrize("count", [2.0, True, np.True_, "3", None])
+    def test_count_that_is_not_an_integer_raises(self, count):
+        with pytest.raises(sc.DimensionMismatch):
+            sc.markov_parameters(sc.UnitaryColligation(DELAY), count)
+
+    def test_numpy_integer_count(self):
+        out = sc.markov_parameters(sc.UnitaryColligation(DELAY), np.int64(3))
+        assert_allclose(out, [0.0, 1.0, 0.0])
 
     def test_first_entry_is_corner(self):
         rng = np.random.default_rng(14)
