@@ -14,6 +14,7 @@ from .colligation import (
     SpectralIdentityReport,
     UnitaryColligation,
     apply_state_gauge,
+    band_residual,
     characteristic_function,
     inner_sampling_report,
     intertwining_residual,
@@ -38,9 +39,7 @@ from .errors import (
 )
 from .hessenberg import (
     HessenbergCertificate,
-    band_residual,
     find_equivalence,
-    is_minimal,
     reduce_to_special_lower_hessenberg,
     reduce_to_special_upper_hessenberg,
 )

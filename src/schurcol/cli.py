@@ -108,8 +108,7 @@ def _write_output(args, doc) -> None:
 def _band_diagnostic(cmd: _Command, col: co.UnitaryColligation) -> None:
     """Minimality: the band residual of the lower form, at most 1 when minimal."""
     if col.n >= 1:
-        H = hs.reduce_to_special_lower_hessenberg(col.matrix).H
-        cmd.diag("band_minimum", hs.band_residual(H), 1.0)
+        cmd.diag("band_minimum", co.band_residual(col._form.H), 1.0)
 
 
 def _cascade_trace(blaschke) -> ss.SchurStateTrace:

@@ -43,9 +43,16 @@ each sample set as one batch on this route, and the four kernel
 identities of :func:`verify_spectral_identities` need only two batches,
 r and l at all their points.
 
-Minimality and state equivalence are read off the special lower
-Hessenberg form, in :mod:`schurcol.hessenberg`; the exact-form test and
-the band rule it shares with the fold live here.  The time-domain
+The special lower Hessenberg form is the colligation's canonical form.
+A colligation reduces itself once, on first need, by
+``hessenberg.reduce_to_special_lower_hessenberg``, and keeps the checked
+certificate, the Schur parameters peeled off it and the index at which
+the peel leaves the disc (``UnitaryColligation._form``, ``_peeled`` and
+``_stop``).  The state-space recursion, ``hessenberg.find_equivalence``,
+:attr:`UnitaryColligation.minimal` and the CLI's band diagnostic read
+what is kept.  Evaluation never builds it: the fold needs a matrix
+exactly in lower form and peels that matrix itself.  The exact-form
+test, the band rule and the peel's stop rule live here.  The time-domain
 recursion keeps its states as the rows of one array.  It carries only
 the state at every ``BLOCK``-th step, by D^BLOCK and one window sum per
 block from the first Krylov block [C, DC, ..., D^(BLOCK-1) C], and then
@@ -109,7 +116,13 @@ def require_unitary(matrix: np.ndarray, what: str) -> float:
 
 @dataclass(frozen=True)
 class UnitaryColligation:
-    """A verified-unitary matrix, its unitarity residual and the 1/n block split."""
+    """A verified-unitary matrix, its unitarity residual and the 1/n block split.
+
+    What is derived from the matrix is made on first use and kept with
+    it: D^BLOCK and the first Krylov block for the simulation, the
+    sections for the fold, and the checked lower form with its peel for
+    the recursion, the equivalence test, minimality and the CLI.
+    """
 
     matrix: np.ndarray
     unitarity: float = field(init=False, compare=False)
@@ -174,11 +187,42 @@ class UnitaryColligation:
         return head
 
     @cached_property
+    def _form(self):
+        """The checked lower form of the matrix, a ``HessenbergCertificate``.
+
+        Reduced on first use by ``hessenberg.reduce_to_special_lower_hessenberg``,
+        looked up when called (that module imports this one), and kept with
+        its arrays read-only.
+        """
+        from .hessenberg import reduce_to_special_lower_hessenberg
+
+        form = reduce_to_special_lower_hessenberg(self.matrix)
+        for array in (form.H, form.V, form.band):
+            array.setflags(write=False)
+        return form
+
+    @cached_property
+    def _peeled(self) -> tuple[complex, ...]:
+        """Schur parameters s_0 .. s_n peeled off the kept lower form (:func:`_peel`)."""
+        return _peel(self._form.H)
+
+    @cached_property
+    def _stop(self) -> int:
+        """Index of the first peeled s_p, p < n, on or past 1 - DISC; n if none."""
+        return _disc_stop(self._peeled)
+
+    @property
+    def minimal(self) -> bool:
+        """Minimality (for a unitary colligation also simplicity): the kept form's band."""
+        return is_minimal_form(self._form.H)
+
+    @cached_property
     def _sections(self) -> tuple[complex, ...] | None:
         """Schur parameters s_0 .. s_n to fold S from, or None for the LU route.
 
-        Peeled on first use and kept.  None unless n >= 1, the matrix is
-        exactly in special lower Hessenberg form, its band is minimal
+        Peeled off the matrix itself on first use and kept, so evaluation
+        never reduces.  None unless n >= 1, the matrix is exactly in
+        special lower Hessenberg form, its band is minimal
         (:func:`is_minimal_form`) and every peeled s_p with p < n is
         inside the disc.
         """
@@ -186,9 +230,7 @@ class UnitaryColligation:
         if self.n == 0 or not _in_lower_form(m) or not is_minimal_form(m):
             return None
         params = _peel(m)
-        if not all(tol.inside_disc(s) for s in params[:-1]):
-            return None
-        return params
+        return params if _disc_stop(params) == self.n else None
 
 
 def _in_lower_form(M: np.ndarray) -> bool:
@@ -259,6 +301,16 @@ def _peel(H: np.ndarray) -> tuple[complex, ...]:
     s_p on or past the unit circle.
     """
     return tuple(s for s, _, _ in _peel_steps(H))
+
+
+def _disc_stop(params) -> int:
+    """Index of the first s_p, p < n, with |s_p| >= 1 - DISC; n if none.
+
+    The one stop rule of the peel: the recursion ends there, and the fold
+    and the equivalence test need it at n.
+    """
+    n = len(params) - 1
+    return next((p for p in range(n) if not tol.inside_disc(params[p])), n)
 
 
 def _fold(params, z, steps=None):
@@ -482,7 +534,8 @@ def simulate_time_domain(
     ``sum |psi|^2 + |h_m|^2 = sum |phi|^2`` holds to roundoff.
 
     The inputs are cut into blocks of BLOCK samples.  Only the block
-    edges h_{BLOCK b} are carried from block to block:
+    edges h_{BLOCK b} with BLOCK b <= m are carried from block to block,
+    so D^BLOCK is formed only when m >= 2 BLOCK:
     h_{BLOCK (b+1)} = D^BLOCK h_{BLOCK b} + sum_t D^(BLOCK-1-t) C phi_{BLOCK b + t},
     where all the window sums are one product of the blocked inputs with
     the colligation's kept Krylov block [C, DC, ...], reversed.  The rows
@@ -506,12 +559,14 @@ def simulate_time_domain(
     if blocks:
         phi = np.zeros((blocks, BLOCK), dtype=complex)
         phi.reshape(-1)[:m] = inputs
-        # edges[b] = h_{BLOCK (b+1)}, first its block's window sum; h_0 = 0
+        # edges[b] = h_{BLOCK (b+1)}, first its block's window sum; h_0 = 0.
+        # Only the edges up to row m are carried: the last block's own
+        # edge lies past the run unless m is a multiple of BLOCK
         edges = states[BLOCK::BLOCK]
         np.matmul(phi, col._krylov_head[::-1], out=edges)
-        if blocks > 1:
+        if m >= 2 * BLOCK:
             power_t = col._d_power.T
-            for edge, prev in zip(edges[1:], edges):
+            for edge, prev in zip(edges[1 : m // BLOCK], edges):
                 edge += prev @ power_t
         rows = states[:size].reshape(blocks, BLOCK, n)
         kernel_t = col.matrix[1:].T  # [C D]^T

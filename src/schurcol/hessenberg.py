@@ -46,15 +46,20 @@ is not a non-empty square matrix, or has a non-finite entry, is
 rejected before either path.
 
 The lower form is the canonical form of a unitary colligation, and one
-reduction answers both questions asked of it.  Minimality: the
-colligation is minimal exactly when no band entry is zero, read at the
-threshold ``max(n+1, 8) * RANK_REL`` relative to the largest entry
-(:func:`band_residual`, defined next to the fold that shares it in
-:mod:`schurcol.colligation`).  Equivalence: with a nonzero band the form
-is unique (implicit Q), so two minimal colligations of one function
-reduce to the same H, and V1 V2* intertwines them.  In floating point
-the two forms differ by their forward error, which grows with kappa,
-so an intertwining residual within EQUIV is only a sufficient test.
+reduction answers both questions asked of it.  A colligation keeps
+its checked form (``UnitaryColligation._form`` in
+:mod:`schurcol.colligation`), reduced here once on first need, with
+the parameters peeled off it; the state-space recursion,
+:func:`find_equivalence`, the CLI's band and minimality read it.
+Minimality (``UnitaryColligation.minimal``): the colligation is
+minimal exactly when no band entry is zero, read at the threshold
+``max(n+1, 8) * RANK_REL`` relative to the largest entry
+(``colligation.band_residual``, next to the fold that shares it).
+Equivalence: with a nonzero band the form is unique (implicit Q), so
+two minimal colligations of one function reduce to the same H, and
+V1 V2* intertwines them.  In floating point the two forms differ by
+their forward error, which grows with kappa, so an intertwining
+residual within EQUIV is only a sufficient test.
 "Same function" is decided as the state-space recursion decides it: the
 Moebius folds of the two peeled parameter sequences agree within
 BACKWARD at the recursion's check points on the unit circle.
@@ -79,10 +84,7 @@ from .colligation import (
     _check_count,
     _fold,
     _in_lower_form,
-    _peel,
-    band_residual,
     intertwining_residual,
-    is_minimal_form,
     unitarity_residual,
 )
 from .sampling import circle_samples
@@ -91,9 +93,6 @@ __all__ = [
     "HessenbergCertificate",
     "reduce_to_special_lower_hessenberg",
     "reduce_to_special_upper_hessenberg",
-    "band_residual",
-    "is_minimal_form",
-    "is_minimal",
     "find_equivalence",
 ]
 
@@ -228,19 +227,15 @@ def _check_certificate(cert: HessenbergCertificate) -> None:
         )
 
 
-def is_minimal(col: UnitaryColligation) -> bool:
-    """Minimality (for a unitary colligation also simplicity), read off the band."""
-    return is_minimal_form(reduce_to_special_lower_hessenberg(col.matrix).H)
-
-
 def find_equivalence(
     col1: UnitaryColligation, col2: UnitaryColligation
 ) -> np.ndarray | None:
     """State gauge V with diag(1, V) U2 = U1 diag(1, V), None if the functions differ.
 
-    Both colligations are reduced to the lower form; NotSimple unless
-    both bands are nonzero.  Minimal realizations of different state
-    dimensions realize different functions (None).  V = V1 V2* is
+    Reads both colligations' kept lower forms (each is reduced once, on
+    first need); NotSimple unless both bands are nonzero.  Minimal
+    realizations of different state dimensions realize different
+    functions (None).  V = V1 V2* is
     returned at once when its intertwining residual is within EQUIV, a
     sufficient test.  Otherwise the functions decide, by the state-space
     recursion's own test: V is returned when the Moebius folds of the two
@@ -256,20 +251,17 @@ def find_equivalence(
     kappa = prod 1 / sqrt(1 - |s_p|^2); that residual is the caller's
     figure to report (:func:`intertwining_residual`).
     """
-    cert1 = reduce_to_special_lower_hessenberg(col1.matrix)
-    cert2 = reduce_to_special_lower_hessenberg(col2.matrix)
-    if not (is_minimal_form(cert1.H) and is_minimal_form(cert2.H)):
+    if not (col1.minimal and col2.minimal):
         raise NotSimple("both colligations must be simple")
     if col1.n != col2.n:
         return None
-    V = cert1.V @ cert2.V.conj().T
+    V = col1._form.V @ col2._form.V.conj().T
     if intertwining_residual(col1, col2, V) <= tol.EQUIV:
         return V
-    s1, s2 = _peel(cert1.H), _peel(cert2.H)
-    if not all(tol.inside_disc(s) for s in s1[:-1] + s2[:-1]):
+    if col1._stop < col1.n or col2._stop < col2.n:
         raise NotSimple(
             f"a peeled parameter is within {tol.DISC:g} of the unit circle"
         )
     t = circle_samples(_check_count(col1.n))
-    gap = np.abs(_fold(s1, t) - _fold(s2, t)).max()
+    gap = np.abs(_fold(col1._peeled, t) - _fold(col2._peeled, t)).max()
     return V if gap <= tol.BACKWARD else None

@@ -1,8 +1,10 @@
 """The Schur algorithm on the special lower Hessenberg form of a colligation.
 
-One Hessenberg reduction, with its certificate check, brings the input
-to special lower Hessenberg form H.  H is the Redheffer coupling of its
-elementary sections, and the recursion peels them off from the left
+The recursion reads the input's kept lower form H
+(``UnitaryColligation._form``: one Hessenberg reduction with its
+certificate check, made on first need and kept with the colligation)
+and the parameters peeled off it.  H is the Redheffer coupling of its
+elementary sections, and the peel takes them off from the left
 (``colligation._peel``; Gragg 1982; Ammar, Gragg & Reichel 1986): with
 sections 0 .. p-1 gone, row p holds only the pair (a, b) of the peeled
 H[p, p] and the band entry H[p, p+1], and
@@ -50,12 +52,9 @@ from .colligation import (
     _fold,
     _peel,
     _peel_steps,
+    is_minimal_form,
 )
 from .errors import InternalInconsistency, NotMinimal
-from .hessenberg import (
-    is_minimal_form,
-    reduce_to_special_lower_hessenberg,
-)
 from .rational import SchurParameterSequence, _couple_section
 from .sampling import circle_samples
 
@@ -185,8 +184,10 @@ def _backward_error(col: UnitaryColligation, params) -> float:
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
-    One Hessenberg reduction, then the section peel of ``colligation._peel``
-    reads s_0 .. s_n off H.  If some |s_p| with p < n reaches 1 - DISC,
+    Reads the colligation's kept lower form H and s_0 .. s_n, peeled off
+    it by ``colligation._peel`` (the reduction and the peel are made once
+    per colligation).  The trace shares H and the gauge with the kept
+    form, read-only.  If some |s_p| with p < n reaches 1 - DISC,
     the input was not minimal or the reduction lost it: a partial trace
     is returned with the diagnostic message instead of an exception, so
     callers can report how far the recursion went.  A complete run raises
@@ -194,11 +195,7 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     function by more than BACKWARD on the unit circle; the exception
     carries the residual and the tolerance.
     """
-    n = col.n
-    cert = reduce_to_special_lower_hessenberg(col.matrix)
-    H = cert.H
-    s = _peel(H)
-    stop = next((p for p in range(n) if not tol.inside_disc(s[p])), n)
+    n, cert, s, stop = col.n, col._form, col._peeled, col._stop
     d = np.sqrt(np.maximum(1.0 - np.abs(np.array(s[:n])) ** 2, 0.0))
     product = float(np.prod(d))
     kappa = 1.0 / product if product > 0.0 else np.inf
@@ -207,9 +204,9 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
             f"terminated at step {stop} of {n}: |s_p| = {abs(s[stop]):.17g} "
             f"is within {tol.DISC:g} of the unit circle"
         )
-        if not is_minimal_form(H):
+        if not col.minimal:
             message += " (input colligation is not minimal)"
-        return SchurStateTrace(s[:stop], H, cert.V, False, message, None, kappa)
+        return SchurStateTrace(s[:stop], cert.H, cert.V, False, message, None, kappa)
     backward = _backward_error(col, s)
     if not backward <= tol.BACKWARD:
         raise InternalInconsistency(
@@ -218,7 +215,7 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
             backward,
             tol.BACKWARD,
         )
-    return SchurStateTrace(s, H, cert.V, True, None, backward, kappa)
+    return SchurStateTrace(s, cert.H, cert.V, True, None, backward, kappa)
 
 
 def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:

@@ -381,6 +381,23 @@ def count_full_reductions(monkeypatch):
     return entered
 
 
+def count_reductions(monkeypatch):
+    """A list that gains the matrix of every checked lower reduction.
+
+    Wraps ``hessenberg.reduce_to_special_lower_hessenberg``, which a
+    colligation's kept lower form looks up when it is first read.
+    """
+    reduced = []
+    reduce = sc.hessenberg.reduce_to_special_lower_hessenberg
+
+    def recording(M):
+        reduced.append(M)
+        return reduce(M)
+
+    monkeypatch.setattr(sc.hessenberg, "reduce_to_special_lower_hessenberg", recording)
+    return reduced
+
+
 def count_unitarity_residuals(monkeypatch):
     """A list that gains the size of every matrix whose unitarity residual is taken.
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -973,7 +974,8 @@ class TestSerialization:
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
         trace = sc.schur_algorithm_state_space(col)
-        assert trace.H.flags.writeable
+        # the trace's H is the colligation's kept lower form, read-only
+        assert trace.H is col._form.H and not trace.H.flags.writeable
         doc = js.trace_to_json(trace)
         arrays = [doc["parameters"], doc["H"], *doc["denominators"]]
         arrays.append(js.colligation_to_json(col)["matrix"])
@@ -981,8 +983,10 @@ class TestSerialization:
         for a in arrays:
             assert a.dtype == complex and not a.flags.writeable
         # no copy of an object's own array, and no change to its flags
-        assert np.shares_memory(doc["H"], trace.H) and trace.H.flags.writeable
+        assert np.shares_memory(doc["H"], trace.H)
         assert np.shares_memory(js.colligation_to_json(col)["matrix"], col.matrix)
+        own = replace(trace, H=trace.H.copy())
+        assert np.shares_memory(js.trace_to_json(own)["H"], own.H) and own.H.flags.writeable
 
     def test_empty_zero_set_is_written_as_an_empty_list(self):
         doc = js.blaschke_to_json(sc.BlaschkeProduct(1.0, ()))

@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from schurcol.colligation import _in_lower_form
-from schurcol.hessenberg import is_minimal_form
+from schurcol.colligation import BLOCK, _in_lower_form, is_minimal_form
+from schurcol.sampling import disc_samples
 from helpers import (
     assert_stored_exactly,
     count_full_reductions,
+    count_reductions,
     hankel_rank,
     random_params,
     random_unitary,
@@ -430,16 +431,16 @@ class TestPredicates:
 
 class TestHessenbergMinimality:
     def test_delay_minimal(self):
-        assert sc.is_minimal(sc.UnitaryColligation(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert sc.UnitaryColligation(np.array([[0.0, 1.0], [1.0, 0.0]])).minimal
 
     def test_identity_not_minimal(self):
-        assert not sc.is_minimal(sc.UnitaryColligation(np.eye(2)))
+        assert not sc.UnitaryColligation(np.eye(2)).minimal
 
     def test_parameter_matrix_minimal(self):
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
-        assert sc.is_minimal(col)
+        assert col.minimal
 
     def test_agrees_with_rank_tests(self):
         # the Hankel rank of the Markov parameters, independent of the band
@@ -447,7 +448,7 @@ class TestHessenbergMinimality:
         for _ in range(200):
             size = int(rng.integers(2, 12))
             col = sc.UnitaryColligation(random_unitary(rng, size))
-            assert sc.is_minimal(col) == (hankel_rank(col) == col.n)
+            assert col.minimal == (hankel_rank(col) == col.n)
 
     def test_agrees_on_constructed_nonminimal(self):
         rng = np.random.default_rng(28)
@@ -458,5 +459,42 @@ class TestHessenbergMinimality:
             ).matrix
             block[n + 1, n + 1] = np.exp(2j * np.pi * rng.uniform())
             col = sc.UnitaryColligation(block)
-            assert not sc.is_minimal(col)
+            assert not col.minimal
             assert hankel_rank(col) == n
+
+
+class TestKeptLowerForm:
+    """A colligation reduces itself once, and only where the lower form is read."""
+
+    def test_one_reduction_per_colligation(self, monkeypatch):
+        rng = np.random.default_rng(340)
+        closed = sc.colligation_from_schur_parameters(random_params(rng, 32))
+        g = sc.apply_state_gauge(closed, random_unitary(rng, 32))
+        reduced = count_reductions(monkeypatch)
+        entered = count_full_reductions(monkeypatch)
+        traces = [sc.schur_algorithm_state_space(g) for _ in range(2)]
+        for first, second in ((g, closed), (closed, g)):
+            assert sc.find_equivalence(first, second) is not None
+        assert g.minimal and closed.minimal
+        assert sum(M is g.matrix for M in reduced) == 1
+        assert len(reduced) == 2 and entered == [32]
+        for trace in traces:
+            assert trace.complete and trace.H is g._form.H and trace.gauge is g._form.V
+        assert not (g._form.H.flags.writeable or g._form.V.flags.writeable)
+
+    @pytest.mark.parametrize("gauged", [False, True], ids=["closed", "gauged"])
+    def test_evaluation_never_reduces(self, gauged, monkeypatch):
+        rng = np.random.default_rng(341)
+        col = sc.colligation_from_schur_parameters(random_params(rng, 16))
+        if gauged:
+            col = sc.apply_state_gauge(col, random_unitary(rng, 16))
+        reduced = count_reductions(monkeypatch)
+        points = disc_samples(8, radius=0.9)
+        sc.characteristic_function(col, 0.5)
+        sc.characteristic_function(col, np.concatenate([points, [2.0]]))
+        sc.verify_spectral_identities(col, points, points[::-1])
+        sc.inner_sampling_report(col, 16, 16)
+        sc.simulate_time_domain(col, np.ones(3 * BLOCK))
+        sc.markov_parameters(col, 2 * BLOCK)
+        assert reduced == [] and "_form" not in vars(col)
+        assert (col._sections is None) == gauged

@@ -73,6 +73,24 @@ def test_no_unused_imports(stem):
     assert sorted(imported_names(tree) - kept) == []
 
 
+def test_each_public_name_has_one_module():
+    homes = {}
+    for stem in MODULES:
+        module = importlib.import_module(f"schurcol.{stem}")
+        for name in getattr(module, "__all__", ()):
+            homes.setdefault(name, []).append(stem)
+    assert {name: stems for name, stems in homes.items() if len(stems) > 1} == {}
+
+
+def test_readme_tour_runs():
+    # the python block under "## Library tour", so a renamed API cannot
+    # leave the README behind
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def loads_numpy_random(module):
     """Whether a fresh interpreter has numpy.random loaded after importing module."""
     env = dict(os.environ)

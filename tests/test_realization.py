@@ -72,7 +72,7 @@ class TestModelColligation:
             b = random_blaschke(rng, n)
             col = sc.model_colligation(b)
             assert band_length(col) == n
-            assert sc.is_minimal(col)
+            assert col.minimal
 
     def test_degree_zero(self):
         col = sc.model_colligation(sc.BlaschkeProduct(1.0j, ()))

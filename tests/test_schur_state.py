@@ -409,7 +409,7 @@ class TestMatrixBuilders:
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
-        assert sc.is_minimal(col)
+        assert col.minimal
         assert _in_lower_form(col.matrix)
 
 
