@@ -106,9 +106,13 @@ def _write_output(args, doc) -> None:
 
 
 def _band_diagnostic(cmd: _Command, col: co.UnitaryColligation) -> None:
-    """Minimality: the band residual of the lower form, at most 1 when minimal."""
+    """Minimality: the band residual of the lower matrix, at most 1 when minimal.
+
+    The colligation's own matrix when it is exactly in lower form, so no
+    certificate is built for it; otherwise the kept form's H.
+    """
     if col.n >= 1:
-        cmd.diag("band_minimum", co.band_residual(col._form.H), 1.0)
+        cmd.diag("band_minimum", co.band_residual(col._lower), 1.0)
 
 
 def _cascade_trace(blaschke) -> ss.SchurStateTrace:

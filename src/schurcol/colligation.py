@@ -43,20 +43,28 @@ each sample set as one batch on this route, and the four kernel
 identities of :func:`verify_spectral_identities` need only two batches,
 r and l at all their points.
 
-The special lower Hessenberg form is the colligation's canonical form.
-A colligation reduces itself once, on first need, by
-``hessenberg.reduce_to_special_lower_hessenberg``, and keeps the checked
-certificate, the Schur parameters peeled off it and the index at which
-the peel leaves the disc (``UnitaryColligation._form``, ``_peeled`` and
-``_stop``).  The state-space recursion, ``hessenberg.find_equivalence``,
-:attr:`UnitaryColligation.minimal` and the CLI's band diagnostic read
-what is kept.  Evaluation never builds it: the fold needs a matrix
-exactly in lower form and peels that matrix itself.  The exact-form
-test, the band rule and the peel's stop rule live here.  The time-domain
-recursion keeps its states as the rows of one array.  It carries only
-the state at every ``BLOCK``-th step, by D^BLOCK and one window sum per
-block from the first Krylov block [C, DC, ..., D^(BLOCK-1) C], and then
-steps the rows between these edges for all blocks at once by [C D];
+The special lower Hessenberg form is the colligation's canonical form,
+and a colligation has one lower matrix (``UnitaryColligation._lower``).
+It tests once whether its matrix is exactly in that form (``_exact``);
+if so, the matrix is its own lower matrix, and otherwise the lower
+matrix is the H of the checked certificate, reduced once on first need
+by ``hessenberg.reduce_to_special_lower_hessenberg`` and kept
+(``_form``).  The Schur parameters are peeled off the lower matrix once
+and kept, with the index at which the peel leaves the disc (``_peeled``
+and ``_stop``).  The fold's sections, the state-space recursion,
+``hessenberg.find_equivalence``, :attr:`UnitaryColligation.minimal` and
+the CLI's band diagnostic read that one peel and that one band.  The
+certificate is built only where its gauge V is read (the recursion's
+trace and the equivalence test) or the matrix is not exact.  Evaluation
+never builds it: the fold is taken only on an exact matrix, and
+exactness is tested first.  The exact-form test, the band rule and the
+peel's stop rule live here.
+
+The time-domain recursion keeps its states as the rows of one array.
+It carries only the state at every ``BLOCK``-th step, by D^BLOCK and
+one window sum per block from the first Krylov block
+[C, DC, ..., D^(BLOCK-1) C], and then steps the rows between these
+edges for all blocks at once by [C D];
 D^BLOCK and the Krylov block are formed once per colligation and kept.
 The Markov parameters are this recursion's impulse response.
 """
@@ -120,8 +128,9 @@ class UnitaryColligation:
 
     What is derived from the matrix is made on first use and kept with
     it: D^BLOCK and the first Krylov block for the simulation, the
-    sections for the fold, and the checked lower form with its peel for
-    the recursion, the equivalence test, minimality and the CLI.
+    exact-form test, the one peel of the lower matrix that the fold, the
+    recursion, the equivalence test, minimality and the CLI read, and the
+    checked lower form where its gauge is read or the matrix is not exact.
     """
 
     matrix: np.ndarray
@@ -192,7 +201,8 @@ class UnitaryColligation:
 
         Reduced on first use by ``hessenberg.reduce_to_special_lower_hessenberg``,
         looked up when called (that module imports this one), and kept with
-        its arrays read-only.
+        its arrays read-only.  Read for its gauge V, and for its H only when
+        the matrix is not exactly in lower form (``_lower``).
         """
         from .hessenberg import reduce_to_special_lower_hessenberg
 
@@ -202,9 +212,19 @@ class UnitaryColligation:
         return form
 
     @cached_property
+    def _exact(self) -> bool:
+        """The matrix is exactly in special lower Hessenberg form, tested once."""
+        return _in_lower_form(self.matrix)
+
+    @property
+    def _lower(self) -> np.ndarray:
+        """The lower matrix: the matrix itself when exact, else the kept form's H."""
+        return self.matrix if self._exact else self._form.H
+
+    @cached_property
     def _peeled(self) -> tuple[complex, ...]:
-        """Schur parameters s_0 .. s_n peeled off the kept lower form (:func:`_peel`)."""
-        return _peel(self._form.H)
+        """Schur parameters s_0 .. s_n peeled off the lower matrix (:func:`_peel`)."""
+        return _peel(self._lower)
 
     @cached_property
     def _stop(self) -> int:
@@ -213,24 +233,20 @@ class UnitaryColligation:
 
     @property
     def minimal(self) -> bool:
-        """Minimality (for a unitary colligation also simplicity): the kept form's band."""
-        return is_minimal_form(self._form.H)
+        """Minimality (for a unitary colligation also simplicity): ``_lower``'s band."""
+        return is_minimal_form(self._lower)
 
     @cached_property
     def _sections(self) -> tuple[complex, ...] | None:
-        """Schur parameters s_0 .. s_n to fold S from, or None for the LU route.
+        """The kept peel, to fold S from, or None for the LU route.
 
-        Peeled off the matrix itself on first use and kept, so evaluation
-        never reduces.  None unless n >= 1, the matrix is exactly in
-        special lower Hessenberg form, its band is minimal
-        (:func:`is_minimal_form`) and every peeled s_p with p < n is
-        inside the disc.
+        None unless n >= 1, the matrix is exactly in special lower
+        Hessenberg form, its band is minimal (:func:`is_minimal_form`) and
+        every peeled s_p with p < n is inside the disc.  Exactness is
+        tested first, so evaluation never reduces.
         """
-        m = self.matrix
-        if self.n == 0 or not _in_lower_form(m) or not is_minimal_form(m):
-            return None
-        params = _peel(m)
-        return params if _disc_stop(params) == self.n else None
+        fold = self.n and self._exact and self.minimal and self._stop == self.n
+        return self._peeled if fold else None
 
 
 def _in_lower_form(M: np.ndarray) -> bool:
@@ -386,7 +402,8 @@ STACK = 2**16
 def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - z D) x = rhs by LU with partial pivoting, for every point z.
 
-    NearPole when LAPACK finds I - z D singular or max|x| > max|rhs| / POLE.
+    NearPole at a non-finite z, or when LAPACK finds I - z D singular or
+    max|x| > max|rhs| / POLE.
     A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
     disc the rule can fire only within about sqrt(n) * POLE of the circle.
 
@@ -399,6 +416,10 @@ def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
     the rule.
     """
     points = np.atleast_1d(np.asarray(z, dtype=complex))
+    # rejected before -z D, where inf * 0 would warn first
+    finite = np.isfinite(points)
+    if not finite.all():
+        raise NearPole(f"z = {complex(points[~finite][0])!r} is not a finite point")
     rhs = np.asarray(rhs, dtype=complex)
     n = len(D)
     x = np.empty(points.shape + rhs.shape, dtype=complex)
@@ -517,7 +538,12 @@ def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
 def intertwining_residual(
     col1: UnitaryColligation, col2: UnitaryColligation, V: np.ndarray
 ) -> float:
-    """max-norm of diag(1, V) U2 - U1 diag(1, V)."""
+    """max-norm of diag(1, V) U2 - U1 diag(1, V).
+
+    DimensionMismatch unless both state dimensions are n and V is n x n.
+    """
+    if col2.n != col1.n or np.shape(V) != (col1.n, col1.n):
+        raise DimensionMismatch(f"gauge {np.shape(V)} for n = {col1.n}, {col2.n}")
     G = np.eye(col1.n + 1, dtype=complex)
     G[1:, 1:] = V
     return float(np.abs(G @ col2.matrix - col1.matrix @ G).max())

@@ -15,11 +15,11 @@ entry H[k, k+1] and sets q_k = w / |w|; q_0's band entry H[0, 1] is
 |B|.  The cost is O(n^3) in matrix-vector products, and H is formed
 once as G* M G.  The certificate's two residuals, max|G* M G - H| /
 max|M| (max|M| taken once, also for the breakdown cut) and the
-unitarity residual of V, are kept on it; the check compares both with
-CERTIFICATE and reads nothing else, since they are all that a
-reduction can get wrong.  The upper form is obtained from the
-reduction of the adjoint, which is equivalent because the conjugate
-of a nonnegative real is itself.
+unitarity residual of V, are kept on it; the reduction compares both
+with CERTIFICATE and reads nothing else, since they are all that a
+reduction can get wrong.  The upper form is the adjoint of the checked
+lower reduction of M*, with its gauge and residuals, which is
+equivalent because the conjugate of a nonnegative real is itself.
 
 A breakdown, |w| <= STRUCT max|M| (the Krylov space is numerically
 invariant, or B numerically zero), stores a band entry of exactly 0 and restarts
@@ -40,17 +40,21 @@ exact, not STRUCT, so a matrix that is lower only to a tolerance takes
 the full reduction.  Closed forms of parameter sequences pass it, and
 so do their JSON round trips.  Such an input certifies itself in
 O(n^2): with V = I both residuals are exactly 0, and no product is
-formed.  The test, ``colligation._in_lower_form``, is also the first
-condition for folding S from the peeled Schur sections.  An input that
-is not a non-empty square matrix, or has a non-finite entry, is
-rejected before either path.
+formed.  The test, ``colligation._in_lower_form``, is also the
+colligation's own, made once (``UnitaryColligation._exact``): an exact
+matrix is its own lower matrix, and the first condition for folding S
+from the peeled Schur sections.  An input that is not a non-empty
+square matrix, or has a non-finite entry, is rejected before either
+path.
 
 The lower form is the canonical form of a unitary colligation, and one
-reduction answers both questions asked of it.  A colligation keeps
-its checked form (``UnitaryColligation._form`` in
-:mod:`schurcol.colligation`), reduced here once on first need, with
-the parameters peeled off it; the state-space recursion,
-:func:`find_equivalence`, the CLI's band and minimality read it.
+lower matrix answers both questions asked of it.  A colligation's lower
+matrix (``UnitaryColligation._lower`` in :mod:`schurcol.colligation`)
+is its own matrix when that is exact, and otherwise the H of its
+checked form (``_form``), reduced here once on first need; the
+parameters are peeled off it once.  The state-space recursion,
+:func:`find_equivalence`, the CLI's band and minimality read it, and
+the certificate is built only where its gauge is read.
 Minimality (``UnitaryColligation.minimal``): the colligation is
 minimal exactly when no band entry is zero, read at the threshold
 ``max(n+1, 8) * RANK_REL`` relative to the largest entry
@@ -117,7 +121,7 @@ class HessenbergCertificate:
 
 
 def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
-    """Reduce M by a state gauge to special lower Hessenberg form.
+    """Reduce M by a state gauge to special lower Hessenberg form, checked.
 
     The gauge columns are the Arnoldi basis of D* from q_0 = B* / |B|,
     each step orthogonalized by two classical Gram-Schmidt passes, and
@@ -128,27 +132,11 @@ def reduce_to_special_lower_hessenberg(M: np.ndarray) -> HessenbergCertificate:
     exactly: zeros above the band, the real nonnegative band of the |w|,
     and ``H[0, 0] == M[0, 0]``.  An input exactly in lower form is
     returned as a copy, with V = I, no Arnoldi step and zero residuals.
+    DimensionMismatch unless M is a non-empty square matrix;
+    InternalInconsistency on a non-finite entry, and when either residual
+    misses CERTIFICATE.
     """
-    cert = _reduce_lower(np.asarray(M, dtype=complex))
-    _check_certificate(cert)
-    return cert
-
-
-def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
-    """Adjoint trick: reduce M* to lower form with gauge V, then H = (H_lower)*."""
-    lower = _reduce_lower(np.asarray(M, dtype=complex).conj().T)
-    cert = replace(lower, H=lower.H.conj().T, orientation="upper")
-    _check_certificate(cert)
-    return cert
-
-
-def _reduce_lower(M: np.ndarray) -> HessenbergCertificate:
-    """The lower reduction with its residuals, unchecked; the callers check it.
-
-    DimensionMismatch unless M is a non-empty square matrix, and
-    InternalInconsistency on a non-finite entry.  An input exactly in
-    lower form is returned as a copy with V = I and residuals of 0.
-    """
+    M = np.asarray(M, dtype=complex)
     # M is the adjoint for the upper form, so the message names no shape
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
         raise DimensionMismatch("expected a non-empty square matrix")
@@ -159,8 +147,22 @@ def _reduce_lower(M: np.ndarray) -> HessenbergCertificate:
         recon = gauge_res = 0.0
     else:
         H, V, recon, gauge_res = _arnoldi_lower(M)
+    if not (gauge_res <= tol.CERTIFICATE and recon <= tol.CERTIFICATE):
+        raise InternalInconsistency(
+            f"gauge residuals too large: unitarity {gauge_res:.3e}, "
+            f"reconstruction {recon:.3e}"
+        )
     band = np.real(np.diagonal(H, 1)).copy()
     return HessenbergCertificate(H, V, "lower", band, recon, gauge_res)
+
+
+def reduce_to_special_upper_hessenberg(M: np.ndarray) -> HessenbergCertificate:
+    """The adjoint of the checked lower reduction of M*: H = (H_lower)*, same V.
+
+    The residuals are those of the reduction of M*, and so are the errors.
+    """
+    lower = reduce_to_special_lower_hessenberg(np.asarray(M, dtype=complex).conj().T)
+    return replace(lower, H=lower.H.conj().T, orientation="upper")
 
 
 def _orthogonalize(
@@ -213,18 +215,6 @@ def _arnoldi_lower(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]
     V = basis.T.copy()
     recon = float(np.abs(product - H).max()) / scale
     return H, V, recon, unitarity_residual(V)
-
-
-def _check_certificate(cert: HessenbergCertificate) -> None:
-    """InternalInconsistency unless both residuals cert carries meet CERTIFICATE."""
-    if not (
-        cert.gauge_unitarity <= tol.CERTIFICATE
-        and cert.reconstruction <= tol.CERTIFICATE
-    ):
-        raise InternalInconsistency(
-            f"gauge residuals too large: unitarity {cert.gauge_unitarity:.3e}, "
-            f"reconstruction {cert.reconstruction:.3e}"
-        )
 
 
 def find_equivalence(

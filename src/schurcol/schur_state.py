@@ -1,11 +1,13 @@
 """The Schur algorithm on the special lower Hessenberg form of a colligation.
 
-The recursion reads the input's kept lower form H
-(``UnitaryColligation._form``: one Hessenberg reduction with its
-certificate check, made on first need and kept with the colligation)
-and the parameters peeled off it.  H is the Redheffer coupling of its
-elementary sections, and the peel takes them off from the left
-(``colligation._peel``; Gragg 1982; Ammar, Gragg & Reichel 1986): with
+The recursion reads the parameters peeled once off the input's lower
+matrix H (``UnitaryColligation._peeled``; H is the matrix itself when
+it is exactly in lower form, else the H of ``_form``, one Hessenberg
+reduction with its certificate check), and the kept form's H and
+gauge for the trace; each is made on first need and kept with the
+colligation.  H is the Redheffer coupling of its elementary sections,
+and the peel takes them off from the left (``colligation._peel``;
+Gragg 1982; Ammar, Gragg & Reichel 1986): with
 sections 0 .. p-1 gone, row p holds only the pair (a, b) of the peeled
 H[p, p] and the band entry H[p, p+1], and
 
@@ -184,16 +186,17 @@ def _backward_error(col: UnitaryColligation, params) -> float:
 def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
-    Reads the colligation's kept lower form H and s_0 .. s_n, peeled off
-    it by ``colligation._peel`` (the reduction and the peel are made once
-    per colligation).  The trace shares H and the gauge with the kept
-    form, read-only.  If some |s_p| with p < n reaches 1 - DISC,
-    the input was not minimal or the reduction lost it: a partial trace
-    is returned with the diagnostic message instead of an exception, so
-    callers can report how far the recursion went.  A complete run raises
-    InternalInconsistency when the recovered parameters miss the input's
-    function by more than BACKWARD on the unit circle; the exception
-    carries the residual and the tolerance.
+    Reads s_0 .. s_n, peeled off the colligation's lower matrix by
+    ``colligation._peel``, and its kept lower form for the trace's H and
+    gauge (the reduction and the peel are made once per colligation, and
+    the peel of a closed form is the fold's).  The trace shares H and the
+    gauge with the kept form, read-only.  If some |s_p| with p < n
+    reaches 1 - DISC, the input was not minimal or the reduction lost
+    it: a partial trace is returned with the diagnostic message instead
+    of an exception, so callers can report how far the recursion went.
+    A complete run raises InternalInconsistency when the recovered
+    parameters miss the input's function by more than BACKWARD on the
+    unit circle; the exception carries the residual and the tolerance.
     """
     n, cert, s, stop = col.n, col._form, col._peeled, col._stop
     d = np.sqrt(np.maximum(1.0 - np.abs(np.array(s[:n])) ** 2, 0.0))

@@ -378,9 +378,25 @@ class TestHessenberg:
                 [complex(re, im) for re, im in json.loads(out.read_text())["parameters"]]
             )
 
+        entered = count_full_reductions(monkeypatch)
         shortcut = schur_parameters(tmp_path / "shortcut.json")
-        monkeypatch.setattr(sc.hessenberg, "_in_lower_form", lambda M: False)
+        # the colligation's own exactness test and the reduction's, so that
+        # the parameters are peeled off the H that Arnoldi built
+        for module in (sc.colligation, sc.hessenberg):
+            monkeypatch.setattr(module, "_in_lower_form", lambda M: False)
+        built, peeled = [], []
+        loop, peel = sc.hessenberg._arnoldi_lower, sc.colligation._peel
+        monkeypatch.setattr(
+            sc.hessenberg,
+            "_arnoldi_lower",
+            lambda M: built.append(loop(M)) or built[-1],
+        )
+        monkeypatch.setattr(
+            sc.colligation, "_peel", lambda H: peeled.append(H) or peel(H)
+        )
         full = schur_parameters(tmp_path / "full.json")
+        assert entered == [32]
+        assert len(peeled) == 1 and peeled[0] is built[0][0]
         assert np.abs(shortcut - full).max() <= 1e-15
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -258,6 +259,34 @@ class TestBatchedResolvent:
             for rhs in (col.C, np.eye(8, 2)):
                 co._resolvent_apply(col.D, z, rhs)
         assert axes == [(3, 3)] * 4
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda closed, gauged: sc.characteristic_function(closed, np.inf),
+            lambda closed, gauged: sc.characteristic_function(gauged, [0.5, np.inf]),
+            lambda closed, gauged: sc.characteristic_matrix(
+                sc.elementary_schur_section(0.3).partitioned, -np.inf
+            ),
+            lambda closed, gauged: sc.verify_spectral_identities(
+                gauged, [np.inf], [0.1]
+            ),
+            lambda closed, gauged: sc.characteristic_function(
+                gauged, complex(0, np.nan)
+            ),
+        ],
+        ids=["closed", "gauged_array", "section_matrix", "identities", "nan"],
+    )
+    def test_non_finite_point_is_named_before_any_product(self, call):
+        # z = inf times a zero entry of D would warn (inf * 0) before the
+        # pole rule could name the point
+        rng = np.random.default_rng(3005)
+        closed = random_colligation(rng, 4)
+        gauged = sc.apply_state_gauge(closed, random_unitary(rng, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sc.NearPole, match="not a finite point"):
+                call(closed, gauged)
 
     @pytest.mark.parametrize("pole", [-2.0, -2.0 + 1e-13])
     def test_near_pole_names_the_point(self, pole):
@@ -580,6 +609,13 @@ class TestFindEquivalence:
         v = sc.find_equivalence(col, col)
         assert_allclose(v, np.eye(1), atol=1e-12)
         assert sc.intertwining_residual(col, col, v) <= 1e-14
+
+    def test_intertwining_residual_checks_dimensions(self):
+        # the mistakes apply_state_gauge rejects, typed the same way
+        col = random_colligation(np.random.default_rng(10), 3)
+        for other, v in [(col, np.eye(2)), (sc.UnitaryColligation(DELAY), np.eye(3))]:
+            with pytest.raises(sc.DimensionMismatch):
+                sc.intertwining_residual(col, other, v)
 
     def test_different_functions_give_none(self):
         col1 = sc.colligation_from_schur_parameters(

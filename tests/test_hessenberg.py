@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
+from schurcol import cli
 from schurcol.colligation import BLOCK, _in_lower_form, is_minimal_form
 from schurcol.sampling import disc_samples
 from helpers import (
@@ -393,19 +394,28 @@ class TestUpperReduction:
         assert band.real.min() >= -1e-12
 
     def test_certificate_checked_once(self, monkeypatch):
-        calls = []
-        original = sc.hessenberg._check_certificate
-
-        def counted(cert):
-            calls.append(cert.orientation)
-            return original(cert)
-
-        monkeypatch.setattr(sc.hessenberg, "_check_certificate", counted)
+        # the upper form is the adjoint of one checked lower reduction: one
+        # Arnoldi entry, and a residual past CERTIFICATE fails both forms
         m = random_unitary(np.random.default_rng(27), 6)
+        entered = count_full_reductions(monkeypatch)
         sc.reduce_to_special_upper_hessenberg(m)
-        assert calls == ["upper"]
-        sc.reduce_to_special_lower_hessenberg(m)
-        assert calls == ["upper", "lower"]
+        assert entered == [5]
+        loop = sc.hessenberg._arnoldi_lower
+        # reconstruction, then unitarity of the gauge
+        for missed in range(2):
+
+            def missing(M):
+                H, V, *residuals = loop(M)
+                residuals[missed] = 1e-10
+                return H, V, *residuals
+
+            monkeypatch.setattr(sc.hessenberg, "_arnoldi_lower", missing)
+            for reduce in (
+                sc.reduce_to_special_lower_hessenberg,
+                sc.reduce_to_special_upper_hessenberg,
+            ):
+                with pytest.raises(sc.InternalInconsistency, match="1.000e-10"):
+                    reduce(m)
 
 
 class TestPredicates:
@@ -481,6 +491,33 @@ class TestKeptLowerForm:
         for trace in traces:
             assert trace.complete and trace.H is g._form.H and trace.gauge is g._form.V
         assert not (g._form.H.flags.writeable or g._form.V.flags.writeable)
+
+    def test_one_peel_per_colligation(self, monkeypatch):
+        # a closed form is its own lower matrix: the fold, minimality, the
+        # recursion and the readout read one peel of it
+        peeled = []
+        peel = sc.colligation._peel
+        monkeypatch.setattr(
+            sc.colligation, "_peel", lambda H: peeled.append(H) or peel(H)
+        )
+        col = sc.colligation_from_schur_parameters(
+            random_params(np.random.default_rng(342), 16)
+        )
+        sc.characteristic_function(col, 0.5)
+        assert col.minimal
+        assert sc.schur_algorithm_state_space(col).complete
+        assert sc.readout_residual(col) is not None
+        assert len(peeled) == 1 and peeled[0] is col.matrix
+
+    def test_band_of_a_closed_form_builds_no_certificate(self):
+        # minimality and the CLI's band line read the exact matrix itself
+        col = sc.colligation_from_schur_parameters(
+            random_params(np.random.default_rng(343), 16)
+        )
+        cmd = cli._Command(None)
+        cli._band_diagnostic(cmd, col)
+        assert col.minimal and cmd.diagnostics[0]["residual"] <= 1.0
+        assert "_form" not in vars(col)
 
     @pytest.mark.parametrize("gauged", [False, True], ids=["closed", "gauged"])
     def test_evaluation_never_reduces(self, gauged, monkeypatch):
