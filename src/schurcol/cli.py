@@ -261,10 +261,12 @@ def _cmd_verify(cmd: _Command) -> dict:
         spectral = co.verify_spectral_identities(col, zs, zetas)
         cmd.diag("spectral_identities", spectral.max_residual, tol.SPECTRAL)
         summary["spectral_max_residual"] = _json_residual(spectral.max_residual)
-    # S, r and l off the sections describe the closed form of the peel
-    readout = ss.readout_residual(col)
-    if readout is not None:
-        cmd.diag("readout", readout, tol.READOUT)
+        # S, r and l are folded from the peel of the lower form: the readout
+        # ties them to that form, and a reduced form's reconstruction ties it
+        # to the matrix
+        cmd.diag("readout", ss.readout_residual(col), tol.READOUT)
+    if not col._exact:
+        cmd.diag("reconstruction", col._form.reconstruction, tol.CERTIFICATE)
     summary["inner_disc_excess"] = _json_residual(disc_excess)
     summary["inner_circle_deviation"] = _json_residual(circle_dev)
     return summary

@@ -6,59 +6,45 @@ and ``D`` is nxn.  Its characteristic function
 
     S(z) = A + z B (I - z D)^{-1} C
 
-is evaluated on one of two routes.  A matrix exactly in special lower
-Hessenberg form with a minimal band is the Redheffer coupling of its
-elementary Schur sections, so its S is the Moebius fold of its Schur
-parameters.  These are peeled off the matrix once, O(n^2), and kept with
-the colligation; each point z with |z| <= 1 then costs O(n) operations.
-The same sweep carries the resolvent vectors r = (I - z D)^{-1} C and
-l = B (I - z D)^{-1} (:func:`_section_chain`).  The fold is taken only
-while every peeled s_p with p < n is inside the disc.  Its consumers:
+is evaluated on one route.  Every colligation is equivalent to its
+special lower Hessenberg form, and that form is the Redheffer coupling
+of its elementary Schur sections, so S is the Moebius fold of its Schur
+parameters.  A colligation has one lower matrix
+(``UnitaryColligation._lower``).  It tests once whether its matrix is
+exactly in that form (``_exact``); if so, the matrix is its own lower
+matrix, and otherwise the lower matrix is the H of the checked
+certificate, reduced once on first need by
+``hessenberg.reduce_to_special_lower_hessenberg`` and kept (``_form``).
+The Schur parameters are peeled off the lower matrix once, O(n^2), and
+kept, with the index at which the peel leaves the disc (``_peeled`` and
+``_stop``).  The fold reads that peel up to the first band entry that is
+exactly 0 (``_sections``), and each point then costs O(n).  The same
+sweep carries the resolvent vectors r = (I - z D)^{-1} C and
+l = B (I - z D)^{-1} of the lower matrix (:func:`_section_chain`), which
+the gauge V maps back to the matrix.  Its consumers:
 
 - :func:`characteristic_function` folds one Python complex at a time,
   also for the points of an array, so a point gets the same bits alone
   and in an array (numpy's complex array products round differently
-  from Python's);
+  from Python's); a point outside the disc is the reflection
+  1 / conj(S(1/conj(z))) of an inner S;
 - :func:`verify_spectral_identities` takes S, r and l off the section
   chain, and :func:`inner_sampling_report` S off the fold, in numpy's
-  arithmetic over all their points, when every point has |z| <= 1;
-  their values are the closed form's, which
-  ``schur_state.readout_residual`` ties to the matrix;
+  arithmetic over all their points in the closed disc;
 - ``schur_state`` folds the recovered parameters over the roots of unity
   of its backward check, in numpy's arithmetic.
 
-Every other point (|z| > 1, a gauged or non-minimal matrix, n = 0) takes
-one LU solve of (I - z D) x = C, and all points take the same path: the
-matrices I - z_k D of a chunk of points go to one stacked LAPACK call,
-which gives each point the result of its own solve.  One point is a
-stack of one, so it gets the same bits alone and in an array, and an
-empty state space (n = 0) needs no branch.  The matrix is never
-inverted explicitly and no determinant is taken.  The solve itself is
-the pole test, applied per point: z counts as a pole (NearPole) when
-LAPACK finds I - z D singular or when max|x| exceeds max|C| / POLE.  A
-chunk holds at most ``STACK`` complex matrix entries (1 MiB), so the
-memory of a batch is bounded at every degree.  The sampling checks here
-and in :mod:`schurcol.realization` and :mod:`schurcol.redheffer` take
-each sample set as one batch on this route, and the four kernel
-identities of :func:`verify_spectral_identities` need only two batches,
-r and l at all their points.
-
-The special lower Hessenberg form is the colligation's canonical form,
-and a colligation has one lower matrix (``UnitaryColligation._lower``).
-It tests once whether its matrix is exactly in that form (``_exact``);
-if so, the matrix is its own lower matrix, and otherwise the lower
-matrix is the H of the checked certificate, reduced once on first need
-by ``hessenberg.reduce_to_special_lower_hessenberg`` and kept
-(``_form``).  The Schur parameters are peeled off the lower matrix once
-and kept, with the index at which the peel leaves the disc (``_peeled``
-and ``_stop``).  The fold's sections, the state-space recursion,
-``hessenberg.find_equivalence``, :attr:`UnitaryColligation.minimal` and
-the CLI's band diagnostic read that one peel and that one band.  The
-certificate is built only where its gauge V is read (the recursion's
-trace and the equivalence test) or the matrix is not exact.  Evaluation
-never builds it: the fold is taken only on an exact matrix, and
-exactness is tested first.  The exact-form test, the band rule and the
-peel's stop rule live here.
+The values are those of the closed form of the peel.  The readout
+residual (``schur_state.readout_residual``) ties them to the lower
+matrix, and the certificate's reconstruction residual ties a reduced
+lower matrix to the matrix; either moves them by at most about its size
+times the resolvent bound 1 / (1 - |z|), taken at 1/conj(z) outside the
+disc.  No linear system is solved and no determinant is taken.  The
+recursion, ``hessenberg.find_equivalence``,
+:attr:`UnitaryColligation.minimal` and the CLI's band diagnostic read
+the same peel and band.  The certificate is built only where its gauge
+V is read or the matrix is not exact, so a closed form never builds it.
+The exact-form test, the band rule and the peel's stop rule live here.
 
 The time-domain recursion keeps its states as the rows of one array.
 It carries only the state at every ``BLOCK``-th step, by D^BLOCK and
@@ -71,6 +57,7 @@ The Markov parameters are this recursion's impulse response.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -78,7 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NearPole, NotUnitary
+from .errors import DimensionMismatch, DiscViolation, NearPole, NotUnitary
 from .sampling import circle_samples, disc_samples
 
 __all__ = [
@@ -201,8 +188,10 @@ class UnitaryColligation:
 
         Reduced on first use by ``hessenberg.reduce_to_special_lower_hessenberg``,
         looked up when called (that module imports this one), and kept with
-        its arrays read-only.  Read for its gauge V, and for its H only when
-        the matrix is not exactly in lower form (``_lower``).
+        its arrays read-only.  Read for its H only when the matrix is not
+        exactly in lower form (``_lower``), and for its gauge V by the
+        recursion's trace, the equivalence test and the identities of such
+        a matrix.
         """
         from .hessenberg import reduce_to_special_lower_hessenberg
 
@@ -228,8 +217,13 @@ class UnitaryColligation:
 
     @cached_property
     def _stop(self) -> int:
-        """Index of the first peeled s_p, p < n, on or past 1 - DISC; n if none."""
-        return _disc_stop(self._peeled)
+        """Index of the first peeled s_p, p < n, on or past 1 - DISC; n if none.
+
+        The one stop rule of the peel: the recursion ends there, and the
+        equivalence test needs it at n.
+        """
+        inside = map(tol.inside_disc, self._peeled[: self.n])
+        return next((p for p, ok in enumerate(inside) if not ok), self.n)
 
     @property
     def minimal(self) -> bool:
@@ -237,16 +231,20 @@ class UnitaryColligation:
         return is_minimal_form(self._lower)
 
     @cached_property
-    def _sections(self) -> tuple[complex, ...] | None:
-        """The kept peel, to fold S from, or None for the LU route.
+    def _sections(self) -> tuple[complex, ...]:
+        """The Schur parameters S is folded from: the kept peel, cut at a split.
 
-        None unless n >= 1, the matrix is exactly in special lower
-        Hessenberg form, its band is minimal (:func:`is_minimal_form`) and
-        every peeled s_p with p < n is inside the disc.  Exactness is
-        tested first, so evaluation never reduces.
+        At n >= 1, ``_peeled`` up to the first band entry of ``_lower``
+        that is exactly 0, where the lower matrix splits into two diagonal
+        blocks and that s_q is unimodular; the first block carries S.  A
+        band entry that is small but not 0 cuts nothing.  At n = 0, (A,),
+        so S = A bitwise.  A matrix not exactly in lower form is reduced
+        once, on first need.
         """
-        fold = self.n and self._exact and self.minimal and self._stop == self.n
-        return self._peeled if fold else None
+        if not self.n:
+            return (self.A,)
+        zeros = np.flatnonzero(np.diagonal(self._lower, 1) == 0.0)
+        return self._peeled[: zeros[0] + 1] if len(zeros) else self._peeled
 
 
 def _in_lower_form(M: np.ndarray) -> bool:
@@ -319,16 +317,6 @@ def _peel(H: np.ndarray) -> tuple[complex, ...]:
     return tuple(s for s, _, _ in _peel_steps(H))
 
 
-def _disc_stop(params) -> int:
-    """Index of the first s_p, p < n, with |s_p| >= 1 - DISC; n if none.
-
-    The one stop rule of the peel: the recursion ends there, and the fold
-    and the equivalence test need it at n.
-    """
-    n = len(params) - 1
-    return next((p for p in range(n) if not tol.inside_disc(params[p])), n)
-
-
 def _fold(params, z, steps=None):
     """S(z) from its Schur parameters s_0 .. s_n, O(n) per point.
 
@@ -362,145 +350,100 @@ def _check_count(n: int) -> int:
 
 
 def _section_chain(col: UnitaryColligation, z: np.ndarray):
-    """(S, r, l) at the points z off the sections of a lower form, O(n) per point.
+    """(S, r, l) at the points z off the sections of the lower form, O(n) per point.
 
-    col has peeled sections s_0 .. s_n (``UnitaryColligation._sections``),
-    its matrix H band entries d_k = H[k, k+1], and z is a 1-D array of
-    points with |z| <= 1.  H is the Redheffer coupling of its sections,
-    so the fold's tails f_n = s_n, f_k = (s_k + z f_{k+1}) / (1 + conj(s_k)
-    z f_{k+1}) carry the resolvent vectors along: with e_0 = 1 and
-    e_{k+1} = e_k d_k / (1 + conj(s_k) z f_{k+1}),
+    col has the sections s_0 .. s_q (``UnitaryColligation._sections``),
+    its lower matrix H band entries d_k = H[k, k+1], and z is a 1-D array
+    of points with |z| <= 1.  H is the Redheffer coupling of its
+    sections, so the fold's tails f_q = s_q, f_k = (s_k + z f_{k+1}) /
+    (1 + conj(s_k) z f_{k+1}) carry its resolvent vectors along: with
+    e_0 = 1 and e_{k+1} = e_k d_k / (1 + conj(s_k) z f_{k+1}),
 
         S = f_0,  r_j = ((I - z D)^{-1} C)_j = f_{j+1} e_{j+1},
         l_j = (B (I - z D)^{-1})_j = z^j e_{j+1},
 
-    r and l with one row per point.  The fold's array mode gives the
-    tails and denominators; e and z^j e are running products down them.
-    Inside the closed disc |f_{k+1}| <= 1, so |conj(s_k) z f_{k+1}| <=
-    |s_k| < 1 - DISC: no denominator vanishes and the chain needs no pole
-    rule.
+    r and l with one row per point and n columns.  Past a split (q < n,
+    d_q = 0) every e_{j+1} is 0, so those columns are 0.  The fold's
+    array mode gives the tails and denominators; e and z^j e are running
+    products down them.  Inside the closed disc |f_{k+1}| <= 1, so
+    |conj(s_k) z f_{k+1}| <= |s_k|, and a denominator can vanish only on
+    the circle at a unimodular parameter: that point is a pole of the
+    fold, and NearPole names the first point whose value is not finite.
+    For a matrix M not exactly in lower form, H = G* M G with
+    G = diag(1, V) of the kept certificate, and the vectors are mapped
+    back to M: r_M = V r_H and l_M = l_H V*.
     """
-    band = np.diagonal(col.matrix, 1).real
+    band = np.diagonal(col._lower, 1).real
     steps = []
-    values = _fold(col._sections, z, steps)
-    shape = (len(steps), len(z))
-    tails = np.empty(shape, dtype=complex)
-    ratios = np.empty(shape, dtype=complex)
-    # steps run from s_{n-1} down to s_0; row k holds section k's
+    # a zero denominator leaves a non-finite value, named below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # an array of the points' shape also when no section folds (q = 0)
+        values = np.broadcast_to(_fold(col._sections, z, steps), z.shape)
+    pole = ~np.isfinite(values)
+    if pole.any():
+        raise NearPole(f"S is not finite at z = {complex(z[pole.argmax()])!r}")
+    # one row per state, returned transposed; rows from q on stay 0
+    tails, ratios = np.zeros((2, col.n, len(z)), dtype=complex)
+    # steps run from s_{q-1} down to s_0; row k holds section k's
     for k, (tail, denominator) in enumerate(reversed(steps)):
         tails[k] = tail
         ratios[k] = band[k] / denominator
-    e = np.cumprod(ratios, axis=0)
+    # tails times e by the ufunc: with `*`, numpy may reuse a large
+    # temporary e as the left operand, which rounds differently
+    r = np.multiply(tails, np.cumprod(ratios, axis=0))
     ratios[1:] *= z
-    return values, (tails * e).T, np.cumprod(ratios, axis=0).T
+    l = np.cumprod(ratios, axis=0)
+    if not col._exact:
+        r, l = col._form.V @ r, col._form.V.conj() @ l
+    return values, r.T, l.T
 
 
-# complex matrix entries per chunk of a stacked resolvent solve (1 MiB)
-STACK = 2**16
+def _value(sections: tuple[complex, ...], z: complex) -> complex:
+    """S at one Python complex z: the fold in the closed disc, reflected outside.
 
-
-def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - z D) x = rhs by LU with partial pivoting, for every point z.
-
-    NearPole at a non-finite z, or when LAPACK finds I - z D singular or
-    max|x| > max|rhs| / POLE.
-    A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
-    disc the rule can fire only within about sqrt(n) * POLE of the circle.
-
-    z is a 1-D array of k points, or one point, which is solved as a stack
-    of one.  rhs, a vector or a matrix with n rows, is shared by all the
-    points; the solutions are stacked along a new first axis, which one
-    point drops.  The points are solved in chunks of at most STACK matrix
-    entries, each as one stacked LAPACK call, which gives every point the
-    result of its own solve.  NearPole names the first point that fails
-    the rule.
+    Outside the disc an inner S has S(z) = 1 / conj(S(1/conj(z))), so z
+    is a pole (NearPole) when |S(1/conj(z))| <= POLE.  A fold with no
+    step is the constant s_0 everywhere.  NearPole also at a non-finite
+    z, before any arithmetic with it, and where the value is not finite,
+    a fold through a zero denominator included.
     """
-    points = np.atleast_1d(np.asarray(z, dtype=complex))
-    # rejected before -z D, where inf * 0 would warn first
-    finite = np.isfinite(points)
-    if not finite.all():
-        raise NearPole(f"z = {complex(points[~finite][0])!r} is not a finite point")
-    rhs = np.asarray(rhs, dtype=complex)
-    n = len(D)
-    x = np.empty(points.shape + rhs.shape, dtype=complex)
-    # a vector rhs as one column
-    columns = rhs[:, None] if rhs.ndim == 1 else rhs
-    bound = np.abs(rhs).max(initial=0.0) / tol.POLE
-    diagonal = np.arange(n)
-    chunk = max(STACK // max(n * n, 1), 1)
-    for start in range(0, len(points), chunk):
-        zc = points[start : start + chunk]
-        # z D as a column of points times a row of entries: numpy rounds
-        # every entry alike at every batch size, which it does not for a
-        # product broadcast over three axes with a lone entry (n = 1)
-        M = (-zc[:, None] * D.reshape(1, n * n)).reshape(len(zc), n, n)
-        M[:, diagonal, diagonal] += 1.0
-        # rhs repeated along the stack (a view): numpy 1.x reads a
-        # right-hand side with one axis fewer than M as a stack of vectors
-        stacked = np.broadcast_to(columns, (len(zc),) + columns.shape)
-        try:
-            xc = np.linalg.solve(M, stacked).reshape(zc.shape + rhs.shape)
-        except np.linalg.LinAlgError:
-            if len(zc) == 1:
-                singular = complex(zc[0])
-                raise NearPole(f"I - z D is singular at z = {singular!r}") from None
-            # the stacked call does not say which matrix was singular:
-            # solve the chunk as stacks of one, which raises at the first
-            for k in range(len(zc)):
-                _resolvent_apply(D, zc[k : k + 1], rhs)
-            raise
-        bad = ~(np.abs(xc).reshape(len(zc), -1).max(axis=1, initial=0.0) <= bound)
-        if bad.any():
-            raise NearPole(
-                f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} "
-                f"at z = {complex(zc[bad.argmax()])!r}"
-            )
-        x[start : start + chunk] = xc
-    return x[0] if np.ndim(z) == 0 else x
+    if not cmath.isfinite(z):
+        raise NearPole(f"z = {z!r} is not a finite point")
+    outside = abs(z) > 1.0 and len(sections) > 1
+    try:
+        value = _fold(sections, 1.0 / z.conjugate() if outside else z)
+    except ZeroDivisionError:
+        value = math.nan
+    if outside:
+        if not abs(value) > tol.POLE:
+            raise NearPole(f"|S(1/conj(z))| <= {tol.POLE:g} at z = {z!r}")
+        value = 1.0 / value.conjugate()
+    if not cmath.isfinite(value):
+        raise NearPole(f"S is not finite at z = {z!r}")
+    return value
 
 
 def characteristic_function(col: UnitaryColligation, z):
-    """S(z) = A + z B (I - z D)^{-1} C.
+    """S(z) = A + z B (I - z D)^{-1} C, folded from the colligation's sections.
 
     A complex for one point z; for an array of points, an array of their
-    shape.  A point with |z| <= 1 is folded from the colligation's peeled
-    Schur parameters when it has them (``UnitaryColligation._sections``),
+    shape.  Every point is folded from ``UnitaryColligation._sections``,
     one Python complex at a time, so it gets the same bits alone and in an
-    array; every other point takes a resolvent solve, all of an array's
-    in one batch, and one point alone as an array of one.
+    array: a point with |z| <= 1 directly, and a point outside the disc by
+    the reflection 1 / conj(S(1/conj(z))), with NearPole where
+    |S(1/conj(z))| <= POLE (:func:`_value`).  A non-finite z is a NearPole
+    that names it.  The values are those of the closed form of the
+    sections; the readout residual and, for a matrix not exactly in lower
+    form, the certificate's reconstruction residual tie them to the
+    matrix, each times 1 / (1 - |z|), taken at 1/conj(z) outside the disc.
+    Such a matrix is reduced once, on first need; then each point costs
+    O(n).
     """
     if np.ndim(z) == 0:
-        point = complex(z)
-        if abs(point) <= 1.0 and col._sections is not None:
-            return _fold(col._sections, point)
-        return complex(_solved_values(col, np.array([point]))[0])
+        return _value(col._sections, complex(z))
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    values = np.empty(flat.shape, dtype=complex)
-    solve = np.ones(flat.shape, dtype=bool)
-    if col._sections is not None:
-        # np.hypot, like abs for one point, is correctly rounded here, so a
-        # root of unity is not pushed above 1 onto the LU route
-        solve = ~(np.hypot(flat.real, flat.imag) <= 1.0)
-        values[~solve] = [_fold(col._sections, x) for x in flat[~solve].tolist()]
-    if solve.any():
-        values[solve] = _solved_values(col, flat[solve])
-    return values.reshape(z.shape)
-
-
-def _solved_values(col: UnitaryColligation, points: np.ndarray) -> np.ndarray:
-    """S at a 1-D array of points, by one resolvent solve per point."""
-    # B x as one dot product per point: a matrix-vector product over the
-    # batch would round differently from a batch of one
-    x = _resolvent_apply(col.D, points, col.C)[:, None]
-    return col.A + points * (x @ col.B)[:, 0]
-
-
-def _on_the_chain(col: UnitaryColligation, points: np.ndarray) -> bool:
-    """The colligation has peeled sections and every point has |z| <= 1."""
-    return col._sections is not None and bool(
-        (np.hypot(points.real, points.imag) <= 1.0).all()
-    )
+    values = [_value(col._sections, x) for x in z.ravel().tolist()]
+    return np.array(values, dtype=complex).reshape(z.shape)
 
 
 def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligation:
@@ -512,6 +455,12 @@ def apply_state_gauge(col: UnitaryColligation, V: np.ndarray) -> UnitaryColligat
     G = np.eye(col.n + 1, dtype=complex)
     G[1:, 1:] = V
     return UnitaryColligation._adopt(G.conj().T @ col.matrix @ G)
+
+
+def _require_count(m, least: int, what: str) -> None:
+    """DimensionMismatch unless m is an integer, not a bool, of at least least."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < least:
+        raise DimensionMismatch(f"{what} must be an integer >= {least}, got {m!r}")
 
 
 # steps per block of the time-domain recursion; a power of two, so
@@ -526,10 +475,7 @@ def markov_parameters(col: UnitaryColligation, m: int) -> np.ndarray:
     an impulse response equals them bit for bit.  A count that is a bool
     or not an integer raises DimensionMismatch.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise DimensionMismatch(
-            f"coefficient count must be a non-negative integer, got {m!r}"
-        )
+    _require_count(m, 0, "coefficient count")
     impulse = np.zeros(m, dtype=complex)
     impulse[:1] = 1.0
     return simulate_time_domain(col, impulse)[0]
@@ -630,7 +576,7 @@ def verify_spectral_identities(
 ) -> SpectralIdentityReport:
     """Residuals of the four kernel identities tying S to the state blocks.
 
-    For sample pairs (z, zeta) inside the disc:
+    For sample pairs (z, zeta) in the closed disc:
 
       (1 - conj(S(zeta)) S(z)) / (1 - conj(zeta) z)
             = C* (I - conj(zeta) D*)^{-1} (I - z D)^{-1} C
@@ -643,24 +589,29 @@ def verify_spectral_identities(
     All four need only the resolvent vectors r = (I - w D)^{-1} C and
     l = B (I - w D)^{-1} at the points w of both lists, with
     S(w) = A + w B r: the right-hand sides are conj(r_zeta) r_z,
-    l_z conj(l_zeta), l_zeta r_z and |r_z|^2.  On a colligation with
-    peeled sections (``UnitaryColligation._sections``) whose points all
-    have |w| <= 1, S, r and l come off the section chain, O(n) per point;
-    otherwise r and l are taken in two batches of all the points, l as
-    the solve with D^T and B.  Pairs are zipped, so the shorter sample
-    list sets their number.
+    l_z conj(l_zeta), l_zeta r_z and |r_z|^2.  S, r and l come off the
+    section chain of the lower form (:func:`_section_chain`), O(n) per
+    point, and for a matrix not exactly in lower form r and l are mapped
+    back by the gauge, r = V r_H and l = l_H V*.  They are tied to the
+    matrix as the values of :func:`characteristic_function` are.  Pairs
+    are zipped, so the shorter sample list sets their number.
+    DimensionMismatch unless both sample lists are 1-D; NearPole names a
+    non-finite point and DiscViolation a point outside the closed disc,
+    before any arithmetic, and NearPole the first pole on the circle.
     """
     z = np.asarray(z_samples, dtype=complex)
     zeta = np.asarray(zeta_samples, dtype=complex)
+    if z.ndim != 1 or zeta.ndim != 1:
+        raise DimensionMismatch(f"sample lists must be 1-D, got {z.shape}, {zeta.shape}")
     count = min(len(z), len(zeta))
     z, zeta = z[:count], zeta[:count]
     points = np.concatenate([z, zeta])
-    if _on_the_chain(col, points):
-        s, r, l = _section_chain(col, points)
-    else:
-        r = _resolvent_apply(col.D, points, col.C)
-        l = _resolvent_apply(col.D.T, points, col.B)
-        s = col.A + points * (r @ col.B)
+    outside = ~(np.abs(points) <= 1.0)
+    if outside.any():
+        point = complex(points[outside.argmax()])
+        error = DiscViolation if cmath.isfinite(point) else NearPole
+        raise error(f"z = {point!r} is not a finite point of the closed unit disc")
+    s, r, l = _section_chain(col, points)
     (rz, rzeta), (lz, lzeta), (sz, szeta) = (np.split(a, [count]) for a in (r, l, s))
     lhs1 = (1.0 - szeta.conj() * sz) / (1.0 - zeta.conj() * z)
     r1 = np.abs(lhs1 - (rzeta.conj() * rz).sum(axis=1)).max(initial=0.0)
@@ -683,22 +634,19 @@ def inner_sampling_report(
 ):
     """(max disc excess, max circle deviation) of |S| for this colligation.
 
-    Each sample set is one batch: folded from the peeled sections in
-    numpy's arithmetic when the colligation has them (every sample has
-    |z| <= 1), else by ``characteristic_function``, where a pole on the
-    circle makes the deviation inf.
+    Each sample set is folded from the colligation's sections in numpy's
+    arithmetic, in one batch.  A fold through a zero denominator, which
+    only a unimodular parameter gives and only on the circle, is a pole
+    there and makes the circle deviation inf.  DimensionMismatch unless
+    both counts are integers of at least 1, so the check never passes on
+    no sample.
     """
-
-    def values(points):
-        if _on_the_chain(col, points):
-            return _fold(col._sections, points)
-        return characteristic_function(col, points)
-
-    disc = values(disc_samples(disc_count, radius=0.99))
+    _require_count(disc_count, 1, "disc sample count")
+    _require_count(circle_count, 1, "circle sample count")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = _fold(col._sections, disc_samples(disc_count, radius=0.99))
+        circle = _fold(col._sections, circle_samples(circle_count))
     disc_excess = np.max(np.abs(disc) - 1.0, initial=0.0)
-    try:
-        circle = values(circle_samples(circle_count))
-        circle_dev = np.abs(np.abs(circle) - 1.0).max(initial=0.0)
-    except NearPole:
-        circle_dev = np.inf
+    deviation = np.abs(np.abs(circle) - 1.0)
+    circle_dev = np.inf if np.isnan(deviation).any() else np.max(deviation)
     return float(disc_excess), float(circle_dev)

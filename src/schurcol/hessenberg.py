@@ -42,8 +42,8 @@ so do their JSON round trips.  Such an input certifies itself in
 O(n^2): with V = I both residuals are exactly 0, and no product is
 formed.  The test, ``colligation._in_lower_form``, is also the
 colligation's own, made once (``UnitaryColligation._exact``): an exact
-matrix is its own lower matrix, and the first condition for folding S
-from the peeled Schur sections.  An input that is not a non-empty
+matrix is its own lower matrix, so its S is folded from its own peel
+without a reduction.  An input that is not a non-empty
 square matrix, or has a non-finite entry, is rejected before either
 path.
 
@@ -231,8 +231,8 @@ def find_equivalence(
     recursion's own test: V is returned when the Moebius folds of the two
     peeled parameter sequences agree within BACKWARD at the
     ``_check_count(n)`` roots of unity, and None when they do not.  As
-    in the fold, every peeled s_p with p < n must be inside the disc, or
-    NotSimple.
+    in the recursion, every peeled s_p with p < n must be inside the
+    disc, or NotSimple.
 
     Equal means equal S to BACKWARD on the circle, not equal parameters:
     deep parameters barely move S, so at n = 256 a relative change of

@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .colligation import (
-    UnitaryColligation,
-    _resolvent_apply,
-    require_unitary,
-)
+from .colligation import UnitaryColligation, require_unitary
 from .errors import (
     DimensionMismatch,
     DiscViolation,
     FeedbackSingular,
+    NearPole,
 )
 
 __all__ = [
@@ -61,6 +58,69 @@ class PartitionedColligation:
         object.__setattr__(self, "unitarity", require_unitary(m, "partitioned matrix"))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+# complex matrix entries per chunk of a stacked resolvent solve (1 MiB)
+STACK = 2**16
+
+
+def _resolvent_apply(D: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - z D) x = rhs by LU with partial pivoting, for every point z.
+
+    The resolvent of :func:`characteristic_matrix`: a partitioned
+    colligation with several states has no scalar lower form to fold.
+    NearPole at a non-finite z, or when LAPACK finds I - z D singular or
+    max|x| > max|rhs| / POLE.
+    A contraction D has ||(I - z D)^{-1}|| <= 1 / (1 - |z|), so inside the
+    disc the rule can fire only within about sqrt(n) * POLE of the circle.
+
+    z is a 1-D array of k points, or one point, which is solved as a stack
+    of one.  rhs, a complex matrix with n rows, is shared by all the
+    points; the solutions are stacked along a new first axis, which one
+    point drops.  The points are solved in chunks of at most STACK matrix
+    entries, each as one stacked LAPACK call, which gives every point the
+    result of its own solve, so the memory of a batch is bounded at every
+    degree.  NearPole names the first point that fails the rule.
+    """
+    points = np.atleast_1d(np.asarray(z, dtype=complex))
+    # rejected before -z D, where inf * 0 would warn first
+    finite = np.isfinite(points)
+    if not finite.all():
+        raise NearPole(f"z = {complex(points[~finite][0])!r} is not a finite point")
+    n = len(D)
+    x = np.empty(points.shape + rhs.shape, dtype=complex)
+    bound = np.abs(rhs).max(initial=0.0) / tol.POLE
+    chunk = max(STACK // max(n * n, 1), 1)
+    for start in range(0, len(points), chunk):
+        zc = points[start : start + chunk]
+        # z D as a column of points times a row of entries: numpy rounds
+        # every entry alike at every batch size, which it does not for a
+        # product broadcast over three axes with a lone entry (n = 1)
+        M = (-zc[:, None] * D.reshape(1, n * n)).reshape(len(zc), n, n)
+        # the diagonal: every (n + 1)-th entry of each flat matrix
+        M.reshape(len(zc), -1)[:, :: n + 1] += 1.0
+        # rhs repeated along the stack (a view): numpy 1.x reads a
+        # right-hand side with one axis fewer than M as a stack of vectors
+        stacked = np.broadcast_to(rhs, (len(zc),) + rhs.shape)
+        try:
+            xc = np.linalg.solve(M, stacked)
+        except np.linalg.LinAlgError:
+            if len(zc) == 1:
+                singular = complex(zc[0])
+                raise NearPole(f"I - z D is singular at z = {singular!r}") from None
+            # the stacked call does not say which matrix was singular:
+            # solve the chunk as stacks of one, which raises at the first
+            for k in range(len(zc)):
+                _resolvent_apply(D, zc[k : k + 1], rhs)
+            raise
+        bad = ~(np.abs(xc).max(axis=(1, 2), initial=0.0) <= bound)
+        if bad.any():
+            raise NearPole(
+                f"(I - z D)^-1 amplifies by more than {1 / tol.POLE:g} "
+                f"at z = {complex(zc[bad.argmax()])!r}"
+            )
+        x[start : start + chunk] = xc
+    return x[0] if np.ndim(z) == 0 else x
 
 
 def characteristic_matrix(pc: PartitionedColligation, z) -> np.ndarray:

@@ -236,7 +236,12 @@ def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
     taken by one cumulative product down the columns: O(n^2), and no
     quotient of products, which would underflow for small d_j.
     """
-    s = np.asarray(p.params, dtype=complex)
+    return _closed_form(p.params)
+
+
+def _closed_form(params) -> np.ndarray:
+    """:func:`closed_form_matrix` of the parameters s_0 .. s_n, unchecked."""
+    s = np.asarray(params, dtype=complex)
     n = len(s) - 1
     d = np.sqrt(np.maximum(1.0 - np.abs(s) ** 2, 0.0))
     # factors[j, k] = d_{j-1} below the diagonal and 1 elsewhere, so the
@@ -250,19 +255,25 @@ def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
     return u
 
 
-def readout_residual(col: UnitaryColligation) -> float | None:
-    """sqrt(|E|_1 |E|_inf) >= |E|_2 for E = H - closed_form_matrix(peel(H)), O(n^2).
+def readout_residual(col: UnitaryColligation) -> float:
+    """sqrt(|E|_1 |E|_inf) >= |E|_2 for E = H - closed form of its sections, O(n^2).
 
-    H is the colligation's matrix and peel(H) its ``_sections``, from which
-    ``verify_spectral_identities`` and ``inner_sampling_report`` take S, r
-    and l inside the disc.  Their values are those of the closed form, and
-    this residual ties them to H: E moves them by O(|E|_2) (see
-    ``tolerances.READOUT``).  None when H has no sections (those checks
-    solve with H itself).
+    H is the block of the colligation's lower matrix
+    (``UnitaryColligation._lower``) that its sections s_0 .. s_q
+    (``_sections``) are peeled from: all of it, or its first q + 1 rows
+    and columns where the lower matrix splits after row q.
+    ``characteristic_function``, ``verify_spectral_identities`` and
+    ``inner_sampling_report`` fold S, r and l from these sections, and
+    the rest of a split lower matrix does not enter them.  Their values
+    are those of the closed form, and this residual ties them to H: E
+    moves them by O(|E|_2) (see ``tolerances.READOUT``).  A matrix not
+    exactly in lower form is tied to its lower matrix by the
+    certificate's reconstruction residual.
     """
-    if col._sections is None:
-        return None
-    error = col.matrix - closed_form_matrix(SchurParameterSequence(col._sections))
+    # the terminal put exactly on the circle, as SchurParameterSequence puts it
+    *head, terminal = col._sections
+    closed = _closed_form((*head, terminal / abs(terminal)))
+    error = col._lower[: len(closed), : len(closed)] - closed
     return float(math.sqrt(np.linalg.norm(error, 1) * np.linalg.norm(error, np.inf)))
 
 

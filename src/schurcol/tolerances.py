@@ -35,12 +35,15 @@ def on_circle(x) -> bool:
     return bool(abs(abs(x) - 1.0) <= UNIT)
 
 
-# singularity guard: |denominator| or |1 - s22 omega| at most POLE, or a
-# solve of (I - z D) x = rhs with max|x| > max|rhs| / POLE (for a
-# contraction D only within about sqrt(n) * POLE of the unit circle).
-# n = 256: the solve's rule in CI's `schurcol eval --z 1.5 0.5` on the
-# gauged degree-256 form.  The scalar guards only up to n = 9, in the
-# coupling of the test named at COUPLING
+# singularity guard: |denominator| or |1 - s22 omega| at most POLE; a point
+# z outside the disc where |S(1/conj(z))|, the fold S is reflected from, is
+# at most POLE; or a solve of (I - z D) x = rhs in `characteristic_matrix`
+# with max|x| > max|rhs| / POLE (for a contraction D only within about
+# sqrt(n) * POLE of the unit circle).  n = 256: the reflected rule in CI's
+# `schurcol eval --z 1.5 0.5` on the gauged degree-256 form, and the
+# solve's rule in test_redheffer.py::TestBatchedResolvent::
+# test_memory_is_bounded_by_the_chunk.  The scalar guards only up to n = 9,
+# in the coupling of the test named at COUPLING
 POLE = 1e-12
 
 
@@ -85,7 +88,8 @@ COUPLING = 1e-10
 
 # readout residual sqrt(|H - closed(peel(H))|_1 |H - closed(peel(H))|_inf),
 # an O(n^2) bound on the 2-norm, of a lower form H whose S, r and l `verify`
-# reads off its peeled sections.  At |z| <= 0.9, ||(I - zD)^{-1}|| <= 10, so
+# reads off its peeled sections (of its first block where H splits).  At
+# |z| <= 0.9, ||(I - zD)^{-1}|| <= 10, so
 # to first order a readout delta moves S by at most (1 + |l|)(1 + |r|) delta
 # <= 121 delta and r and l by at most 100 delta: each identity by O(100
 # delta), which READOUT keeps within SPECTRAL at every degree.  Closed forms

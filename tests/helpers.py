@@ -419,19 +419,34 @@ def count_unitarity_residuals(monkeypatch):
 def count_resolvent_solves(monkeypatch):
     """A list that gains the number of points of every resolvent solve.
 
-    Wraps ``colligation._resolvent_apply``, which every LU evaluation of S
-    and of ``characteristic_matrix`` goes through, under the name of each
-    module that calls it; a scalar point counts as 1.
+    Wraps ``redheffer._resolvent_apply``, the LU solve of
+    ``characteristic_matrix``; a scalar point counts as 1.
     """
     solved = []
-    solve = sc.colligation._resolvent_apply
+    solve = sc.redheffer._resolvent_apply
 
     def recording(D, z, rhs):
         solved.append(int(np.size(z)))
         return solve(D, z, rhs)
 
-    for module in (sc.colligation, sc.redheffer):
-        monkeypatch.setattr(module, "_resolvent_apply", recording)
+    monkeypatch.setattr(sc.redheffer, "_resolvent_apply", recording)
+    return solved
+
+
+def count_linear_solves(monkeypatch):
+    """A list that gains the matrix shape of every np.linalg.solve call.
+
+    Evaluation folds S, r and l and solves no linear system; the LU solve
+    of ``redheffer.characteristic_matrix`` and the recursion's check do.
+    """
+    solved = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        solved.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
     return solved
 
 

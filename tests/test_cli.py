@@ -17,6 +17,7 @@ from helpers import (
     blaschke_values,
     cluster,
     count_full_reductions,
+    count_linear_solves,
     count_resolvent_solves,
     count_unitarity_residuals,
     half_step_samples,
@@ -506,9 +507,9 @@ class TestCoupleEvalVerify:
         solved = count_resolvent_solves(monkeypatch)
         argv = ["couple", "--input", str(doc), "--output", str(tmp_path / "o.json")]
         assert cli.main(argv) == 0
-        # the second factor is a closed form and folds; the coupling's S and
-        # the first factor's characteristic matrix take one batch of 50 each
-        assert solved == [50, 50]
+        # the second factor and the coupling fold their S; the first
+        # factor's characteristic matrix takes one batch of 50 solves
+        assert solved == [50]
 
     def test_eval_colligation(self):
         out = run_cli(
@@ -571,14 +572,27 @@ class TestCoupleEvalVerify:
         assert unitarity["residual"] > unitarity["tolerance"]
 
     def test_verify_non_finite_residual_is_null(self):
-        # D = 1 puts a pole of the resolvent at t = 1 on the circle, where
-        # the circle check reports an infinite deviation
-        out = run_cli(["verify"], '{"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
+        # s_0 = 1 / |(1, 1e-12)| rounds to exactly 1 and s_1 = -1, so the
+        # fold divides 0 by 0 at t = 1 on the circle, the pole of the
+        # resolvent of D = 1: the circle check reports an infinite
+        # deviation, and no warning reaches stderr
+        out = run_cli(["verify"], '{"matrix":[[[1,0],[1e-12,0]],[[1e-12,0],[1,0]]]}')
         assert out.returncode == 3
         assert "Traceback" not in out.stderr
         checks = {c["check"]: c for c in map(json.loads, out.stderr.splitlines())}
         assert checks["unimodular_on_circle"]["residual"] is None
         assert json.loads(out.stdout)["inner_circle_deviation"] is None
+
+    def test_decoupled_states_fold_to_a_constant(self):
+        # the identity's states are decoupled (B = C = 0), so S = 1: its
+        # lower form splits at the first band entry and folds to s_0 = 1,
+        # also at t = 1 on the circle, where I - tD is singular
+        out = run_cli(["verify"], '{"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]]}')
+        assert out.returncode == 3
+        checks = {c["check"]: c for c in map(json.loads, out.stderr.splitlines())}
+        assert checks["unimodular_on_circle"]["residual"] == 0.0
+        assert checks["spectral_identities"]["residual"] == 0.0
+        assert json.loads(out.stdout)["inner_circle_deviation"] == 0.0
 
     def test_verify_zero_band_is_null(self):
         # the identity's states are decoupled: its lower form has a zero
@@ -624,10 +638,11 @@ class TestReadout:
 
     def test_closed_form_reads_out_to_roundoff(self, tmp_path, capsys, monkeypatch):
         matrix = sc.closed_form_matrix(random_params(np.random.default_rng(76), 8))
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         code, summary, checks = self.verify(tmp_path, capsys, matrix)
         assert code == 0
         assert solved == []
+        assert "reconstruction" not in checks
         assert checks["readout"]["residual"] <= 1e-14
         assert checks["readout"]["tolerance"] == sc.tolerances.READOUT
         assert summary["spectral_max_residual"] <= 1e-13
@@ -652,15 +667,39 @@ class TestReadout:
         )
         assert sc.readout_residual(col) <= 1e-14
 
-    def test_gauged_form_has_no_readout(self, tmp_path, capsys):
+    def test_gauged_form_reads_out_with_its_reconstruction(self, tmp_path, capsys):
+        # its S, r and l come off the kept lower form: the readout ties them
+        # to that form and the certificate's reconstruction the form to M
         rng = np.random.default_rng(77)
         col = sc.apply_state_gauge(
             sc.colligation_from_schur_parameters(random_params(rng, 8)),
             random_unitary(rng, 8),
         )
-        code, _, checks = self.verify(tmp_path, capsys, col.matrix)
+        code, summary, checks = self.verify(tmp_path, capsys, col.matrix)
         assert code == 0
-        assert "readout" not in checks
+        assert checks["readout"]["residual"] <= 1e-14
+        assert checks["readout"]["tolerance"] == sc.tolerances.READOUT
+        assert checks["reconstruction"]["residual"] <= 1e-15
+        assert checks["reconstruction"]["tolerance"] == sc.tolerances.CERTIFICATE
+        assert summary["spectral_max_residual"] <= 1e-13
+
+    @pytest.mark.parametrize("n, seed", [(8, 5300), (32, 5305)])
+    def test_split_reads_out_over_its_folded_block(self, n, seed):
+        # an exact lower form that splits after row p = n / 2: a closed form
+        # beside the lower form of a Haar unitary.  S, r and l come off the
+        # first block's sections alone, and the readout covers that block;
+        # over the whole matrix it read 2.1e-8 and 2.7e-8 on these draws,
+        # from the Haar block's peel, which no value reads
+        rng = np.random.default_rng(seed)
+        p = n // 2
+        matrix = np.zeros((n + 1, n + 1), dtype=complex)
+        matrix[: p + 1, : p + 1] = sc.closed_form_matrix(random_params(rng, p))
+        matrix[p + 1 :, p + 1 :] = sc.reduce_to_special_lower_hessenberg(
+            random_unitary(rng, n - p)
+        ).H
+        col = sc.UnitaryColligation(matrix)
+        assert len(col._sections) == p + 1
+        assert sc.readout_residual(col) <= 1e-14
 
 
 class TestResidualsTakenOnce:

@@ -1,7 +1,7 @@
 """Characteristic functions, minimality, gauges and simulation."""
 
 import json
-import tracemalloc
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -15,7 +15,8 @@ from schurcol import serialize as js
 from schurcol.sampling import circle_samples, disc_samples
 from helpers import (
     band_length,
-    count_resolvent_solves,
+    count_linear_solves,
+    count_reductions,
     hankel_rank,
     random_colligation,
     random_params,
@@ -151,9 +152,11 @@ class TestCharacteristicFunction:
         assert_allclose(sc.characteristic_function(col, 0.7), 0.7)
 
     def test_value_at_zero_is_corner(self):
+        # S(0) is the peeled s_0 = A / |(A, B)|, A to roundoff (a gap of
+        # 3.5e-16 or less over 200 such draws, 0 on this one)
         rng = np.random.default_rng(3)
         col = sc.UnitaryColligation(random_unitary(rng, 5))
-        assert sc.characteristic_function(col, 0.0) == col.A
+        assert abs(sc.characteristic_function(col, 0.0) - col.A) <= 1e-15
 
     def test_moebius_at_one(self):
         r = np.sqrt(0.75)
@@ -164,6 +167,10 @@ class TestCharacteristicFunction:
     def test_degree_zero(self):
         col = sc.UnitaryColligation(np.array([[1.0j]]))
         assert sc.characteristic_function(col, 0.5) == 1.0j
+        # S = A bitwise also outside the disc, where 1 / conj(A) is not
+        col = sc.UnitaryColligation(np.array([[np.exp(0.3j)]]))
+        values = sc.characteristic_function(col, np.array([0.5, 2.0, -3.0j]))
+        assert (values == col.A).all() and 1.0 / col.A.conjugate() != col.A
 
     def test_near_pole_outside_the_disc(self):
         col = sc.colligation_from_schur_parameters(
@@ -181,84 +188,110 @@ class TestCharacteristicFunction:
         assert abs(value - zero_product(CLUSTER, 0.97)) <= 1e-12
 
 
-class TestBatchedResolvent:
-    """The stacked solve against one LU solve per point."""
+class TestOneRoute:
+    """S at every point folded from the kept sections, against one LU solve per point."""
 
     POINTS = np.concatenate(
         [disc_samples(40, radius=0.95), circle_samples(16), [0.0, 1e-8]]
     )
 
-    @pytest.mark.parametrize("n", [8, 32, 64, 128])
-    def test_agrees_with_per_point_solves(self, n):
+    @pytest.mark.parametrize("gauged", [False, True], ids=["closed", "gauged"])
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_agrees_with_per_point_solves(self, n, gauged):
+        # inside the disc, on the circle and at 1.01 <= |z| <= 4, where S is
+        # reflected from the fold at 1/conj(z); 7.4e-15 relative or less here
         rng = np.random.default_rng(3000 + n)
-        col = gauged_colligation(rng, n)
-        x = co._resolvent_apply(col.D, self.POINTS, col.C)
-        ref = reference_resolvent(col.D, self.POINTS, col.C)
-        assert x.shape == ref.shape == (len(self.POINTS), n)
-        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
-        values = sc.characteristic_function(col, self.POINTS)
-        singles = [sc.characteristic_function(col, z) for z in self.POINTS]
-        assert np.abs(values - singles).max() <= 1e-14
+        col = random_colligation(rng, n, rmax=0.9)
+        if gauged:
+            col = sc.apply_state_gauge(col, random_unitary(rng, n))
+        radii = 1.01 + 2.99 * rng.uniform(size=40)
+        outside = radii * np.exp(2j * np.pi * rng.uniform(size=40))
+        points = np.concatenate([self.POINTS, outside])
+        ref = col.A + points * (reference_resolvent(col.D, points, col.C) @ col.B)
+        values = sc.characteristic_function(col, points)
+        assert (np.abs(values - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)).all()
 
     @pytest.mark.parametrize("n", [1, 8, 64])
-    def test_one_point_is_a_stack_of_one(self, n, monkeypatch):
+    def test_one_point_gets_its_bits_in_an_array(self, n):
         col = gauged_colligation(np.random.default_rng(3100 + n), n)
         # inside, on and outside the circle
         points = np.concatenate(
             [self.POINTS, 1.2 + 0.5 * disc_samples(8), [2.0, -1.5j]]
         )
-        solved = count_resolvent_solves(monkeypatch)
         values = sc.characteristic_function(col, points)
         singles = np.array([sc.characteristic_function(col, z) for z in points])
         assert values.tobytes() == singles.tobytes()
-        assert solved == [len(points)] + [1] * len(points)
 
     @pytest.mark.parametrize("n", [1, 8, 64])
-    def test_point_off_the_fold_is_a_stack_of_one(self, n, monkeypatch):
-        # a closed form folds inside the disc; a point outside it, alone,
-        # is one solve with the bits it gets in an array
+    def test_point_outside_the_disc_gets_its_bits_in_an_array(self, n):
         col = random_colligation(np.random.default_rng(3200 + n), n)
         points = np.concatenate([1.5 * circle_samples(8), [2.0, -1.5j, 1.0 + 1e-15]])
-        solved = count_resolvent_solves(monkeypatch)
         values = sc.characteristic_function(col, points)
         singles = np.array([sc.characteristic_function(col, z) for z in points])
         assert values.tobytes() == singles.tobytes()
-        assert solved == [len(points)] + [1] * len(points)
 
-    def test_singular_point_alone_is_named(self):
-        col = sc.colligation_from_schur_parameters(
-            sc.SchurParameterSequence((0.5, 1.0))
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_direct_sums_fold_their_first_block(self, n):
+        # a Haar-gauged direct sum of a closed form of degree p and a Haar
+        # block: S is the first block's.  The reduction stores a zero band
+        # entry at p, which cuts the fold there, or a tiny one, which does
+        # not; either way the fold matches LU (within 3.2e-14 on probes)
+        p = n // 2
+        for seed in range(3):
+            rng = np.random.default_rng([3300 + n, seed])
+            m = np.zeros((n + 1, n + 1), dtype=complex)
+            m[: p + 1, : p + 1] = sc.closed_form_matrix(random_params(rng, p, rmax=0.9))
+            m[p + 1 :, p + 1 :] = random_unitary(rng, n - p)
+            col = sc.apply_state_gauge(sc.UnitaryColligation(m), random_unitary(rng, n))
+            first = sc.UnitaryColligation(m[: p + 1, : p + 1])
+            radii = 1.01 + 2.99 * rng.uniform(size=20)
+            outside = radii * np.exp(2j * np.pi * rng.uniform(size=20))
+            points = np.concatenate([self.POINTS, outside])
+            ref = first.A + points * (
+                reference_resolvent(first.D, points, first.C) @ first.B
+            )
+            values = sc.characteristic_function(col, points)
+            assert (np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0)).all()
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_near_unimodular_parameter_agrees_or_is_a_pole(self, n, where):
+        # the inputs of test_hessenberg.py::TestBreakdownRule::
+        # test_near_unimodular_parameter: s_p = (1 - delta) i^p under a
+        # gauge, a nonzero band down to delta = 1e-16 and a split at 0.
+        # Each point agrees with LU (within 7e-14 on probes) or is a pole,
+        # never a silent NaN
+        p = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        rng = np.random.default_rng(270 + n + p)
+        s = np.array(random_params(rng, n, rmax=0.9).params)
+        points = np.concatenate(
+            [self.POINTS, 1.05 * circle_samples(8), 3.0 * circle_samples(4)]
         )
-        # D = [-0.5]: I - z D is exactly singular at z = -2
-        with pytest.raises(sc.NearPole, match="singular") as info:
-            sc.characteristic_function(col, -2.0)
-        assert repr(complex(-2.0)) in str(info.value)
+        for delta in [10.0**-k for k in range(2, 17, 2)] + [0.0]:
+            s[p] = (1.0 - delta) * 1j**p
+            closed = sc.UnitaryColligation(
+                sc.closed_form_matrix(SimpleNamespace(params=s))
+            )
+            col = sc.apply_state_gauge(closed, random_unitary(rng, n))
+            ref = col.A + points * (reference_resolvent(col.D, points, col.C) @ col.B)
+            for z, expected in zip(points, ref):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = sc.characteristic_function(col, z)
+                    except sc.NearPole:
+                        continue
+                assert abs(value - expected) <= 1e-12 * max(abs(expected), 1.0)
 
-    def test_chunks_do_not_change_the_result(self, monkeypatch):
-        rng = np.random.default_rng(3001)
-        col = gauged_colligation(rng, 8)
-        whole = co._resolvent_apply(col.D, self.POINTS, col.C)
-        # three points per chunk, the last one partial
-        monkeypatch.setattr(co, "STACK", 3 * 8 * 8)
-        assert np.array_equal(co._resolvent_apply(col.D, self.POINTS, col.C), whole)
-
-    def test_right_hand_side_has_the_axes_of_the_stack(self, monkeypatch):
-        # numpy 1.x solves a right-hand side with one axis fewer than the
-        # stack as a stack of vectors, numpy 2 as one shared matrix; with
-        # the stack's axes both read it as one matrix per point
-        solve = np.linalg.solve
-        axes = []
-
-        def recording(a, b):
-            axes.append((np.ndim(a), np.ndim(b)))
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        col = gauged_colligation(np.random.default_rng(3004), 8)
-        for z in (self.POINTS, 1.5):
-            for rhs in (col.C, np.eye(8, 2)):
-                co._resolvent_apply(col.D, z, rhs)
-        assert axes == [(3, 3)] * 4
+    def test_zero_denominator_is_a_pole(self):
+        # s_0 = 1 / |(1, 1e-9)| rounds to exactly 1 on a nonzero band, so
+        # the fold's denominator 1 + conj(s_0) z s_1 is exactly 0 at z = -1,
+        # the pole of S; Python's complex division would raise there
+        col = sc.UnitaryColligation(np.array([[1.0, 1e-9], [1e-9, -1.0]]))
+        assert col._sections == (1.0, 1.0)
+        for z in (-1.0, np.array([0.5, -1.0])):
+            with pytest.raises(sc.NearPole, match=re.escape(repr(-1 + 0j))):
+                sc.characteristic_function(col, z)
 
     @pytest.mark.parametrize(
         "call",
@@ -278,8 +311,8 @@ class TestBatchedResolvent:
         ids=["closed", "gauged_array", "section_matrix", "identities", "nan"],
     )
     def test_non_finite_point_is_named_before_any_product(self, call):
-        # z = inf times a zero entry of D would warn (inf * 0) before the
-        # pole rule could name the point
+        # z = inf in any product would warn (inf * 0) before the pole rule
+        # could name the point
         rng = np.random.default_rng(3005)
         closed = random_colligation(rng, 4)
         gauged = sc.apply_state_gauge(closed, random_unitary(rng, 4))
@@ -293,7 +326,8 @@ class TestBatchedResolvent:
         col = sc.colligation_from_schur_parameters(
             sc.SchurParameterSequence((0.5, 1.0))
         )
-        # D = [-0.5]: I - z D is singular at z = -2 and amplifies by 2e13 beside it
+        # S = (0.5 + z) / (1 + 0.5 z) has its pole at z = -2, where
+        # S(1/conj(z)) = 0, and |S(1/conj(z))| is 3.3e-14 beside it
         with pytest.raises(sc.NearPole) as info:
             sc.characteristic_function(col, np.array([0.1, 0.5j, pole, -0.3]))
         assert repr(complex(pole)) in str(info.value)
@@ -313,20 +347,6 @@ class TestBatchedResolvent:
         assert np.array_equal(
             sc.characteristic_function(constant, grid), np.full((2, 3), 1.0j)
         )
-
-    def test_memory_is_bounded_by_the_chunk(self):
-        # unchunked, 200 points at n = 256 would stack 200 MiB of matrices
-        rng = np.random.default_rng(3003)
-        col = random_colligation(rng, 256, rmax=0.9)
-        D, C = np.array(col.D), np.array(col.C)
-        points = disc_samples(200, radius=0.9)
-        tracemalloc.start()
-        try:
-            co._resolvent_apply(D, points, C)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
 
 
 def json_round_trip(col):
@@ -349,7 +369,7 @@ class TestSectionFold:
         ref = col.A + self.POINTS * (
             reference_resolvent(col.D, self.POINTS, col.C) @ col.B
         )
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         for form in (col, json_round_trip(col)):
             values = sc.characteristic_function(form, self.POINTS)
             assert np.abs(values - ref).max() <= 1e-11
@@ -369,13 +389,13 @@ class TestSectionFold:
                 np.exp(2j * np.pi * rng.uniform(size=256)),
             ]
         )
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         values = sc.characteristic_function(col, points)
         singles = np.array([sc.characteristic_function(col, z) for z in points])
         assert values.tobytes() == singles.tobytes()
         assert solved == []
 
-    def test_other_inputs_take_the_resolvent_solve(self, monkeypatch):
+    def test_other_inputs_take_no_solve(self, monkeypatch):
         rng = np.random.default_rng(5002)
         closed = random_colligation(rng, 8)
         gauged = sc.apply_state_gauge(closed, random_unitary(rng, 8))
@@ -397,22 +417,27 @@ class TestSectionFold:
         points = disc_samples(10, radius=0.9)
         expected = sc.characteristic_function(closed, points)
         first_values = sc.characteristic_function(sc.UnitaryColligation(first), points)
+        near_ref = near.A + points * (
+            reference_resolvent(near.D, points, near.C) @ near.B
+        )
 
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         gauged_values = sc.characteristic_function(gauged, points)
         assert np.abs(gauged_values - expected).max() <= 1e-12
+        # the fold is cut after the zero band entry, at the first block's terminal
+        assert split._sections == split._peeled[:5]
         split_values = sc.characteristic_function(split, points)
         assert np.abs(split_values - first_values).max() <= 1e-12
-        sc.characteristic_function(near, points)
-        assert solved == [10, 10, 10]
+        near_values = sc.characteristic_function(near, points)
+        assert near._sections == near._peeled
+        assert np.abs(near_values - near_ref).max() <= 1e-12
         # outside the closed disc, alone and among points inside it
         outside = np.array([1.5, -1.2j, 1.0 + 1e-15])
         sc.characteristic_function(closed, outside)
-        sc.characteristic_function(closed, 1.5)
         mixed = sc.characteristic_function(closed, np.array([0.5, 1.5, -0.5j]))
-        assert solved == [10, 10, 10, 3, 1, 1]
+        assert solved == []
         assert mixed[0] == sc.characteristic_function(closed, 0.5)
-        assert mixed[1] == sc.characteristic_function(closed, np.array([1.5]))[0]
+        assert mixed[1] == sc.characteristic_function(closed, 1.5)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_peel_rebuilds_reduced_gauged_forms(self, n):
@@ -433,27 +458,41 @@ class TestSectionChain:
         [disc_samples(60, radius=0.999), circle_samples(32), [0.0, 1.0, -1.0j]]
     )
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
-    def test_agrees_with_per_point_solves(self, n):
+    def assert_agrees_with_per_point_solves(self, col):
         # both routes are backward stable, so at each point they differ by
         # at most about eps times the condition number of I - z D (3.5e3 at
         # n = 256 on the circle, where they differ by 4.5e-13 relative)
+        n = col.n
+        s, r, l = co._section_chain(col, self.POINTS)
+        r_ref = reference_resolvent(col.D, self.POINTS, col.C)
+        l_ref = reference_resolvent(col.D.T, self.POINTS, col.B)
+        s_ref = col.A + self.POINTS * (r_ref @ col.B)
+        assert r.shape == l.shape == (len(self.POINTS), n)
+        for k, z in enumerate(self.POINTS):
+            M = np.eye(n) - z * col.D
+            bound = 1e-14 * np.linalg.cond(M)
+            assert np.abs(r[k] - r_ref[k]).max() <= bound * np.abs(r_ref[k]).max()
+            assert np.abs(l[k] - l_ref[k]).max() <= bound * np.abs(l_ref[k]).max()
+            assert abs(s[k] - s_ref[k]) <= bound
+            assert np.abs(M @ r[k] - col.C).max() <= 1e-14 * np.abs(r[k]).max()
+            assert np.abs(l[k] @ M - col.B).max() <= 1e-14 * np.abs(l[k]).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    def test_agrees_with_per_point_solves(self, n):
         for seed in range(3 if n < 256 else 1):
             rng = np.random.default_rng([5200 + n, seed])
-            col = random_colligation(rng, n, rmax=0.99)
-            s, r, l = co._section_chain(col, self.POINTS)
-            r_ref = reference_resolvent(col.D, self.POINTS, col.C)
-            l_ref = reference_resolvent(col.D.T, self.POINTS, col.B)
-            s_ref = col.A + self.POINTS * (r_ref @ col.B)
-            assert r.shape == l.shape == (len(self.POINTS), n)
-            for k, z in enumerate(self.POINTS):
-                M = np.eye(n) - z * col.D
-                bound = 1e-14 * np.linalg.cond(M)
-                assert np.abs(r[k] - r_ref[k]).max() <= bound * np.abs(r_ref[k]).max()
-                assert np.abs(l[k] - l_ref[k]).max() <= bound * np.abs(l_ref[k]).max()
-                assert abs(s[k] - s_ref[k]) <= bound
-                assert np.abs(M @ r[k] - col.C).max() <= 1e-14 * np.abs(r[k]).max()
-                assert np.abs(l[k] @ M - col.B).max() <= 1e-14 * np.abs(l[k]).max()
+            self.assert_agrees_with_per_point_solves(
+                random_colligation(rng, n, rmax=0.99)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_gauged_vectors_are_mapped_back(self, n):
+        # r and l of the kept lower form H, mapped to the matrix by its gauge
+        for seed in range(3):
+            rng = np.random.default_rng([5210 + n, seed])
+            self.assert_agrees_with_per_point_solves(
+                gauged_colligation(rng, n, rmax=0.99)
+            )
 
     def test_values_are_the_folds(self):
         col = random_colligation(np.random.default_rng(5201), 32)
@@ -465,7 +504,7 @@ class TestSectionChain:
     def test_closed_form_identities_take_no_solve(self, n, monkeypatch):
         col = random_colligation(np.random.default_rng(5202 + n), n)
         zs, zetas = disc_samples(20, radius=0.9), 0.5 * disc_samples(13)
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         report = sc.verify_spectral_identities(col, zs, zetas)
         disc_excess, circle_dev = sc.inner_sampling_report(col)
         assert solved == []
@@ -473,14 +512,37 @@ class TestSectionChain:
         assert disc_excess <= 1e-10
         assert circle_dev <= 1e-12
 
-    def test_a_point_outside_the_disc_takes_the_solve(self, monkeypatch):
+    def test_a_point_outside_the_disc_is_named(self):
+        # the identities hold in the closed disc, where the chain is taken
         col = random_colligation(np.random.default_rng(5203), 8)
         zs, zetas = disc_samples(6, radius=0.9), disc_samples(6, radius=0.5)
         zetas[2] = 1.2
-        solved = count_resolvent_solves(monkeypatch)
-        report = sc.verify_spectral_identities(col, zs, zetas)
-        assert solved == [12, 12]
-        assert report.max_residual <= 1e-13
+        with pytest.raises(sc.DiscViolation) as info:
+            sc.verify_spectral_identities(col, zs, zetas)
+        assert repr(complex(1.2)) in str(info.value)
+
+    def test_a_pole_on_the_circle_is_named(self):
+        # s_0 = 1 / |(1, 1e-12)| rounds to exactly 1 and s_1 = -1, so the
+        # fold (1 - z) / (1 - z) divides 0 by 0 at z = 1, the pole of the
+        # resolvent of D = 1; the sweep warns nowhere and names the point
+        col = sc.UnitaryColligation(np.array([[1.0, 1e-12], [1e-12, 1.0]]))
+        assert col._sections == (1.0, -1.0)
+        assert sc.verify_spectral_identities(col, [0.5], [0.3]).max_residual <= 1e-14
+        named = re.escape(f"z = {1 + 0j!r}")
+        for zs, zetas in (([1.0], [0.5]), ([0.5, 0.2], [0.3, 1.0])):
+            with pytest.raises(sc.NearPole, match=named):
+                sc.verify_spectral_identities(col, zs, zetas)
+        with pytest.raises(sc.NearPole, match=named):
+            sc.characteristic_function(col, np.array([0.5, 1.0]))
+
+    def test_two_dimensional_samples_are_a_dimension_mismatch(self, monkeypatch):
+        col = gauged_colligation(np.random.default_rng(5204), 8)
+        grid = disc_samples(6, radius=0.9).reshape(2, 3)
+        reduced = count_reductions(monkeypatch)
+        for zs, zetas in ((grid, grid), (grid.ravel(), grid), (grid, grid.ravel())):
+            with pytest.raises(sc.DimensionMismatch, match="must be 1-D"):
+                sc.verify_spectral_identities(col, zs, zetas)
+        assert reduced == []
 
 
 class TestFoldBits:
@@ -732,9 +794,11 @@ class TestSimulation:
                 sc.simulate_time_domain(col, inputs)
 
 
-def gauged_colligation(rng, n):
+def gauged_colligation(rng, n, **kwargs):
     """A minimal colligation of degree n under a random state gauge (dense D)."""
-    return sc.apply_state_gauge(random_colligation(rng, n), random_unitary(rng, n))
+    return sc.apply_state_gauge(
+        random_colligation(rng, n, **kwargs), random_unitary(rng, n)
+    )
 
 
 def count_matrix_powers(monkeypatch):
@@ -894,13 +958,12 @@ class TestSpectralIdentities:
         assert report.max_residual == 0.0
 
     @pytest.mark.parametrize("n", [1, 8, 32])
-    def test_two_solves_of_all_the_points(self, n, monkeypatch):
+    def test_gauged_forms_take_no_solve(self, n, monkeypatch):
         col = gauged_colligation(np.random.default_rng(1800 + n), n)
         zs, zetas = disc_samples(20, radius=0.9), 0.5 * disc_samples(13)
-        solved = count_resolvent_solves(monkeypatch)
+        solved = count_linear_solves(monkeypatch)
         report = sc.verify_spectral_identities(col, zs, zetas)
-        # r and l at the 13 pairs' 26 points, no solve of a solve
-        assert solved == [26, 26]
+        assert solved == []
         assert report.max_residual <= 1e-13
 
     def test_random_minimal_degree_four(self):
@@ -925,6 +988,24 @@ class TestInnerBehaviour:
         )
         assert disc_excess <= 1e-10
         assert circle_dev <= 1e-9
+
+    @pytest.mark.parametrize(
+        "counts", [(-1, 5), (0, 5), (5, 0), (2.5, 5), (5, True), (5, "5")]
+    )
+    def test_no_sample_is_not_a_pass(self, counts):
+        # a count below 1 once returned (0.0, 2.2e-16), a pass on no disc sample
+        col = random_colligation(np.random.default_rng(21), 5)
+        with pytest.raises(sc.DimensionMismatch, match="sample count"):
+            sc.inner_sampling_report(col, *counts)
+
+    def test_a_pole_on_the_circle_deviates_without_bound(self):
+        # the fold divides 0 by 0 at the first circle sample, z = 1 (see
+        # TestSectionChain::test_a_pole_on_the_circle_is_named); the
+        # deviation is inf, never NaN, which would compare as a pass
+        col = sc.UnitaryColligation(np.array([[1.0, 1e-12], [1e-12, 1.0]]))
+        assert circle_samples(5)[0] == 1.0
+        assert sc.inner_sampling_report(col, 5, 5) == (0.0, np.inf)
+        assert sc.inner_sampling_report(col, 5, 4)[1] == np.inf
 
     def test_clustered_cascade_unimodular_on_boundary(self):
         col = sc.model_colligation(sc.BlaschkeProduct(1.0, CLUSTER))

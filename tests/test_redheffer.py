@@ -1,11 +1,14 @@
 """Feedback transform, elementary sections and coupled colligations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import schurcol as sc
-from schurcol.sampling import disc_samples
+from schurcol import redheffer as rd
+from schurcol.sampling import circle_samples, disc_samples
 from helpers import (
     band_length,
     count_resolvent_solves,
@@ -359,3 +362,69 @@ class TestGaugeFamily:
         assert matrix <= 1e-12
         assert row <= 1e-12
         assert function <= 1e-11
+
+
+def gauged_state_block(rng, n):
+    """D and C, as one column, of a minimal colligation of degree n under a gauge."""
+    col = sc.apply_state_gauge(random_colligation(rng, n), random_unitary(rng, n))
+    return np.array(col.D), np.array(col.matrix[1:, :1])
+
+
+class TestBatchedResolvent:
+    """The stacked solve of ``characteristic_matrix`` against one LU solve per point."""
+
+    POINTS = np.concatenate(
+        [disc_samples(40, radius=0.95), circle_samples(16), [0.0, 1e-8]]
+    )
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_agrees_with_per_point_solves(self, n):
+        D, C = gauged_state_block(np.random.default_rng(3000 + n), n)
+        x = rd._resolvent_apply(D, self.POINTS, C)
+        ref = reference_resolvent(D, self.POINTS, C[:, 0])
+        assert x.shape == (len(self.POINTS), n, 1)
+        assert np.abs(x[:, :, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_singular_point_alone_is_named(self):
+        # I - z D is exactly singular at z = -2 for D = [-0.5]
+        with pytest.raises(sc.NearPole, match="singular") as info:
+            rd._resolvent_apply(np.array([[-0.5 + 0j]]), -2.0, np.ones((1, 1), complex))
+        assert repr(complex(-2.0)) in str(info.value)
+
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        D, C = gauged_state_block(np.random.default_rng(3001), 8)
+        whole = rd._resolvent_apply(D, self.POINTS, C)
+        # three points per chunk, the last one partial
+        monkeypatch.setattr(rd, "STACK", 3 * 8 * 8)
+        assert np.array_equal(rd._resolvent_apply(D, self.POINTS, C), whole)
+
+    def test_right_hand_side_has_the_axes_of_the_stack(self, monkeypatch):
+        # numpy 1.x solves a right-hand side with one axis fewer than the
+        # stack as a stack of vectors, numpy 2 as one shared matrix; with
+        # the stack's axes both read it as one matrix per point
+        solve = np.linalg.solve
+        axes = []
+
+        def recording(a, b):
+            axes.append((np.ndim(a), np.ndim(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        D, C = gauged_state_block(np.random.default_rng(3004), 8)
+        for z in (self.POINTS, 1.5):
+            for rhs in (C, np.eye(8, 2, dtype=complex)):
+                rd._resolvent_apply(D, z, rhs)
+        assert axes == [(3, 3)] * 4
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # unchunked, 200 points at n = 256 would stack 200 MiB of matrices
+        col = random_colligation(np.random.default_rng(3003), 256, rmax=0.9)
+        D, C = np.array(col.D), np.array(col.matrix[1:, :1])
+        points = disc_samples(200, radius=0.9)
+        tracemalloc.start()
+        try:
+            rd._resolvent_apply(D, points, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
