@@ -167,7 +167,7 @@ def _cmd_schur(cmd: _Command) -> dict:
     cmd.diag("trace_complete", 0.0 if trace.complete else 1.0, 0.0)
     # an early stop on an input whose band says minimal is the recursion's
     # failure (exit 3), not the input's
-    if not trace.complete and not trace.minimal:
+    if not trace.complete and not col.minimal:
         cmd.validation_failed = True
     if trace.complete:
         cmd.diag("backward_error", trace.backward_error, tol.BACKWARD)

@@ -42,9 +42,11 @@ times the resolvent bound 1 / (1 - |z|), taken at 1/conj(z) outside the
 disc.  No linear system is solved and no determinant is taken.  The
 recursion, ``hessenberg.find_equivalence``,
 :attr:`UnitaryColligation.minimal` and the CLI's band diagnostic read
-the same peel and band.  The certificate is built only where its gauge
-V is read or the matrix is not exact, so a closed form never builds it.
-The exact-form test, the band rule and the peel's stop rule live here.
+the same peel and band.  Every read of the certificate sits behind
+``not _exact``: a matrix not exactly in lower form is reduced once, on
+first need, for its H and gauge V, and a matrix exactly in lower form,
+a closed form for one, never builds it.  The exact-form test, the band
+rule and the peel's stop rule live here.
 
 The time-domain recursion keeps its states as the rows of one array.
 It carries only the state at every ``BLOCK``-th step, by D^BLOCK and
@@ -75,7 +77,6 @@ __all__ = [
     "require_unitary",
     "characteristic_function",
     "band_residual",
-    "is_minimal_form",
     "apply_state_gauge",
     "intertwining_residual",
     "simulate_time_domain",
@@ -85,16 +86,24 @@ __all__ = [
 ]
 
 
+def _require_square(shape: tuple[int, ...]) -> None:
+    """DimensionMismatch unless shape is that of a square 2-D array: O(1)."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {shape}")
+
+
 def unitarity_residual(matrix: np.ndarray) -> float:
     """max|U*U - I| in the entrywise max norm, for a square U.
 
     One Gram product bounds both sides: U*U - I and UU* - I have the same
     singular values |sigma_k^2 - 1|, so for an m x m U both have 2-norm
     at most the Frobenius norm of U*U - I, at most m times this residual
-    (m = n + 1 for a colligation of state dimension n).  An empty matrix
+    (m = n + 1 for a colligation of state dimension n).  DimensionMismatch
+    unless U is a square 2-D array, before any arithmetic.  An empty matrix
     (the gauge of a degree-0 colligation) has residual 0.
     """
     m = np.asarray(matrix, dtype=complex)
+    _require_square(m.shape)
     gram = m.conj().T @ m
     # the diagonal: every (len + 1)-th entry of the flat view
     gram.reshape(-1)[:: len(gram) + 1] -= 1.0
@@ -116,8 +125,8 @@ class UnitaryColligation:
     What is derived from the matrix is made on first use and kept with
     it: D^BLOCK and the first Krylov block for the simulation, the
     exact-form test, the one peel of the lower matrix that the fold, the
-    recursion, the equivalence test, minimality and the CLI read, and the
-    checked lower form where its gauge is read or the matrix is not exact.
+    recursion, the equivalence test, minimality and the CLI read, and,
+    only for a matrix not exactly in lower form, its checked lower form.
     """
 
     matrix: np.ndarray
@@ -134,7 +143,8 @@ class UnitaryColligation:
         return col
 
     def _own(self, m: np.ndarray) -> None:
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        # require_unitary rejects a shape that is not square
+        if not m.size:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "unitarity", require_unitary(m, "colligation matrix"))
         m.setflags(write=False)
@@ -188,10 +198,12 @@ class UnitaryColligation:
 
         Reduced on first use by ``hessenberg.reduce_to_special_lower_hessenberg``,
         looked up when called (that module imports this one), and kept with
-        its arrays read-only.  Read for its H only when the matrix is not
-        exactly in lower form (``_lower``), and for its gauge V by the
-        recursion's trace, the equivalence test and the identities of such
-        a matrix.
+        its arrays read-only.  Read only when the matrix is not exactly in
+        lower form: for its H (``_lower``, which the recursion's trace
+        shares), and for its gauge V by the equivalence test and the
+        section chain.  A matrix exactly in lower form builds none.  Read
+        on any matrix it is still correct: the checked reduction returns
+        an exact input as its own form, with V = I.
         """
         from .hessenberg import reduce_to_special_lower_hessenberg
 
@@ -227,8 +239,12 @@ class UnitaryColligation:
 
     @property
     def minimal(self) -> bool:
-        """Minimality (for a unitary colligation also simplicity): ``_lower``'s band."""
-        return is_minimal_form(self._lower)
+        """Minimality (for a unitary colligation also simplicity): ``_lower``'s band.
+
+        Minimal exactly when the band residual of the lower matrix is at
+        most 1 (:func:`band_residual`).
+        """
+        return band_residual(self._lower) <= 1.0
 
     @cached_property
     def _sections(self) -> tuple[complex, ...]:
@@ -260,18 +276,15 @@ def band_residual(H: np.ndarray) -> float:
 
     H is the lower form of a colligation, which is minimal exactly when
     this is at most 1.  A zero band entry gives inf, and n = 0 gives 0.
+    DimensionMismatch unless H is a square 2-D array, before any arithmetic.
     """
+    _require_square(np.shape(H))
     band = np.abs(np.diagonal(H, 1))
     if not len(band):
         return 0.0
     cut = max(len(H), 8) * tol.RANK_REL * float(np.abs(H).max())
     smallest = float(band.min())
     return cut / smallest if smallest > 0.0 else math.inf
-
-
-def is_minimal_form(H: np.ndarray) -> bool:
-    """The minimality verdict on a lower form H: its band residual is at most 1."""
-    return band_residual(H) <= 1.0
 
 
 def _peel_steps(H: np.ndarray):

@@ -42,8 +42,8 @@ so do their JSON round trips.  Such an input certifies itself in
 O(n^2): with V = I both residuals are exactly 0, and no product is
 formed.  The test, ``colligation._in_lower_form``, is also the
 colligation's own, made once (``UnitaryColligation._exact``): an exact
-matrix is its own lower matrix, so its S is folded from its own peel
-without a reduction.  An input that is not a non-empty
+matrix is its own lower matrix with gauge I, so no library or CLI path
+reduces it or builds its certificate.  An input that is not a non-empty
 square matrix, or has a non-finite entry, is rejected before either
 path.
 
@@ -53,8 +53,10 @@ matrix (``UnitaryColligation._lower`` in :mod:`schurcol.colligation`)
 is its own matrix when that is exact, and otherwise the H of its
 checked form (``_form``), reduced here once on first need; the
 parameters are peeled off it once.  The state-space recursion,
-:func:`find_equivalence`, the CLI's band and minimality read it, and
-the certificate is built only where its gauge is read.
+:func:`find_equivalence`, the CLI's band and minimality read it.  They
+read the certificate only of a matrix not exactly in lower form, and
+where :func:`find_equivalence` composes V1 V2*, an exact side's gauge
+is I.
 Minimality (``UnitaryColligation.minimal``): the colligation is
 minimal exactly when no band entry is zero, read at the threshold
 ``max(n+1, 8) * RANK_REL`` relative to the largest entry
@@ -222,17 +224,19 @@ def find_equivalence(
 ) -> np.ndarray | None:
     """State gauge V with diag(1, V) U2 = U1 diag(1, V), None if the functions differ.
 
-    Reads both colligations' kept lower forms (each is reduced once, on
-    first need); NotSimple unless both bands are nonzero.  Minimal
-    realizations of different state dimensions realize different
-    functions (None).  V = V1 V2* is
-    returned at once when its intertwining residual is within EQUIV, a
-    sufficient test.  Otherwise the functions decide, by the state-space
-    recursion's own test: V is returned when the Moebius folds of the two
-    peeled parameter sequences agree within BACKWARD at the
-    ``_check_count(n)`` roots of unity, and None when they do not.  As
-    in the recursion, every peeled s_p with p < n must be inside the
-    disc, or NotSimple.
+    Reads both colligations' lower matrices; NotSimple unless both bands
+    are nonzero.  Minimal realizations of different state dimensions
+    realize different functions (None).  V = V1 V2* of the two gauges to
+    lower form: V_k is the gauge of colligation k's kept certificate
+    (reduced once, on first need) when its matrix is not exactly in lower
+    form, and I when it is, so such a matrix builds no certificate and
+    enters no product.  V is returned at once when its intertwining
+    residual is within EQUIV, a sufficient test.  Otherwise the functions
+    decide, by the state-space recursion's own test: V is returned when
+    the Moebius folds of the two peeled parameter sequences agree within
+    BACKWARD at the ``_check_count(n)`` roots of unity, and None when
+    they do not.  As in the recursion, every peeled s_p with p < n must
+    be inside the disc, or NotSimple.
 
     Equal means equal S to BACKWARD on the circle, not equal parameters:
     deep parameters barely move S, so at n = 256 a relative change of
@@ -245,7 +249,12 @@ def find_equivalence(
         raise NotSimple("both colligations must be simple")
     if col1.n != col2.n:
         return None
-    V = col1._form.V @ col2._form.V.conj().T
+    if col2._exact:
+        V = np.eye(col1.n, dtype=complex) if col1._exact else col1._form.V.copy()
+    else:
+        V = col2._form.V.conj().T
+        if not col1._exact:
+            V = col1._form.V @ V
     if intertwining_residual(col1, col2, V) <= tol.EQUIV:
         return V
     if col1._stop < col1.n or col2._stop < col2.n:

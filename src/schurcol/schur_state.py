@@ -3,11 +3,11 @@
 The recursion reads the parameters peeled once off the input's lower
 matrix H (``UnitaryColligation._peeled``; H is the matrix itself when
 it is exactly in lower form, else the H of ``_form``, one Hessenberg
-reduction with its certificate check), and the kept form's H and
-gauge for the trace; each is made on first need and kept with the
-colligation.  H is the Redheffer coupling of its elementary sections,
-and the peel takes them off from the left (``colligation._peel``;
-Gragg 1982; Ammar, Gragg & Reichel 1986): with
+reduction with its certificate check), and that H for the trace; each
+is made on first need and kept with the colligation, and a matrix in
+lower form builds no certificate.  H is the Redheffer coupling of its
+elementary sections, and the peel takes them off from the left
+(``colligation._peel``; Gragg 1982; Ammar, Gragg & Reichel 1986): with
 sections 0 .. p-1 gone, row p holds only the pair (a, b) of the peeled
 H[p, p] and the band entry H[p, p+1], and
 
@@ -54,7 +54,6 @@ from .colligation import (
     _fold,
     _peel,
     _peel_steps,
-    is_minimal_form,
 )
 from .errors import InternalInconsistency, NotMinimal
 from .rational import SchurParameterSequence, _couple_section
@@ -72,18 +71,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchurStateTrace:
-    """Parameters of one run and the reduced matrix H they were peeled from.
+    """Parameters of one run and the lower matrix H they were peeled from.
 
+    H is the colligation's lower matrix (``UnitaryColligation._lower``),
+    shared read-only: the matrix itself when it is exactly in lower form,
+    else the H of its kept certificate.  The gauge is not in the trace;
+    ``reduce_to_special_lower_hessenberg(M).V`` gives it, and the band
+    verdict is the colligation's own (``UnitaryColligation.minimal``).
     kappa = prod 1 / d_p over p < n, with d_p = sqrt(1 - |s_p|^2) of the
     peeled parameters (infinite when some d_p = 0); the error of the
     parameters grows with it.  backward_error is the final check's
     max |S_rec(t) - S(t)| on the unit circle, None on a partial trace.
-    minimal is the band verdict on H.
     """
 
     parameters: tuple[complex, ...]
     H: np.ndarray
-    gauge: np.ndarray
     complete: bool
     message: str | None
     backward_error: float | None
@@ -135,11 +137,6 @@ class SchurStateTrace:
             chain.append(den)
         return tuple(reversed(chain))
 
-    @property
-    def minimal(self) -> bool:
-        """The minimality verdict on H: :func:`schurcol.colligation.is_minimal_form`."""
-        return is_minimal_form(self.H)
-
     def parameter_sequence(self) -> SchurParameterSequence:
         if not self.complete:
             raise NotMinimal(f"trace is partial: {self.message}")
@@ -187,10 +184,11 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     """Run the full recursion on a unitary colligation.
 
     Reads s_0 .. s_n, peeled off the colligation's lower matrix by
-    ``colligation._peel``, and its kept lower form for the trace's H and
-    gauge (the reduction and the peel are made once per colligation, and
-    the peel of a closed form is the fold's).  The trace shares H and the
-    gauge with the kept form, read-only.  If some |s_p| with p < n
+    ``colligation._peel``, and shares that lower matrix, read-only, as
+    the trace's H (the peel is made once per colligation and is the
+    fold's).  A matrix exactly in lower form is its own H, so no
+    certificate is built for it; any other is reduced once, on first
+    need, and its kept form's H is read.  If some |s_p| with p < n
     reaches 1 - DISC, the input was not minimal or the reduction lost
     it: a partial trace is returned with the diagnostic message instead
     of an exception, so callers can report how far the recursion went.
@@ -198,7 +196,7 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
     parameters miss the input's function by more than BACKWARD on the
     unit circle; the exception carries the residual and the tolerance.
     """
-    n, cert, s, stop = col.n, col._form, col._peeled, col._stop
+    n, H, s, stop = col.n, col._lower, col._peeled, col._stop
     d = np.sqrt(np.maximum(1.0 - np.abs(np.array(s[:n])) ** 2, 0.0))
     product = float(np.prod(d))
     kappa = 1.0 / product if product > 0.0 else np.inf
@@ -209,7 +207,7 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
         )
         if not col.minimal:
             message += " (input colligation is not minimal)"
-        return SchurStateTrace(s[:stop], cert.H, cert.V, False, message, None, kappa)
+        return SchurStateTrace(s[:stop], H, False, message, None, kappa)
     backward = _backward_error(col, s)
     if not backward <= tol.BACKWARD:
         raise InternalInconsistency(
@@ -218,12 +216,14 @@ def schur_algorithm_state_space(col: UnitaryColligation) -> SchurStateTrace:
             backward,
             tol.BACKWARD,
         )
-    return SchurStateTrace(s, cert.H, cert.V, True, None, backward, kappa)
+    return SchurStateTrace(s, H, True, None, backward, kappa)
 
 
-def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
+def closed_form_matrix(p) -> np.ndarray:
     """Entrywise expression of the Hessenberg colligation in the parameters.
 
+    p is a SchurParameterSequence, or the parameters s_0 .. s_n that one
+    is built from, so invalid ones raise DiscViolation or UnitViolation.
     With d_j = sqrt(1 - |s_j|^2):
 
         u[0, 0]   = s_0
@@ -236,6 +236,8 @@ def closed_form_matrix(p: SchurParameterSequence) -> np.ndarray:
     taken by one cumulative product down the columns: O(n^2), and no
     quotient of products, which would underflow for small d_j.
     """
+    if not isinstance(p, SchurParameterSequence):
+        p = SchurParameterSequence(tuple(p))
     return _closed_form(p.params)
 
 
@@ -294,15 +296,11 @@ def product_form_matrix(p: SchurParameterSequence) -> np.ndarray:
     return u
 
 
-def colligation_from_schur_parameters(
-    p: SchurParameterSequence,
-) -> UnitaryColligation:
+def colligation_from_schur_parameters(p) -> UnitaryColligation:
     """Build the special lower Hessenberg colligation of a parameter sequence.
 
-    The closed form equals the product of embedded sections
-    (:func:`product_form_matrix`); that identity is checked by the test
-    suite, not on every call.
+    p is what :func:`closed_form_matrix` takes.  The closed form equals
+    the product of embedded sections (:func:`product_form_matrix`); that
+    identity is checked by the test suite, not on every call.
     """
-    if not isinstance(p, SchurParameterSequence):
-        p = SchurParameterSequence(tuple(p))
     return UnitaryColligation._adopt(closed_form_matrix(p))

@@ -890,7 +890,7 @@ class TestParams:
         def stopped(col):
             trace = original(col)
             return sc.SchurStateTrace(
-                trace.parameters[:1], trace.H, trace.gauge, False,
+                trace.parameters[:1], trace.H, False,
                 "terminated at step 1 of 2", None, trace.kappa,
             )
 
@@ -1029,8 +1029,10 @@ class TestSerialization:
             sc.SchurParameterSequence((0.5, 0.3j, 1.0))
         )
         trace = sc.schur_algorithm_state_space(col)
-        # the trace's H is the colligation's kept lower form, read-only
-        assert trace.H is col._form.H and not trace.H.flags.writeable
+        # the trace's H is the colligation's lower matrix, read-only: a
+        # closed form's own matrix, with no certificate built for it
+        assert trace.H is col.matrix and not trace.H.flags.writeable
+        assert "_form" not in vars(col)
         doc = js.trace_to_json(trace)
         arrays = [doc["parameters"], doc["H"], *doc["denominators"]]
         arrays.append(js.colligation_to_json(col)["matrix"])

@@ -3,7 +3,6 @@
 import json
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,7 +269,7 @@ class TestOneRoute:
         for delta in [10.0**-k for k in range(2, 17, 2)] + [0.0]:
             s[p] = (1.0 - delta) * 1j**p
             closed = sc.UnitaryColligation(
-                sc.closed_form_matrix(SimpleNamespace(params=s))
+                sc.schur_state._closed_form(s)
             )
             col = sc.apply_state_gauge(closed, random_unitary(rng, n))
             ref = col.A + points * (reference_resolvent(col.D, points, col.C) @ col.B)
@@ -411,7 +410,7 @@ class TestSectionFold:
         params = list(random_params(rng, 8).params)
         params[2] = (1.0 - 1e-10) * 1j
         near = sc.UnitaryColligation(
-            sc.closed_form_matrix(SimpleNamespace(params=tuple(params)))
+            sc.schur_state._closed_form(params)
         )
         assert sc.band_residual(near.matrix) <= 1.0
         points = disc_samples(10, radius=0.9)
@@ -656,6 +655,14 @@ class TestStateGauge:
         assert out.n == 0
         assert np.array_equal(out.matrix, col.matrix)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (3, 2), (0, 1), (2, 2, 2)])
+    def test_residuals_take_only_square_matrices(self, shape):
+        # the shape is read before any arithmetic: a vector, a 0-d or 3-d
+        # array and a rectangular matrix are typed failures, not a residual
+        for residual in (sc.unitarity_residual, sc.band_residual):
+            with pytest.raises(sc.DimensionMismatch, match="square"):
+                residual(np.ones(shape))
+
 
 class TestFindEquivalence:
     def test_recovers_gauged_copy(self):
@@ -733,7 +740,7 @@ class TestFindEquivalence:
         params = list(random_params(np.random.default_rng(13), 8).params)
         params[2] = (1.0 - 1e-10) * 1j
         near = sc.UnitaryColligation(
-            sc.closed_form_matrix(SimpleNamespace(params=tuple(params)))
+            sc.schur_state._closed_form(params)
         )
         assert sc.band_residual(near.matrix) <= 1.0
         with pytest.raises(sc.NotSimple):

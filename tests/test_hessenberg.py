@@ -1,6 +1,7 @@
 """Hessenberg reduction, its dense reference and the minimality criterion."""
 
-from types import SimpleNamespace
+import io
+import sys
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from numpy.testing import assert_allclose
 
 import schurcol as sc
 from schurcol import cli
-from schurcol.colligation import BLOCK, _in_lower_form, is_minimal_form
+from schurcol.colligation import BLOCK, _in_lower_form
 from schurcol.sampling import disc_samples
 from helpers import (
     assert_stored_exactly,
     count_full_reductions,
     count_reductions,
     hankel_rank,
+    random_blaschke,
     random_params,
     random_unitary,
     reference_reduction,
@@ -260,11 +262,11 @@ class TestBreakdownRule:
         s = np.array(random_params(rng, n, rmax=0.9).params)
         for delta in [10.0**-k for k in range(2, 17, 2)] + [0.0]:
             s[p] = (1.0 - delta) * 1j**p
-            closed = sc.closed_form_matrix(SimpleNamespace(params=s))
+            closed = sc.schur_state._closed_form(s)
             m = gauge(closed, random_unitary(rng, n))
             cert = sc.reduce_to_special_lower_hessenberg(m)
             assert_stored_exactly(cert, m)
-            assert is_minimal_form(cert.H) == (delta > 0.0)
+            assert (sc.band_residual(cert.H) <= 1.0) == (delta > 0.0)
             assert np.argmin(cert.band) == p
 
     def test_two_decoupled_states(self):
@@ -281,7 +283,7 @@ class TestBreakdownRule:
         assert_stored_exactly(cert, block)
         assert cert.band[n] == cert.band[n + 1] == 0.0
         assert cert.band[:n].min() > 0.1
-        assert not is_minimal_form(cert.H)
+        assert not sc.band_residual(cert.H) <= 1.0
         assert np.array_equal(cert.V[:, n:], np.eye(n + 2)[:, n:])
 
     @pytest.mark.parametrize("size", [1e-13, 0.0])
@@ -298,7 +300,7 @@ class TestBreakdownRule:
         assert_stored_exactly(cert, m)
         assert cert.band[0] == 0.0
         assert cert.band[1:].min() > 1e-6
-        assert not is_minimal_form(cert.H)
+        assert not sc.band_residual(cert.H) <= 1.0
         assert np.array_equal(cert.V[:, 0], np.eye(n)[:, 0])
 
     @pytest.mark.parametrize("size", [1, 2, 9])
@@ -326,7 +328,7 @@ class TestBreakdownRule:
             cert = sc.reduce_to_special_lower_hessenberg(m)
             assert_stored_exactly(cert, m)
             H, _ = reference_reduction(m)
-            assert is_minimal_form(cert.H) == is_minimal_form(H)
+            assert (sc.band_residual(cert.H) <= 1.0) == (sc.band_residual(H) <= 1.0)
             zeros += np.count_nonzero(cert.band == 0.0)
         assert zeros > 0
 
@@ -477,6 +479,8 @@ class TestKeptLowerForm:
     """A colligation reduces itself once, and only where the lower form is read."""
 
     def test_one_reduction_per_colligation(self, monkeypatch):
+        # the gauged side is reduced once, by the Arnoldi loop, and its
+        # trace shares the kept H; the closed side is never reduced
         rng = np.random.default_rng(340)
         closed = sc.colligation_from_schur_parameters(random_params(rng, 32))
         g = sc.apply_state_gauge(closed, random_unitary(rng, 32))
@@ -486,11 +490,45 @@ class TestKeptLowerForm:
         for first, second in ((g, closed), (closed, g)):
             assert sc.find_equivalence(first, second) is not None
         assert g.minimal and closed.minimal
-        assert sum(M is g.matrix for M in reduced) == 1
-        assert len(reduced) == 2 and entered == [32]
+        assert len(reduced) == 1 and reduced[0] is g.matrix and entered == [32]
+        assert "_form" not in vars(closed)
         for trace in traces:
-            assert trace.complete and trace.H is g._form.H and trace.gauge is g._form.V
+            assert trace.complete and trace.H is g._form.H
         assert not (g._form.H.flags.writeable or g._form.V.flags.writeable)
+
+    def test_a_closed_form_builds_no_certificate(self, monkeypatch, capsys):
+        # a matrix exactly in lower form is its own lower matrix with gauge
+        # I: the recursion, the equivalence test against every kind of
+        # partner, evaluation, simulation and the CLI never reduce it
+        rng = np.random.default_rng(344)
+        model = sc.model_colligation(random_blaschke(rng, 12))
+        seq = sc.schur_algorithm_state_space(model).parameter_sequence()
+        col = sc.colligation_from_schur_parameters(seq)
+        partners = [
+            sc.colligation_from_schur_parameters(seq),
+            sc.apply_state_gauge(col, random_unitary(rng, 12)),
+            model,
+        ]
+        points = disc_samples(8, radius=0.9)
+        trace = sc.schur_algorithm_state_space(col)
+        assert trace.complete and trace.H is col.matrix
+        for partner in partners:
+            for first, second in ((col, partner), (partner, col)):
+                V = sc.find_equivalence(first, second)
+                assert sc.intertwining_residual(first, second, V) <= 1e-10
+        sc.characteristic_function(col, np.concatenate([points, [2.0]]))
+        sc.verify_spectral_identities(col, points, points[::-1])
+        sc.readout_residual(col)
+        sc.simulate_time_domain(col, np.ones(3 * BLOCK))
+        assert "_form" not in vars(col) and "_form" not in vars(partners[0])
+        # the CLI builds its own colligation of the document: no reduction
+        reduced = count_reductions(monkeypatch)
+        text = sc.serialize.dumps_canonical(sc.serialize.colligation_to_json(col))
+        for command in ("schur", "verify"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert cli.main([command]) == 0
+        capsys.readouterr()
+        assert reduced == []
 
     def test_one_peel_per_colligation(self, monkeypatch):
         # a closed form is its own lower matrix: the fold, minimality, the

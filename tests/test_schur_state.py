@@ -412,6 +412,21 @@ class TestMatrixBuilders:
         assert col.minimal
         assert _in_lower_form(col.matrix)
 
+    def test_builders_take_the_parameters_themselves(self):
+        # the closed form wraps plain parameters as its sibling does, so
+        # both give the same matrix and the same typed failures
+        p = sc.SchurParameterSequence((0.5, 0.3j, 1.0))
+        closed = sc.closed_form_matrix([0.5, 0.3j, 1.0])
+        assert np.array_equal(closed, sc.closed_form_matrix(p))
+        assert np.array_equal(
+            closed, sc.colligation_from_schur_parameters([0.5, 0.3j, 1.0]).matrix
+        )
+        for build in (sc.closed_form_matrix, sc.colligation_from_schur_parameters):
+            with pytest.raises(sc.DiscViolation):
+                build([1.0, 1.0])
+            with pytest.raises(sc.UnitViolation):
+                build([0.5, 0.5])
+
 
 class TestDenominatorChain:
     def test_computed_once_on_first_access(self, monkeypatch):
